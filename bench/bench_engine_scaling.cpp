@@ -11,9 +11,8 @@
 //     the reference's O(n)-per-round scans are the point of the comparison);
 //   * at n >= 10^5, additionally under the sharded parallel kernel
 //     ("csr-mt4", SimConfig::threads = 4) — bit-identical results, measured
-//     separately. The 10^6 points run under TraceLevel::Bounded, proving the
-//     memory-capped trace mode on the workloads it exists for.
-// Emits BENCH_engine.json: per (scenario, engine) the completion round, wall
+//     separately.
+// Every run records no trace (TraceLevel::None). Emits BENCH_engine.json: per (scenario, engine) the completion round, wall
 // time (min over --repeat runs), rounds/sec, and the *per-measurement* peak
 // RSS (the kernel high-water mark is reset before each measurement via
 // obs::reset_peak, so a row's peak is its own, not inherited from earlier
@@ -36,10 +35,11 @@
 //   --min-parallel-speedup=X  exit nonzero if the best csr-mt4 vs csr
 //                 rounds/sec ratio falls below X (only meaningful on
 //                 multi-core hosts; the CI runners gate on it)
-//   --telemetry   attach the obs::RoundTelemetry layer to every timed run
-//                 and print the per-phase wall-time breakdown per row.
-//                 Off by default: committed baselines measure the
-//                 telemetry-disabled (branch-on-null) hot path
+//   --telemetry   attach the obs::RoundTelemetry layer to every timed CSR
+//                 run and print the per-phase wall-time breakdown per row
+//                 (the reference engine has no telemetry). Off by default:
+//                 committed baselines measure the telemetry-disabled
+//                 (branch-on-null) hot path
 //   --out         output path for the JSON report (default BENCH_engine.json)
 
 #include <array>
@@ -87,8 +87,7 @@ bool g_rss_per_scenario = true;
 
 Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
                     const ProcessFactory& factory, EngineKind kind,
-                    std::size_t repeat, bool bounded_trace,
-                    obs::RoundTelemetry* telemetry) {
+                    std::size_t repeat, obs::RoundTelemetry* telemetry) {
   SimConfig config;
   config.rule = spec.rule;
   config.start = spec.start;
@@ -96,8 +95,7 @@ Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
   config.seed = campaign::trial_seed(1, spec.name, 0);
   config.token_sources = spec.token_sources;
   if (kind == EngineKind::CsrParallel) config.threads = kParallelThreads;
-  if (bounded_trace) config.trace = TraceLevel::Bounded;
-  config.telemetry = telemetry;
+  if (kind != EngineKind::Reference) config.telemetry = telemetry;
 
   // Per-measurement RSS: reset the kernel high-water mark so this row's peak
   // covers exactly this measurement's allocations (plus whatever is already
@@ -139,7 +137,7 @@ Measurement run_one(const campaign::Scenario& spec, const DualGraph& net,
           ? static_cast<double>(result.rounds_executed) / best_seconds
           : 0;
   m.peak_rss_mb = obs::peak_rss_mb();
-  if (telemetry != nullptr) {
+  if (config.telemetry != nullptr) {
     for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
       m.phase_ns[p] = telemetry->total_phase_ns(static_cast<obs::Phase>(p));
     }
@@ -286,17 +284,15 @@ int main(int argc, char** argv) {
       continue;
     }
     const int rank = size_rank(spec);
-    // The 10^6 points run under the memory-capped Bounded trace — the mode
-    // exists exactly for them — and always once (their wall times are far
-    // above the noise floor --repeat exists for).
-    const bool bounded = rank >= 3;
+    // Slow points run once: their wall times are far above the noise floor
+    // --repeat exists for.
     const std::size_t reps = slow ? 1 : repeat;
 
     const DualGraph net = spec.network();
     const ProcessFactory factory = spec.algorithm(net);
 
     const Measurement fast =
-        run_one(spec, net, factory, EngineKind::Csr, reps, bounded, tel);
+        run_one(spec, net, factory, EngineKind::Csr, reps, tel);
     record(fast);
 
     // Serial vs sharded-parallel on the 100k+ points (heavy rounds; the
@@ -305,8 +301,7 @@ int main(int argc, char** argv) {
     // unit-test grid cannot reach — so a mismatch fails the run.
     if (rank >= 2) {
       const Measurement par = run_one(spec, net, factory,
-                                      EngineKind::CsrParallel, reps, bounded,
-                                      tel);
+                                      EngineKind::CsrParallel, reps, tel);
       record(par);
       if (par.completed != fast.completed || par.rounds != fast.rounds ||
           par.sends != fast.sends) {
@@ -325,8 +320,7 @@ int main(int argc, char** argv) {
     // comparison points are the 1k and 10k grid.
     if (rank <= 1) {
       const Measurement ref = run_one(spec, net, factory,
-                                      EngineKind::Reference, reps, bounded,
-                                      tel);
+                                      EngineKind::Reference, reps, tel);
       record(ref);
       if (ref.rounds_per_sec > 0) {
         speedups[spec.name] = fast.rounds_per_sec / ref.rounds_per_sec;

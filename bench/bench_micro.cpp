@@ -15,7 +15,7 @@ namespace {
 
 using namespace dualrad;
 
-void BM_SimulatorRounds(benchmark::State& state) {
+void BM_EngineRounds(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));
   const DualGraph net = duals::layered_complete_gprime(8, std::max(2, n / 8));
   const ProcessFactory factory = make_harmonic_factory(net.node_count());
@@ -31,7 +31,7 @@ void BM_SimulatorRounds(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
-BENCHMARK(BM_SimulatorRounds)->Arg(32)->Arg(128);
+BENCHMARK(BM_EngineRounds)->Arg(32)->Arg(128);
 
 void BM_KautzSingletonConstruction(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -5,19 +5,18 @@
 #include <exception>
 #include <memory>
 #include <optional>
-#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 
-#include "byz/runtime.hpp"
-#include "core/rng.hpp"
+#include "core/execution.hpp"
 #include "graph/graph.hpp"
 #include "obs/telemetry.hpp"
 
 namespace dualrad {
 
-/// The sparse CSR round engine.
+/// The sparse CSR round kernel, on the shared execution frame
+/// (core/execution.hpp).
 ///
 /// The dense reference engine (core/reference_engine.cpp) spends O(n) per
 /// round scanning every node four times. This engine makes a round cost
@@ -25,8 +24,8 @@ namespace dualrad {
 ///
 ///  * **CSR adjacency snapshots** — message propagation walks the network's
 ///    frozen `g_csr()` rows (the builder's insertion order, so arrival order
-///    is bit-identical to the reference); `g_prime_csr()` backs the
-///    G'-membership validation of adversary reach choices.
+///    is bit-identical to the reference); `unreliable_csr()` backs the
+///    G'-only validation of adversary reach choices.
 ///  * **Epoch-stamped arrival slots** — one packed slot per node: the
 ///    arrival round, a saturating arrival count, and the first arriving
 ///    sender (whose message is sent_msg[sender], so deposits copy no
@@ -217,182 +216,29 @@ class ShardPool {
   void* ctx_ = nullptr;
 };
 
-}  // namespace
+/// Deposits + deliveries below this run inline: the fan-out/join of a pool
+/// dispatch (~ a few microseconds) must be amortized by real work.
+constexpr std::size_t kParallelGrain = 2048;
 
-Simulator::Simulator(const DualGraph& net, ProcessFactory factory,
-                     Adversary& adversary, SimConfig config)
-    : net_(net),
-      factory_(std::move(factory)),
-      adversary_(adversary),
-      config_(config) {
-  DUALRAD_REQUIRE(config_.max_rounds >= 1, "max_rounds must be positive");
-  DUALRAD_REQUIRE(static_cast<bool>(factory_), "process factory must be set");
-  DUALRAD_REQUIRE(config_.trace != TraceLevel::Bounded ||
-                      config_.trace_window >= 1,
-                  "bounded trace needs a positive window");
-}
+/// The sparse kernel of one execution. run() is the round loop; each phase
+/// is one member function, and the telemetry phase boundaries sit between
+/// them.
+class SparseKernel {
+ public:
+  explicit SparseKernel(ExecutionFrame& frame);
 
-SimResult run_broadcast(const DualGraph& net, const ProcessFactory& factory,
-                        Adversary& adversary, const SimConfig& config) {
-  Simulator sim(net, factory, adversary, config);
-  return sim.run();
-}
+  [[nodiscard]] SimResult run();
 
-void validate_token_sources(NodeId n, const std::vector<NodeId>& sources) {
-  DUALRAD_REQUIRE(
-      sources.size() < static_cast<std::size_t>(byz::kForgedTokenBase),
-      "too many token sources: legitimate token ids would reach the "
-      "forged-token band (byz::kForgedTokenBase)");
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const NodeId s = sources[i];
-    DUALRAD_REQUIRE(s >= 0 && s < n,
-                    "token source out of range: token_sources[" +
-                        std::to_string(i) + "] = " + std::to_string(s) +
-                        " is not a node of the " + std::to_string(n) +
-                        "-node network");
-    DUALRAD_REQUIRE(!seen[static_cast<std::size_t>(s)],
-                    "token sources must be distinct: node " +
-                        std::to_string(s) + " appears again at token_sources[" +
-                        std::to_string(i) + "]");
-    seen[static_cast<std::size_t>(s)] = true;
-  }
-}
-
-SimResult Simulator::run() {
-  const NodeId n = net_.node_count();
-  const auto un = static_cast<std::size_t>(n);
-
-  // Flat adjacency snapshots for the hot path, frozen once per network (not
-  // per execution). csr_g drives propagation; csr_gp backs the
-  // G'-membership validation of adversary reach choices.
-  const CsrGraph& csr_g = net_.g_csr();
-  const CsrGraph& csr_gp = net_.g_prime_csr();
-
-  adversary_.on_execution_start(net_);
-
-  SimResult result;
-  result.process_of_node = adversary_.assign_processes(net_);
-  DUALRAD_CHECK(result.process_of_node.size() == un,
-                "proc mapping has wrong size");
-  {
-    std::vector<bool> seen(un, false);
-    for (ProcessId p : result.process_of_node) {
-      DUALRAD_CHECK(p >= 0 && p < n && !seen[static_cast<std::size_t>(p)],
-                    "proc mapping must be a permutation");
-      seen[static_cast<std::size_t>(p)] = true;
-    }
-  }
-
-  // Instantiate processes, indexed by node for the rest of the run.
-  std::vector<std::unique_ptr<Process>> proc_at(un);
-  for (NodeId v = 0; v < n; ++v) {
-    const ProcessId pid = result.process_of_node[static_cast<std::size_t>(v)];
-    proc_at[static_cast<std::size_t>(v)] =
-        factory_(pid, n, mix_seed(config_.seed, static_cast<std::uint64_t>(pid)));
-    DUALRAD_CHECK(proc_at[static_cast<std::size_t>(v)] != nullptr,
-                  "factory returned null process");
-    DUALRAD_CHECK(proc_at[static_cast<std::size_t>(v)]->id() == pid,
-                  "factory produced process with wrong id");
-  }
-
-  // Token sources: the classic problem injects kBroadcastToken at the
-  // network source; multi-message executions inject token i+1 at
-  // token_sources[i] (all distinct).
-  std::vector<NodeId> sources = config_.token_sources;
-  if (sources.empty()) sources.push_back(net_.source());
-  const auto k = sources.size();
-  validate_token_sources(n, sources);
-
-  // Byzantine node faults (byz/runtime.hpp): constructed after the adversary
-  // hooks above so an adaptive adversary's on_execution_start reset is
-  // already applied when the runtime syncs the plan's baseline.
-  std::optional<byz::ByzRuntime> byzrt;
-  if (config_.byzantine != nullptr) {
-    byzrt.emplace(*config_.byzantine, result.process_of_node);
-  }
-  std::vector<NodeId> byz_removed;
-  std::vector<NodeId> byz_added;
-
-  // Per-node flags are byte arrays, not vector<bool>: the parallel kernel's
-  // workers write disjoint indices concurrently.
-  NodeFlags awake(un, 0);
-  // covered[v]: the process at v holds at least one token (what the
-  // adversary view exposes); holds[t*n + v]: it holds token id t+1.
-  NodeFlags covered(un, 0);
-  NodeFlags holds(k * un, 0);
-  result.token_first.assign(k, std::vector<Round>(un, kNever));
-  // covered_delta: nodes first covered by the previous round's deliveries
-  // (the AdversaryView::newly_covered span), ascending; next_delta collects
-  // the running round's additions from the shard merge.
-  std::vector<NodeId> covered_delta;
-  std::vector<NodeId> next_delta;
-
-  // Scheduling state. `transparent[v]` caches silence_transparent() of the
-  // process at v (queried at activation); non-transparent awake nodes are
-  // listed in `noisy` and get the reference engine's per-round delivery.
-  SendCalendar calendar(un);
-  NodeFlags transparent(un, 0);
-  std::vector<NodeId> noisy;
-  const auto activate_bookkeeping = [&](NodeId v, Round now) {
-    const auto uv = static_cast<std::size_t>(v);
-    awake[uv] = 1;
-    transparent[uv] = proc_at[uv]->silence_transparent() ? 1 : 0;
-    if (!transparent[uv]) noisy.push_back(v);
-    calendar.plan(v, proc_at[uv]->next_send_round(now + 1), now);
+ private:
+  /// Arrival slot per node: `mark` packs (round << 2) | count with count
+  /// saturating at 3 (the model only distinguishes 0 / 1 / >= 2), `from` is
+  /// the first arriving sender (its message is sent_msg[from], so the slot
+  /// fits one cache line and deposits copy no Message). A slot is live iff
+  /// its round field equals the current round — nothing is ever cleared.
+  struct ArrivalSlot {
+    std::uint64_t mark = 0;
+    NodeId from = kInvalidNode;
   };
-
-  // Environment input: each token arrives at its source process prior to
-  // round 1 (Section 3).
-  std::size_t held_count = 0;
-  for (std::size_t t = 0; t < k; ++t) {
-    const auto src = static_cast<std::size_t>(sources[t]);
-    const Message env_msg{/*token=*/static_cast<TokenId>(t + 1),
-                          /*origin=*/kInvalidProcess,
-                          /*round_tag=*/0, /*payload=*/0};
-    covered[src] = 1;
-    holds[t * un + src] = 1;
-    result.token_first[t][src] = 0;
-    ++held_count;
-    proc_at[src]->on_activate(0, env_msg);
-    activate_bookkeeping(sources[t], 0);
-    covered_delta.push_back(sources[t]);
-  }
-  std::sort(covered_delta.begin(), covered_delta.end());
-  if (config_.start == StartRule::Synchronous) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (awake[static_cast<std::size_t>(v)]) continue;
-      proc_at[static_cast<std::size_t>(v)]->on_activate(0, std::nullopt);
-      activate_bookkeeping(v, 0);
-    }
-  }
-
-  result.trace.level = config_.trace;
-  const bool full_trace = config_.trace == TraceLevel::Full;
-  const bool compressed_trace = config_.trace == TraceLevel::Compressed;
-  // Compressed mode builds the identical per-round scratch record and then
-  // delta-encodes it (core/trace.cpp) instead of storing it.
-  const bool record_trace = full_trace || compressed_trace;
-  const bool counted_trace =
-      config_.trace == TraceLevel::Counts || record_trace;
-  if (config_.trace == TraceLevel::Bounded) {
-    result.trace.window = config_.trace_window;
-    result.trace.ring_senders.assign(config_.trace_window, 0);
-    result.trace.ring_collisions.assign(config_.trace_window, 0);
-  }
-
-  // --- Sharded parallel kernel setup. The node space is cut into
-  // `shards` contiguous ranges; results are identical for every shard
-  // count (including 1), so rounds below the work cutoff simply run the
-  // same kernel inline with a single all-covering shard. ---
-  const unsigned shards = std::max(
-      1u, std::min({config_.threads == 0 ? 1u : config_.threads, 64u,
-                    static_cast<unsigned>(un)}));
-  std::optional<ShardPool> pool;
-  if (shards > 1) pool.emplace(shards);
-  // Deposits + deliveries below this run inline: the fan-out/join of a
-  // pool dispatch (~ a few microseconds) must be amortized by real work.
-  constexpr std::size_t kParallelGrain = 2048;
 
   struct alignas(64) ShardState {
     std::vector<NodeId> touched;   // nodes with >= 1 arrival this round
@@ -402,426 +248,372 @@ SimResult Simulator::run() {
     std::vector<std::pair<NodeId, Round>> plans;  // deferred calendar.plan
     std::size_t held_delta = 0;
   };
-  std::vector<ShardState> shard(shards);
-  // shard_bounds(w, active): the node range of shard w when `active` shards
-  // participate this round.
-  const auto shard_lo = [un](unsigned w, unsigned active) {
-    return static_cast<NodeId>(static_cast<std::uint64_t>(un) * w / active);
-  };
 
-  // Reusable per-round buffers. The ReachSink is handed to the adversary
-  // every round with capacity retained — no per-round reach allocations.
-  std::vector<NodeId> due;            // calendar pops, this round
-  std::vector<NodeId> senders;        // ascending, as the reference produces
-  ReachSink sink;
-  std::vector<Message> sent_msg(un);
-  NodeFlags is_sender(un, 0);
-  // Arrival slot per node: `mark` packs (round << 2) | count with count
-  // saturating at 3 (the model only distinguishes 0 / 1 / >= 2), `from` is
-  // the first arriving sender (its message is sent_msg[from], so the slot
-  // fits one cache line and deposits copy no Message). A slot is live iff
-  // its round field equals the current round — nothing is ever cleared.
-  struct ArrivalSlot {
-    std::uint64_t mark = 0;
-    NodeId from = kInvalidNode;
-  };
-  std::vector<ArrivalSlot> arrival(un);
-  std::vector<NodeId> collided;       // merged from shards; CR4 sorts it
-  // Full arrival lists, spilled only on collision and only consumed under
-  // CR4 (adversary resolution picks among them).
-  std::vector<std::vector<Message>> multi(un);
-  std::vector<Reception> rec_of(un);  // CR4 collided non-senders only
-  const Reception kSilence = Reception::silence();
-  senders.reserve(64);
-  collided.reserve(64);
+  void poll(Round round);
+  void propagate(Round round);
+  void propagate_shard(unsigned w);
+  void deliver(Round round);
+  void deliver_shard(unsigned w, Round round);
+  void merge(Round round);
+  void end_phase(obs::Phase phase);
+  void report_round();
 
-  const std::size_t all_held = k * un;
-  const bool spill_arrivals = config_.rule == CollisionRule::CR4;
-
-  // Telemetry (obs/telemetry.hpp) is strictly out-of-band: it reads list
-  // sizes the loop already computed and samples a monotonic clock, so the
-  // SimResult is bit-identical with or without it. Every telemetry statement
-  // below — including the clock samples — branches on this null check.
-  obs::RoundTelemetry* const telemetry = config_.telemetry;
-  if (telemetry) telemetry->begin_execution(n, shards);
-
-  for (Round round = 1; round <= config_.max_rounds; ++round) {
-    result.rounds_executed = round;
-    if (telemetry) telemetry->begin_round(round);
-    std::uint64_t phase_start = telemetry ? obs::monotonic_ns() : 0;
-    const auto end_phase = [&](obs::Phase phase) {
-      if (telemetry == nullptr) return;
-      const std::uint64_t now = obs::monotonic_ns();
-      telemetry->add_phase_ns(phase, now - phase_start);
-      phase_start = now;
-    };
-
-    // --- Poll: only processes whose hint admits a send this round. ---
-    due.clear();
-    const std::size_t calendar_scanned = calendar.take_due(round, due);
-    senders.clear();
-    std::size_t deposit_work = 0;  // upper bound on this round's deliveries
-    for (const NodeId v : due) {
-      const auto uv = static_cast<std::size_t>(v);
-      const Action action = proc_at[uv]->next_action(round);
-      // Replan immediately; a reception later this round replans again.
-      calendar.plan(v, proc_at[uv]->next_send_round(round + 1), round);
-      if (!action.send) continue;
-      const TokenId tok = action.message.token;
-      if (byzrt && byz::ByzRuntime::is_forged(tok)) {
-        // Relaying a forged token you actually heard is protocol-legal (that
-        // relay is exactly the forgery "win" the audit reports); inventing
-        // a forged id out of thin air is not.
-        DUALRAD_CHECK(byzrt->may_transmit(v, tok),
-                      "process sent a forged token it never received");
-      } else {
-        DUALRAD_CHECK(tok >= kNoToken && tok <= static_cast<TokenId>(k),
-                      "process sent an unknown token id");
-        DUALRAD_CHECK(tok == kNoToken ||
-                          holds[static_cast<std::size_t>(tok - 1) * un + uv],
-                      "process sent a broadcast token without holding it");
-      }
-      is_sender[uv] = 1;
-      sent_msg[uv] = action.message;
-      senders.push_back(v);
-      deposit_work += 1 + csr_g.out_degree(v);
-    }
-    // Calendar pops arrive in bucket order; the adversary interface (and
-    // stateful adversaries' RNG streams) see senders in ascending node
-    // order, exactly like the reference engine's node scan.
-    std::sort(senders.begin(), senders.end());
-    if (byzrt) {
-      // Byzantine behaviors rewrite the sender set before anything observes
-      // it: the adversary, propagation, traces, and total_sends all see the
-      // post-fault senders, identically in both engines.
-      byz_removed.clear();
-      byz_added.clear();
-      byzrt->rewrite_senders(round, senders, sent_msg, byz_removed, byz_added);
-      for (const NodeId v : byz_removed) {
-        is_sender[static_cast<std::size_t>(v)] = 0;
-        deposit_work -= 1 + csr_g.out_degree(v);
-      }
-      for (const NodeId v : byz_added) {
-        is_sender[static_cast<std::size_t>(v)] = 1;
-        deposit_work += 1 + csr_g.out_degree(v);
-      }
-    }
-    result.total_sends += senders.size();
-    end_phase(obs::Phase::Poll);
-
-    // Adversary chooses which unreliable links fire.
-    AdversaryView view = AdversaryView::of(net_, result.process_of_node,
-                                           covered, covered_delta, round);
-    sink.begin_round(senders.size());
-    adversary_.choose_unreliable_reach(view, senders, sink);
-    sink.seal();
-    deposit_work += sink.total();
-    end_phase(obs::Phase::Adversary);
-
-    RoundRecord record;
-    if (record_trace) record.round = round;
-
-    const std::size_t noisy_before = noisy.size();
-    const unsigned active =
-        pool && deposit_work + noisy_before >= kParallelGrain ? shards : 1;
-    for (unsigned w = 0; w < active; ++w) {
-      shard[w].touched.clear();
-      shard[w].collided.clear();
-      shard[w].activated_noisy.clear();
-      shard[w].newly_covered.clear();
-      shard[w].plans.clear();
-      shard[w].held_delta = 0;
-    }
-
-    // --- Propagation: sender itself + G out-neighbors + chosen extras.
-    // Each shard scans every sender but deposits only into its own node
-    // range; the scan order (ascending senders; self, then reliable row,
-    // then extras) matches the serial engine, so per-node arrival order —
-    // and with it `from`, the spilled CR4 lists, everything — is identical
-    // for any shard count. ---
-    const auto live = static_cast<std::uint64_t>(round) << 2;
-    const auto propagate_shard = [&](unsigned w) {
-      ShardState& s = shard[w];
-      const NodeId lo = shard_lo(w, active);
-      const NodeId hi = shard_lo(w + 1, active);
-      const auto deposit = [&](NodeId v, NodeId sender) {
-        const auto uv = static_cast<std::size_t>(v);
-        ArrivalSlot& slot = arrival[uv];
-        if ((slot.mark & ~std::uint64_t{3}) != live) {
-          slot.mark = live | 1;
-          slot.from = sender;
-          s.touched.push_back(v);
-          return;
-        }
-        if ((slot.mark & 3) == 1) {
-          s.collided.push_back(v);
-          if (spill_arrivals) {
-            multi[uv].clear();
-            multi[uv].push_back(sent_msg[static_cast<std::size_t>(slot.from)]);
-          }
-        }
-        if ((slot.mark & 3) < 3) ++slot.mark;
-        if (spill_arrivals) {
-          multi[uv].push_back(sent_msg[static_cast<std::size_t>(sender)]);
-        }
-      };
-      for (std::size_t i = 0; i < senders.size(); ++i) {
-        const NodeId u = senders[i];
-        if (u >= lo && u < hi) deposit(u, u);
-        for (const NodeId v : csr_g.row(u)) {
-          if (v >= lo && v < hi) deposit(v, u);
-        }
-        for (const NodeId v : sink.extras(i)) {
-          if (w == 0 && (v < 0 || v >= n)) {
-            DUALRAD_CHECK(false, "adversary chose a non-G'-only edge");
-          }
-          if (v < lo || v >= hi) continue;
-          DUALRAD_CHECK(csr_gp.contains(u, v) && !csr_g.contains(u, v),
-                        "adversary chose a non-G'-only edge");
-          deposit(v, u);
-        }
-      }
-    };
-    if (active == 1) {
-      propagate_shard(0);
-    } else {
-      pool->run(propagate_shard);
-    }
-    if (record_trace) {
-      // Sender records replay the same scan serially (reads only).
-      for (std::size_t i = 0; i < senders.size(); ++i) {
-        const NodeId u = senders[i];
-        SenderRecord srec;
-        srec.node = u;
-        srec.message = sent_msg[static_cast<std::size_t>(u)];
-        const auto row = csr_g.row(u);
-        const auto extras = sink.extras(i);
-        srec.reached.assign(row.begin(), row.end());
-        srec.reached.insert(srec.reached.end(), extras.begin(), extras.end());
-        record.senders.push_back(std::move(srec));
-      }
-    }
-    end_phase(obs::Phase::Propagate);
-
-    // --- Receptions under the configured collision rule (touched only:
-    // everyone else hears silence). CR4 collisions are resolved in a second
-    // pass, in ascending node order — the order the reference engine's node
-    // scan consults the adversary in. ---
-    std::uint32_t collision_events = 0;
-    for (unsigned w = 0; w < active; ++w) {
-      for (const NodeId v : shard[w].collided) {
-        // Collision events are what processes observe: under CR2-CR4 a
-        // sender deterministically hears its own message, so no collision
-        // occurs at sender nodes there (CR1 counts senders too).
-        if (config_.rule == CollisionRule::CR1 ||
-            !is_sender[static_cast<std::size_t>(v)]) {
-          ++collision_events;
-        }
-      }
-    }
-    result.total_collision_events += collision_events;
-    if (config_.rule == CollisionRule::CR4) {
-      collided.clear();
-      for (unsigned w = 0; w < active; ++w) {
-        collided.insert(collided.end(), shard[w].collided.begin(),
-                        shard[w].collided.end());
-      }
-      if (!collided.empty()) {
-        std::sort(collided.begin(), collided.end());
-        for (const NodeId v : collided) {
-          const auto uv = static_cast<std::size_t>(v);
-          if (is_sender[uv]) continue;
-          Reception rec = adversary_.resolve_cr4(view, v, multi[uv]);
-          DUALRAD_CHECK(!rec.is_collision(),
-                        "CR4 resolution cannot be collision notification");
-          DUALRAD_CHECK(!rec.is_message() ||
-                            std::find(multi[uv].begin(), multi[uv].end(),
-                                      *rec.message) != multi[uv].end(),
-                        "CR4 resolution must pick an arriving message");
-          rec_of[uv] = rec;
-        }
-      }
-    }
-
-    // --- Fused reception + delivery over each shard's touched set, plus
-    // the round's silence for this shard's slice of the noisy prefix.
-    // Receptions are pure functions of this round's (fixed) arrivals and
-    // sender flags — CR4 resolutions were fixed above, before any state
-    // change, exactly like the reference engine's two-pass order — so
-    // computing and delivering per node in one pass is equivalent, and
-    // every write (process state, per-node flags, token bookkeeping,
-    // trace receptions) lands on nodes this shard owns. Deferred effects
-    // (calendar replans, noisy additions, held_count) are collected per
-    // shard and merged below in shard order. Processes activated this
-    // round consume their reception through on_activate, so only nodes
-    // noisy *before* this round's activations get the silence delivery
-    // (they are partitioned by index, disjoint from every touched set). ---
-    if (record_trace) record.receptions.assign(un, kSilence);
-    const auto deliver_shard = [&](unsigned w) {
-      ShardState& s = shard[w];
-      for (const NodeId v : s.touched) {
-        const auto uv = static_cast<std::size_t>(v);
-        const ArrivalSlot& slot = arrival[uv];
-        const std::uint32_t count = slot.mark & 3;
-        const auto first_msg = [&]() -> const Message& {
-          return sent_msg[static_cast<std::size_t>(slot.from)];
-        };
-        Reception rec;
-        switch (config_.rule) {
-          case CollisionRule::CR1:
-            rec = count == 1 ? Reception::of(first_msg())
-                             : Reception::collision();
-            break;
-          case CollisionRule::CR2:
-          case CollisionRule::CR3:
-          case CollisionRule::CR4:
-            if (is_sender[uv]) {
-              rec = Reception::of(sent_msg[uv]);
-            } else if (count == 1) {
-              rec = Reception::of(first_msg());
-            } else if (config_.rule == CollisionRule::CR2) {
-              rec = Reception::collision();
-            } else if (config_.rule == CollisionRule::CR3) {
-              rec = Reception::silence();
-            } else {
-              rec = rec_of[uv];  // CR4: the adversary's resolution
-            }
-            break;
-        }
-        if (awake[uv]) {
-          if (!transparent[uv] || !rec.is_silence()) {
-            proc_at[uv]->on_receive(round, rec);
-            s.plans.emplace_back(v, proc_at[uv]->next_send_round(round + 1));
-          }
-        } else if (rec.is_message()) {
-          proc_at[uv]->on_activate(round, rec.message);
-          awake[uv] = 1;
-          transparent[uv] = proc_at[uv]->silence_transparent() ? 1 : 0;
-          if (!transparent[uv]) s.activated_noisy.push_back(v);
-          s.plans.emplace_back(v, proc_at[uv]->next_send_round(round + 1));
-        }
-        if (rec.has_token()) {
-          if (byzrt && byz::ByzRuntime::is_forged(rec.message->token)) {
-            // Forged tokens never touch covered/holds/token_first — the
-            // engine's completion notion counts only environment-injected
-            // tokens. Delivery provenance is per-node state (shard-safe).
-            byzrt->note_delivery(rec.message->token, v);
-          } else {
-            const auto t = static_cast<std::size_t>(rec.message->token - 1);
-            if (!covered[uv]) {
-              covered[uv] = 1;
-              s.newly_covered.push_back(v);
-            }
-            if (!holds[t * un + uv]) {
-              holds[t * un + uv] = 1;
-              result.token_first[t][uv] = round;
-              ++s.held_delta;
-            }
-          }
-        }
-        if (record_trace) record.receptions[uv] = std::move(rec);
-      }
-      // Silence to this shard's slice of the pre-round noisy prefix.
-      const std::size_t blo = noisy_before * w / active;
-      const std::size_t bhi = noisy_before * (w + 1) / active;
-      for (std::size_t i = blo; i < bhi; ++i) {
-        const auto uv = static_cast<std::size_t>(noisy[i]);
-        if ((arrival[uv].mark & ~std::uint64_t{3}) == live) continue;  // touched
-        proc_at[uv]->on_receive(round, kSilence);
-        s.plans.emplace_back(noisy[i],
-                             proc_at[uv]->next_send_round(round + 1));
-      }
-    };
-    if (active == 1) {
-      deliver_shard(0);
-    } else {
-      pool->run(deliver_shard);
-    }
-    end_phase(obs::Phase::Deliver);
-
-    // --- Deterministic shard merge: calendar replans, newly-noisy nodes,
-    // token counts — all applied in shard order. (Plan application order is
-    // unobservable anyway: the calendar dedups by node, and polled actions
-    // are sorted before the adversary sees them.) ---
-    std::size_t merge_replans = 0;
-    for (unsigned w = 0; w < active; ++w) {
-      const ShardState& s = shard[w];
-      noisy.insert(noisy.end(), s.activated_noisy.begin(),
-                   s.activated_noisy.end());
-      next_delta.insert(next_delta.end(), s.newly_covered.begin(),
-                        s.newly_covered.end());
-      for (const auto& [v, r] : s.plans) calendar.plan(v, r, round);
-      held_count += s.held_delta;
-      if (telemetry) {
-        merge_replans += s.plans.size();
-        telemetry->add_shard_round(w, s.touched.size(), s.collided.size(),
-                                   s.plans.size());
-      }
-    }
-
-    // Round epilogue for stateful adversaries: this round's coverage delta,
-    // ascending (shard ranges are ascending but intra-shard order is deposit
-    // order, so sort — the reference engine's node scan is the contract).
-    std::sort(next_delta.begin(), next_delta.end());
-    covered_delta.swap(next_delta);
-    next_delta.clear();
-    end_phase(obs::Phase::ShardMerge);
-    view.newly_covered = covered_delta;
-    adversary_.on_round_end(view);
-    end_phase(obs::Phase::Adversary);
-
-    if (telemetry) {
-      obs::RoundCounters& c = telemetry->counters();
-      c.polled = due.size();
-      c.senders = senders.size();
-      // Each deposit call lands on exactly one node of exactly one shard, so
-      // the poll loop's work estimate IS the delivery count: per sender
-      // 1 (self) + |reliable row| + |adversary extras|.
-      c.deliveries = deposit_work;
-      c.collisions = collision_events;
-      c.calendar_scanned = calendar_scanned;
-      c.replans = due.size() + merge_replans;
-      c.reach_appends = sink.total();
-      c.newly_covered = covered_delta.size();
-      telemetry->end_round();
-    }
-
-    if (counted_trace) {
-      result.trace.senders_per_round.push_back(
-          static_cast<std::uint32_t>(senders.size()));
-      result.trace.collisions_per_round.push_back(collision_events);
-    } else if (config_.trace == TraceLevel::Bounded) {
-      result.trace.record_bounded_round(
-          round, static_cast<std::uint32_t>(senders.size()), collision_events);
-    }
-    if (full_trace) {
-      result.trace.rounds.push_back(std::move(record));
-    } else if (compressed_trace) {
-      result.trace.append_compressed(record);
-    }
-
-    for (const NodeId v : senders) is_sender[static_cast<std::size_t>(v)] = 0;
-
-    if (held_count == all_held && !result.completed) {
-      result.completed = true;
-      result.completion_round = round;
-      if (config_.stop_on_completion) break;
-    }
+  /// First node of shard w when `active_` shards participate this round.
+  [[nodiscard]] NodeId shard_lo(unsigned w) const {
+    return static_cast<NodeId>(static_cast<std::uint64_t>(f_.un) * w /
+                               active_);
   }
 
-  if (telemetry) telemetry->end_execution();
+  ExecutionFrame& f_;
+  const CsrGraph& g_;
+  /// Telemetry (obs/telemetry.hpp) is strictly out-of-band: it reads list
+  /// sizes the loop already computed and samples a monotonic clock, so the
+  /// SimResult is bit-identical with or without it. Every telemetry
+  /// statement — including the clock samples — branches on this null check.
+  obs::RoundTelemetry* const telemetry_;
+  const bool spill_arrivals_;  ///< CR4: keep full arrival lists
 
-  if (byzrt) result.forged_tokens = byzrt->finalize();
+  // Scheduling state. `transparent_[v]` caches silence_transparent() of the
+  // process at v (queried at activation); non-transparent awake nodes are
+  // listed in `noisy_` and get the reference engine's per-round delivery.
+  SendCalendar calendar_;
+  NodeFlags transparent_;
+  std::vector<NodeId> noisy_;
 
-  result.first_token = result.token_first.front();
-  for (NodeId v = 0; v < n; ++v) {
+  // The node space is cut into `shards_` contiguous ranges; results are
+  // identical for every shard count (including 1), so rounds below the work
+  // cutoff simply run the same kernel inline with one all-covering shard.
+  const unsigned shards_;
+  std::optional<ShardPool> pool_;
+  std::vector<ShardState> shard_;
+
+  std::vector<NodeId> due_;  ///< calendar pops, this round
+  std::vector<ArrivalSlot> arrival_;
+  std::vector<NodeId> collided_;  ///< merged from shards; CR4 sorts it
+  /// Full arrival lists, spilled only on collision and only consumed under
+  /// CR4 (adversary resolution picks among them).
+  std::vector<std::vector<Message>> multi_;
+  std::vector<Reception> rec_of_;  ///< CR4 collided non-senders only
+
+  // Per-round state.
+  std::uint64_t live_ = 0;  ///< arrival mark of the running round
+  unsigned active_ = 1;     ///< shards participating this round
+  std::size_t deposit_work_ = 0;  ///< this round's deliveries (exact)
+  std::size_t calendar_scanned_ = 0;
+  std::size_t noisy_before_ = 0;
+  std::uint32_t collision_events_ = 0;
+  std::size_t merge_replans_ = 0;
+  std::uint64_t phase_start_ = 0;
+};
+
+SparseKernel::SparseKernel(ExecutionFrame& frame)
+    : f_(frame),
+      g_(frame.net.g_csr()),
+      telemetry_(frame.config.telemetry),
+      spill_arrivals_(frame.config.rule == CollisionRule::CR4),
+      calendar_(frame.un),
+      transparent_(frame.un, 0),
+      shards_(std::max(
+          1u, std::min({frame.config.threads == 0 ? 1u : frame.config.threads,
+                        64u, static_cast<unsigned>(frame.un)}))),
+      shard_(shards_),
+      arrival_(frame.un),
+      multi_(frame.un),
+      rec_of_(frame.un) {
+  if (shards_ > 1) pool_.emplace(shards_);
+  collided_.reserve(64);
+}
+
+SimResult SparseKernel::run() {
+  f_.start([this](NodeId v) {
     const auto uv = static_cast<std::size_t>(v);
-    for (ProcessMetric& m : proc_at[uv]->final_metrics()) {
-      result.process_metrics.push_back(ProcessMetricSample{
-          v, result.process_of_node[uv], std::move(m.name), m.value});
+    transparent_[uv] = f_.procs[uv]->silence_transparent() ? 1 : 0;
+    if (!transparent_[uv]) noisy_.push_back(v);
+    calendar_.plan(v, f_.procs[uv]->next_send_round(1), 0);
+  });
+  if (telemetry_) telemetry_->begin_execution(f_.n, shards_);
+  for (Round round = 1; round <= f_.config.max_rounds; ++round) {
+    f_.begin_round(round);
+    if (telemetry_) {
+      telemetry_->begin_round(round);
+      phase_start_ = obs::monotonic_ns();
+    }
+    poll(round);
+    end_phase(obs::Phase::Poll);
+    f_.choose_reach(round);
+    deposit_work_ += f_.sink.total();
+    end_phase(obs::Phase::Adversary);
+    propagate(round);
+    end_phase(obs::Phase::Propagate);
+    deliver(round);
+    end_phase(obs::Phase::Deliver);
+    merge(round);
+    end_phase(obs::Phase::ShardMerge);
+    f_.notify_round_end();
+    end_phase(obs::Phase::Adversary);
+    if (telemetry_) report_round();
+    if (f_.end_round(round, collision_events_)) break;
+  }
+  if (telemetry_) telemetry_->end_execution();
+  return f_.finish();
+}
+
+void SparseKernel::end_phase(obs::Phase phase) {
+  if (telemetry_ == nullptr) return;
+  const std::uint64_t now = obs::monotonic_ns();
+  telemetry_->add_phase_ns(phase, now - phase_start_);
+  phase_start_ = now;
+}
+
+/// Poll only the processes whose hint admits a send this round.
+void SparseKernel::poll(Round round) {
+  due_.clear();
+  calendar_scanned_ = calendar_.take_due(round, due_);
+  for (const NodeId v : due_) {
+    const auto uv = static_cast<std::size_t>(v);
+    const Action action = f_.procs[uv]->next_action(round);
+    // Replan immediately; a reception later this round replans again.
+    calendar_.plan(v, f_.procs[uv]->next_send_round(round + 1), round);
+    if (action.send) f_.add_sender(v, action.message);
+  }
+  // Calendar pops arrive in bucket order; the adversary interface (and
+  // stateful adversaries' RNG streams) see senders in ascending node
+  // order, exactly like the reference engine's node scan.
+  std::sort(f_.senders.begin(), f_.senders.end());
+  f_.end_poll(round);
+  // Per sender: 1 (self) + |reliable row|; the adversary's extras are
+  // added once it chose them.
+  deposit_work_ = 0;
+  for (const NodeId v : f_.senders) deposit_work_ += 1 + g_.out_degree(v);
+}
+
+/// Propagation: sender itself + G out-neighbors + chosen extras.
+void SparseKernel::propagate(Round round) {
+  noisy_before_ = noisy_.size();
+  active_ = pool_ && deposit_work_ + noisy_before_ >= kParallelGrain ? shards_
+                                                                     : 1;
+  for (unsigned w = 0; w < active_; ++w) {
+    ShardState& s = shard_[w];
+    s.touched.clear();
+    s.collided.clear();
+    s.activated_noisy.clear();
+    s.newly_covered.clear();
+    s.plans.clear();
+    s.held_delta = 0;
+  }
+  live_ = static_cast<std::uint64_t>(round) << 2;
+  if (active_ == 1) {
+    propagate_shard(0);
+  } else {
+    pool_->run([this](unsigned w) { propagate_shard(w); });
+  }
+  if (f_.record_trace) f_.record_senders(round);
+}
+
+/// Each shard scans every sender but deposits only into its own node range;
+/// the scan order (ascending senders; self, then reliable row, then extras)
+/// matches the serial engine, so per-node arrival order — and with it
+/// `from`, the spilled CR4 lists, everything — is identical for any shard
+/// count.
+void SparseKernel::propagate_shard(unsigned w) {
+  ShardState& s = shard_[w];
+  const NodeId lo = shard_lo(w);
+  const NodeId hi = shard_lo(w + 1);
+  const auto deposit = [&](NodeId v, NodeId sender) {
+    const auto uv = static_cast<std::size_t>(v);
+    ArrivalSlot& slot = arrival_[uv];
+    if ((slot.mark & ~std::uint64_t{3}) != live_) {
+      slot.mark = live_ | 1;
+      slot.from = sender;
+      s.touched.push_back(v);
+      return;
+    }
+    if ((slot.mark & 3) == 1) {
+      s.collided.push_back(v);
+      if (spill_arrivals_) {
+        multi_[uv].clear();
+        multi_[uv].push_back(f_.sent_msg[static_cast<std::size_t>(slot.from)]);
+      }
+    }
+    if ((slot.mark & 3) < 3) ++slot.mark;
+    if (spill_arrivals_) {
+      multi_[uv].push_back(f_.sent_msg[static_cast<std::size_t>(sender)]);
+    }
+  };
+  const std::vector<NodeId>& senders = f_.senders;
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    const NodeId u = senders[i];
+    if (u >= lo && u < hi) deposit(u, u);
+    for (const NodeId v : g_.row(u)) {
+      if (v >= lo && v < hi) deposit(v, u);
+    }
+    for (const NodeId v : f_.sink.extras(i)) {
+      if (v < lo || v >= hi) {
+        // No shard owns a target outside the network; shard 0 rejects it.
+        if (w == 0 && (v < 0 || v >= f_.n)) f_.check_reach(u, v);
+        continue;
+      }
+      f_.check_reach(u, v);
+      deposit(v, u);
     }
   }
-  return result;
+}
+
+/// Receptions under the configured collision rule (touched only: everyone
+/// else hears silence), fused with delivery. CR4 collisions are resolved
+/// first, in ascending node order — the order the reference engine's node
+/// scan consults the adversary in.
+void SparseKernel::deliver(Round round) {
+  const CollisionRule rule = f_.config.rule;
+  collision_events_ = 0;
+  for (unsigned w = 0; w < active_; ++w) {
+    for (const NodeId v : shard_[w].collided) {
+      // Collision events are what processes observe: under CR2-CR4 a sender
+      // deterministically hears its own message, so no collision occurs at
+      // sender nodes there (CR1 counts senders too).
+      if (rule == CollisionRule::CR1 ||
+          !f_.is_sender[static_cast<std::size_t>(v)]) {
+        ++collision_events_;
+      }
+    }
+  }
+  if (rule == CollisionRule::CR4) {
+    collided_.clear();
+    for (unsigned w = 0; w < active_; ++w) {
+      collided_.insert(collided_.end(), shard_[w].collided.begin(),
+                       shard_[w].collided.end());
+    }
+    std::sort(collided_.begin(), collided_.end());
+    for (const NodeId v : collided_) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (!f_.is_sender[uv]) rec_of_[uv] = f_.resolve_cr4(v, multi_[uv]);
+    }
+  }
+  if (f_.record_trace) f_.record.receptions.assign(f_.un, Reception::silence());
+  if (active_ == 1) {
+    deliver_shard(0, round);
+  } else {
+    pool_->run([this, round](unsigned w) { deliver_shard(w, round); });
+  }
+}
+
+/// Fused reception + delivery over shard w's touched set, plus the round's
+/// silence for this shard's slice of the noisy prefix. Receptions are pure
+/// functions of this round's (fixed) arrivals and sender flags — CR4
+/// resolutions were fixed before any state change, exactly like the
+/// reference engine's two-pass order — so computing and delivering per node
+/// in one pass is equivalent, and every write (process state, per-node
+/// flags, token accounting, trace receptions) lands on nodes this shard
+/// owns. Deferred effects (calendar replans, noisy additions, coverage
+/// deltas) are collected per shard and merged in shard order. Processes
+/// activated this round consume their reception through on_activate, so
+/// only nodes noisy *before* this round's activations get the silence
+/// delivery (they are partitioned by index, disjoint from every touched
+/// set).
+void SparseKernel::deliver_shard(unsigned w, Round round) {
+  ShardState& s = shard_[w];
+  const CollisionRule rule = f_.config.rule;
+  for (const NodeId v : s.touched) {
+    const auto uv = static_cast<std::size_t>(v);
+    const ArrivalSlot& slot = arrival_[uv];
+    const std::uint32_t count = slot.mark & 3;
+    const auto first_msg = [&]() -> const Message& {
+      return f_.sent_msg[static_cast<std::size_t>(slot.from)];
+    };
+    Reception rec;
+    switch (rule) {
+      case CollisionRule::CR1:
+        rec = count == 1 ? Reception::of(first_msg()) : Reception::collision();
+        break;
+      case CollisionRule::CR2:
+      case CollisionRule::CR3:
+      case CollisionRule::CR4:
+        if (f_.is_sender[uv]) {
+          rec = Reception::of(f_.sent_msg[uv]);
+        } else if (count == 1) {
+          rec = Reception::of(first_msg());
+        } else if (rule == CollisionRule::CR2) {
+          rec = Reception::collision();
+        } else if (rule == CollisionRule::CR3) {
+          rec = Reception::silence();
+        } else {
+          rec = rec_of_[uv];  // CR4: the adversary's resolution
+        }
+        break;
+    }
+    Process& proc = *f_.procs[uv];
+    if (f_.awake[uv]) {
+      if (!transparent_[uv] || !rec.is_silence()) {
+        proc.on_receive(round, rec);
+        s.plans.emplace_back(v, proc.next_send_round(round + 1));
+      }
+    } else if (rec.is_message()) {
+      proc.on_activate(round, rec.message);
+      f_.awake[uv] = 1;
+      transparent_[uv] = proc.silence_transparent() ? 1 : 0;
+      if (!transparent_[uv]) s.activated_noisy.push_back(v);
+      s.plans.emplace_back(v, proc.next_send_round(round + 1));
+    }
+    const ExecutionFrame::Delta d = f_.account(v, rec, round);
+    if (d.covered) s.newly_covered.push_back(v);
+    if (d.held) ++s.held_delta;
+    if (f_.record_trace) f_.record.receptions[uv] = std::move(rec);
+  }
+  // Silence to this shard's slice of the pre-round noisy prefix.
+  const Reception silence = Reception::silence();
+  const std::size_t blo = noisy_before_ * w / active_;
+  const std::size_t bhi = noisy_before_ * (w + 1) / active_;
+  for (std::size_t i = blo; i < bhi; ++i) {
+    const auto uv = static_cast<std::size_t>(noisy_[i]);
+    if ((arrival_[uv].mark & ~std::uint64_t{3}) == live_) continue;  // touched
+    f_.procs[uv]->on_receive(round, silence);
+    s.plans.emplace_back(noisy_[i], f_.procs[uv]->next_send_round(round + 1));
+  }
+}
+
+/// Deterministic shard merge: calendar replans, newly-noisy nodes, coverage
+/// deltas — all applied in shard order. (Plan application order is
+/// unobservable anyway: the calendar dedups by node, and polled actions are
+/// sorted before the adversary sees them.)
+void SparseKernel::merge(Round round) {
+  merge_replans_ = 0;
+  for (unsigned w = 0; w < active_; ++w) {
+    const ShardState& s = shard_[w];
+    noisy_.insert(noisy_.end(), s.activated_noisy.begin(),
+                  s.activated_noisy.end());
+    f_.add_coverage(s.newly_covered, s.held_delta);
+    for (const auto& [v, r] : s.plans) calendar_.plan(v, r, round);
+    if (telemetry_) {
+      merge_replans_ += s.plans.size();
+      telemetry_->add_shard_round(w, s.touched.size(), s.collided.size(),
+                                  s.plans.size());
+    }
+  }
+  f_.publish_coverage();
+}
+
+void SparseKernel::report_round() {
+  obs::RoundCounters& c = telemetry_->counters();
+  c.polled = due_.size();
+  c.senders = f_.senders.size();
+  // Each deposit call lands on exactly one node of exactly one shard, so
+  // the work estimate IS the delivery count: per sender 1 (self) +
+  // |reliable row| + |adversary extras|.
+  c.deliveries = deposit_work_;
+  c.collisions = collision_events_;
+  c.calendar_scanned = calendar_scanned_;
+  c.replans = due_.size() + merge_replans_;
+  c.reach_appends = f_.sink.total();
+  c.newly_covered = f_.covered_delta().size();
+  telemetry_->end_round();
+}
+
+}  // namespace
+
+SimResult run_broadcast(const DualGraph& net, const ProcessFactory& factory,
+                        Adversary& adversary, const SimConfig& config) {
+  ExecutionFrame frame(net, factory, adversary, config);
+  return SparseKernel(frame).run();
 }
 
 }  // namespace dualrad

@@ -24,14 +24,17 @@
 /// workloads of src/mac/) instead inject k tokens, one per configured source
 /// node; completion then means every process holds every token.
 ///
-/// Implementation: a sparse engine (simulator.cpp) built on a frozen CSR
-/// adjacency snapshot, epoch-stamped arrival slots with a touched-node list,
-/// and calendar-based send scheduling driven by the optional
+/// Implementation: a sparse round kernel (simulator.cpp) built on a frozen
+/// CSR adjacency snapshot, epoch-stamped arrival slots with a touched-node
+/// list, and calendar-based send scheduling driven by the optional
 /// Process::next_send_round / silence_transparent hints — a round costs
 /// O(#polled senders + #deliveries) rather than O(n), which is what makes
-/// 10^5-node executions practical. The original dense engine survives as
-/// run_broadcast_reference (core/reference_engine.hpp) and is held
-/// bit-identical to this one by tests/test_engine_equivalence.cpp.
+/// 10^5-node executions practical. Everything outside the round kernel
+/// (validation, process setup, token accounting, Byzantine faults, traces,
+/// finalization) lives in the execution frame (core/execution.hpp), shared
+/// with the dense reference kernel run_broadcast_reference
+/// (core/reference_engine.hpp), which tests/test_engine_equivalence.cpp
+/// holds bit-identical to this one.
 
 namespace dualrad {
 
@@ -50,8 +53,6 @@ struct SimConfig {
   /// Master seed; process i receives mix_seed(seed, i).
   std::uint64_t seed = 1;
   TraceLevel trace = TraceLevel::None;
-  /// Ring capacity (rounds) of the TraceLevel::Bounded trace.
-  std::size_t trace_window = 1024;
   /// Worker threads of the sharded parallel round kernel; 0 or 1 runs the
   /// round loop inline. The SimResult is bit-identical for every value: the
   /// kernel partitions nodes into contiguous shards, all cross-shard state
@@ -71,7 +72,8 @@ struct SimConfig {
   /// out-of-band — the SimResult is bit-identical whether or not telemetry
   /// is attached — and compiled to branch-on-null no-ops when nullptr, so
   /// the disabled overhead is a handful of predicted branches per round.
-  /// The object must outlive the run; both engines support it.
+  /// The object must outlive the run. Sparse engine only: the reference
+  /// engine rejects it.
   obs::RoundTelemetry* telemetry = nullptr;
   /// Optional Byzantine node-fault plan (byz/plan.hpp), bound to the same
   /// network and alive for the whole run. Both engines apply it identically:
@@ -152,22 +154,9 @@ struct SimResult {
   }
 };
 
-class Simulator {
- public:
-  Simulator(const DualGraph& net, ProcessFactory factory, Adversary& adversary,
-            SimConfig config);
-
-  /// Run a complete execution and return the result.
-  [[nodiscard]] SimResult run();
-
- private:
-  const DualGraph& net_;
-  ProcessFactory factory_;
-  Adversary& adversary_;
-  SimConfig config_;
-};
-
-/// Convenience wrapper: build a simulator and run one execution.
+/// Run one execution under the sparse engine. Throws std::invalid_argument
+/// on a bad config (before anything is built) and std::logic_error when a
+/// process, the proc mapping, or the adversary breaks the model.
 [[nodiscard]] SimResult run_broadcast(const DualGraph& net,
                                       const ProcessFactory& factory,
                                       Adversary& adversary,
@@ -178,7 +167,8 @@ class Simulator {
 /// token id maps to exactly one origin), and the token count must stay below
 /// byz::kForgedTokenBase so legitimate ids can never collide with forged
 /// ones. Throws std::invalid_argument with a message naming the offending
-/// entry. Shared by both engines; exposed for direct unit testing.
+/// entry. Both engines run it before building anything; exposed for direct
+/// unit testing.
 void validate_token_sources(NodeId n, const std::vector<NodeId>& sources);
 
 }  // namespace dualrad

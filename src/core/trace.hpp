@@ -11,10 +11,7 @@
 /// sender's realized reach (reliable + adversary-chosen unreliable), and the
 /// reception of every node — enough to replay and audit an execution.
 /// `Counts` keeps only the per-round sender/collision counters (O(rounds)
-/// memory). `Bounded` is the memory-capped mode for 10^6-node trials: a ring
-/// buffer holds the counters of the last `SimConfig::trace_window` rounds and
-/// everything older is folded into streamed aggregates, so memory is
-/// O(window) no matter how long the execution runs.
+/// memory).
 ///
 /// `Compressed` keeps the *complete* audit-grade history of `Full`, but
 /// delta/varint-encoded into one byte blob: sender and toucher node ids are
@@ -29,7 +26,7 @@
 
 namespace dualrad {
 
-enum class TraceLevel : std::uint8_t { None, Counts, Full, Bounded, Compressed };
+enum class TraceLevel : std::uint8_t { None, Counts, Full, Compressed };
 
 struct SenderRecord {
   NodeId node = kInvalidNode;
@@ -48,79 +45,20 @@ struct RoundRecord {
   std::vector<Reception> receptions{};
 };
 
-/// Streamed whole-execution aggregates, maintained in Bounded mode: O(1)
-/// memory regardless of execution length.
-struct TraceAggregates {
-  std::uint64_t total_sends = 0;
-  std::uint64_t total_collision_events = 0;
-  /// Busiest rounds (earliest round wins ties).
-  std::uint32_t max_senders = 0;
-  Round max_senders_round = 0;
-  std::uint32_t max_collisions = 0;
-  Round max_collisions_round = 0;
-
-  friend bool operator==(const TraceAggregates&,
-                         const TraceAggregates&) = default;
-};
-
 struct Trace {
   TraceLevel level = TraceLevel::None;
   std::vector<RoundRecord> rounds{};
 
-  /// Round-indexed counts (filled at Counts and Full levels).
+  /// Round-indexed counts (filled at every level but None).
   std::vector<std::uint32_t> senders_per_round{};
   std::vector<std::uint32_t> collisions_per_round{};
 
-  /// Bounded mode: ring buffers over the last `window` rounds. Round r
-  /// (1-based) lives at index (r - 1) % window while
-  /// r > rounds_recorded - window; older rounds survive only in `agg`.
-  std::size_t window = 0;
-  Round rounds_recorded = 0;
-  std::vector<std::uint32_t> ring_senders{};
-  std::vector<std::uint32_t> ring_collisions{};
-  TraceAggregates agg{};
-
-  /// Fold one round's counters into the Bounded ring + aggregates. Both
-  /// engines record through this, so Bounded traces stay bit-identical
-  /// across them.
-  void record_bounded_round(Round round, std::uint32_t senders,
-                            std::uint32_t collisions) {
-    const auto slot = static_cast<std::size_t>(round - 1) % window;
-    ring_senders[slot] = senders;
-    ring_collisions[slot] = collisions;
-    rounds_recorded = round;
-    agg.total_sends += senders;
-    agg.total_collision_events += collisions;
-    if (senders > agg.max_senders) {
-      agg.max_senders = senders;
-      agg.max_senders_round = round;
-    }
-    if (collisions > agg.max_collisions) {
-      agg.max_collisions = collisions;
-      agg.max_collisions_round = round;
-    }
-  }
-
-  /// True iff round r's counters are still in the Bounded ring.
-  [[nodiscard]] bool in_window(Round r) const {
-    return window != 0 && r >= 1 && r <= rounds_recorded &&
-           r + static_cast<Round>(window) > rounds_recorded;
-  }
-  [[nodiscard]] std::uint32_t ring_senders_at(Round r) const {
-    DUALRAD_REQUIRE(in_window(r), "round not in the Bounded trace window");
-    return ring_senders[static_cast<std::size_t>(r - 1) % window];
-  }
-  [[nodiscard]] std::uint32_t ring_collisions_at(Round r) const {
-    DUALRAD_REQUIRE(in_window(r), "round not in the Bounded trace window");
-    return ring_collisions[static_cast<std::size_t>(r - 1) % window];
-  }
-
   /// Compressed mode: delta/varint-encoded round records, one byte range per
   /// round. `blob_offsets[i]` is where round i's encoding starts (its end is
-  /// the next offset, or blob.size() for the last round). Both engines build
-  /// the same scratch RoundRecord as Full mode and encode through
-  /// append_compressed, so the blob is bit-identical across engines and
-  /// thread counts.
+  /// the next offset, or blob.size() for the last round). The execution
+  /// frame (core/execution.hpp) encodes the same RoundRecord it stores in
+  /// Full mode through append_compressed, so the blob is bit-identical
+  /// across engines and thread counts.
   std::vector<std::uint8_t> blob{};
   std::vector<std::uint64_t> blob_offsets{};
 

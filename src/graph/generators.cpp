@@ -5,93 +5,22 @@
 #include "core/rng.hpp"
 
 namespace dualrad::gen {
-namespace {
-
-// The deterministic classic generators are written once against a generic
-// edge sink and instantiated for both representations: the mutable `Graph`
-// builder (the historical API, identical insertion order) and the streaming
-// `CsrGraphBuilder` (no hash set, no per-node vectors — the scale path).
-// None of them emits a duplicate pair, so the two sinks produce the same
-// edge sets.
-
-template <class Sink>
-void emit_clique(Sink& sink, NodeId n) {
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) sink.add_undirected_edge(u, v);
-  }
-}
-
-template <class Sink>
-void emit_path(Sink& sink, NodeId n) {
-  for (NodeId u = 0; u + 1 < n; ++u) sink.add_undirected_edge(u, u + 1);
-}
-
-template <class Sink>
-void emit_star(Sink& sink, NodeId n) {
-  for (NodeId u = 1; u < n; ++u) sink.add_undirected_edge(0, u);
-}
-
-template <class Sink>
-void emit_complete_layered(Sink& sink, const std::vector<NodeId>& off) {
-  for (std::size_t i = 0; i + 1 < off.size(); ++i) {
-    // Intra-layer clique.
-    for (NodeId u = off[i]; u < off[i + 1]; ++u) {
-      for (NodeId v = u + 1; v < off[i + 1]; ++v) {
-        sink.add_undirected_edge(u, v);
-      }
-    }
-    // Complete bipartite to the next layer.
-    if (i + 2 < off.size()) {
-      for (NodeId u = off[i]; u < off[i + 1]; ++u) {
-        for (NodeId v = off[i + 1]; v < off[i + 2]; ++v) {
-          sink.add_undirected_edge(u, v);
-        }
-      }
-    }
-  }
-}
-
-template <class Sink>
-void emit_grid(Sink& sink, NodeId width, NodeId height) {
-  const auto at = [width](NodeId x, NodeId y) { return y * width + x; };
-  for (NodeId y = 0; y < height; ++y) {
-    for (NodeId x = 0; x < width; ++x) {
-      if (x + 1 < width) sink.add_undirected_edge(at(x, y), at(x + 1, y));
-      if (y + 1 < height) sink.add_undirected_edge(at(x, y), at(x, y + 1));
-    }
-  }
-}
-
-}  // namespace
 
 Graph clique(NodeId n) {
   DUALRAD_REQUIRE(n >= 1, "clique needs n >= 1");
   Graph g(n);
   g.reserve_edges(static_cast<std::size_t>(n) * (n - 1));
-  emit_clique(g, n);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = u + 1; v < n; ++v) g.add_undirected_edge(u, v);
+  }
   return g;
-}
-
-CsrGraph clique_csr(NodeId n) {
-  DUALRAD_REQUIRE(n >= 1, "clique needs n >= 1");
-  CsrGraphBuilder b(n);
-  b.reserve(static_cast<std::size_t>(n) * (n - 1));
-  emit_clique(b, n);
-  return b.freeze();
 }
 
 Graph path(NodeId n) {
   DUALRAD_REQUIRE(n >= 1, "path needs n >= 1");
   Graph g(n);
-  emit_path(g, n);
+  for (NodeId u = 0; u + 1 < n; ++u) g.add_undirected_edge(u, u + 1);
   return g;
-}
-
-CsrGraph path_csr(NodeId n) {
-  DUALRAD_REQUIRE(n >= 1, "path needs n >= 1");
-  CsrGraphBuilder b(n);
-  emit_path(b, n);
-  return b.freeze();
 }
 
 Graph cycle(NodeId n) {
@@ -101,26 +30,11 @@ Graph cycle(NodeId n) {
   return g;
 }
 
-CsrGraph cycle_csr(NodeId n) {
-  DUALRAD_REQUIRE(n >= 3, "cycle needs n >= 3");
-  CsrGraphBuilder b(n);
-  emit_path(b, n);
-  b.add_undirected_edge(n - 1, 0);
-  return b.freeze();
-}
-
 Graph star(NodeId n) {
   DUALRAD_REQUIRE(n >= 2, "star needs n >= 2");
   Graph g(n);
-  emit_star(g, n);
+  for (NodeId u = 1; u < n; ++u) g.add_undirected_edge(0, u);
   return g;
-}
-
-CsrGraph star_csr(NodeId n) {
-  DUALRAD_REQUIRE(n >= 2, "star needs n >= 2");
-  CsrGraphBuilder b(n);
-  emit_star(b, n);
-  return b.freeze();
 }
 
 std::vector<NodeId> layer_offsets(const std::vector<NodeId>& layer_sizes) {
@@ -136,16 +50,23 @@ Graph complete_layered(const std::vector<NodeId>& layer_sizes) {
   DUALRAD_REQUIRE(!layer_sizes.empty(), "need at least one layer");
   const auto off = layer_offsets(layer_sizes);
   Graph g(off.back());
-  emit_complete_layered(g, off);
+  for (std::size_t i = 0; i + 1 < off.size(); ++i) {
+    // Intra-layer clique.
+    for (NodeId u = off[i]; u < off[i + 1]; ++u) {
+      for (NodeId v = u + 1; v < off[i + 1]; ++v) {
+        g.add_undirected_edge(u, v);
+      }
+    }
+    // Complete bipartite to the next layer.
+    if (i + 2 < off.size()) {
+      for (NodeId u = off[i]; u < off[i + 1]; ++u) {
+        for (NodeId v = off[i + 1]; v < off[i + 2]; ++v) {
+          g.add_undirected_edge(u, v);
+        }
+      }
+    }
+  }
   return g;
-}
-
-CsrGraph complete_layered_csr(const std::vector<NodeId>& layer_sizes) {
-  DUALRAD_REQUIRE(!layer_sizes.empty(), "need at least one layer");
-  const auto off = layer_offsets(layer_sizes);
-  CsrGraphBuilder b(off.back());
-  emit_complete_layered(b, off);
-  return b.freeze();
 }
 
 Graph directed_layered(const std::vector<NodeId>& layer_sizes) {
@@ -186,15 +107,14 @@ Graph gnp_connected(NodeId n, double p, std::uint64_t seed) {
 Graph grid(NodeId width, NodeId height) {
   DUALRAD_REQUIRE(width >= 1 && height >= 1, "grid needs positive dims");
   Graph g(width * height);
-  emit_grid(g, width, height);
+  const auto at = [width](NodeId x, NodeId y) { return y * width + x; };
+  for (NodeId y = 0; y < height; ++y) {
+    for (NodeId x = 0; x < width; ++x) {
+      if (x + 1 < width) g.add_undirected_edge(at(x, y), at(x + 1, y));
+      if (y + 1 < height) g.add_undirected_edge(at(x, y), at(x, y + 1));
+    }
+  }
   return g;
-}
-
-CsrGraph grid_csr(NodeId width, NodeId height) {
-  DUALRAD_REQUIRE(width >= 1 && height >= 1, "grid needs positive dims");
-  CsrGraphBuilder b(width * height);
-  emit_grid(b, width, height);
-  return b.freeze();
 }
 
 }  // namespace dualrad::gen

@@ -8,39 +8,26 @@
 /// \file generators.hpp
 /// Plain-graph generators (single graphs; dual graph families live in
 /// dual_builders.hpp). All generators produce nodes {0, ..., n-1}.
-///
-/// The deterministic classics come in two flavors sharing one emission
-/// routine: the historical `Graph`-returning builders, and `*_csr` variants
-/// that stream edges straight into a `CsrGraphBuilder` — same edge set, no
-/// hash set, no per-node vectors — for networks too large for the `Graph`
-/// representation. (The randomized generators stay `Graph`-only: they need
-/// has_edge during construction.)
 
 namespace dualrad::gen {
 
 /// Complete undirected graph on n nodes.
 [[nodiscard]] Graph clique(NodeId n);
-[[nodiscard]] CsrGraph clique_csr(NodeId n);
 
 /// Undirected path 0 - 1 - ... - n-1.
 [[nodiscard]] Graph path(NodeId n);
-[[nodiscard]] CsrGraph path_csr(NodeId n);
 
 /// Undirected cycle.
 [[nodiscard]] Graph cycle(NodeId n);
-[[nodiscard]] CsrGraph cycle_csr(NodeId n);
 
 /// Undirected star centered at node 0.
 [[nodiscard]] Graph star(NodeId n);
-[[nodiscard]] CsrGraph star_csr(NodeId n);
 
 /// Complete layered undirected graph: nodes grouped into consecutive layers
 /// of the given sizes; all intra-layer edges and all edges between adjacent
 /// layers are present. (The reliable graph of the Theorem 12 construction is
 /// of this form.)
 [[nodiscard]] Graph complete_layered(const std::vector<NodeId>& layer_sizes);
-[[nodiscard]] CsrGraph complete_layered_csr(
-    const std::vector<NodeId>& layer_sizes);
 
 /// Directed complete layered graph: every node of layer i has edges to every
 /// node of layer i+1 (forward only, no intra-layer edges).
@@ -55,7 +42,6 @@ namespace dualrad::gen {
 
 /// 2D grid graph of width x height nodes (undirected, 4-neighborhood).
 [[nodiscard]] Graph grid(NodeId width, NodeId height);
-[[nodiscard]] CsrGraph grid_csr(NodeId width, NodeId height);
 
 /// Node index ranges per layer for the layered generators: layer i occupies
 /// [offsets[i], offsets[i+1]).

@@ -34,9 +34,11 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
   InterferenceResult result;
   result.first_token.assign(un, kNever);
   // This engine targets the small dual-interference constructions of
-  // Lemma 1; it has no memory-capped mode.
-  DUALRAD_REQUIRE(config.trace != TraceLevel::Bounded,
-                  "interference engine does not support TraceLevel::Bounded");
+  // Lemma 1; it records counts and full rounds, nothing compressed.
+  DUALRAD_REQUIRE(config.trace == TraceLevel::None ||
+                      config.trace == TraceLevel::Counts ||
+                      config.trace == TraceLevel::Full,
+                  "interference engine traces only None, Counts and Full");
   result.trace.level = config.trace;
 
   std::vector<std::unique_ptr<Process>> proc_at(un);

@@ -55,7 +55,7 @@ struct Theorem12Options {
   /// an even stronger witness; the builder stops and flags `stalled`.
   Round stage_cap = 500'000;
   /// Record the full adversary script (proc mapping + per-round unreliable
-  /// reach) so the execution can be replayed in the Simulator.
+  /// reach) so the execution can be replayed by run_broadcast.
   bool build_script = false;
 };
 

@@ -20,8 +20,8 @@
 ///    process or adversary state, and has no observable effect on the
 ///    execution — `SimResult` is bit-identical with telemetry attached or
 ///    not (pinned in tests/test_engine_equivalence.cpp).
-///  * **Branch-on-null when disabled.** Both engines guard every telemetry
-///    statement (including the clock samples) behind
+///  * **Branch-on-null when disabled.** The sparse engine guards every
+///    telemetry statement (including the clock samples) behind
 ///    `if (config.telemetry != nullptr)`; with the default
 ///    `SimConfig::telemetry == nullptr` the whole layer costs one predictable
 ///    branch per phase. bench_engine_scaling pins the disabled overhead.
@@ -31,17 +31,17 @@
 ///    imbalance is directly measurable and the merged totals equal the serial
 ///    engine's, for any thread count.
 ///
-/// Memory is bounded like TraceLevel::Bounded: per-round samples live in a
-/// ring of the last `window` rounds; everything older survives only in the
-/// running totals. The Perfetto exporter (obs/perfetto_writer.hpp) emits one
-/// slice per phase per ringed round plus counter tracks.
+/// Memory is bounded: per-round samples live in a ring of the last `window`
+/// rounds; everything older survives only in the running totals. The
+/// Perfetto exporter (obs/perfetto_writer.hpp) emits one slice per phase per
+/// ringed round plus counter tracks. Only the sparse engine reports here;
+/// the dense reference engine has no telemetry.
 
 namespace dualrad::obs {
 
-/// Round phases of both engines, in execution order. The reference engine
-/// maps its node scans onto the same phases (its ShardMerge is always 0ns).
+/// Round phases of the sparse engine, in execution order.
 enum class Phase : std::uint8_t {
-  Poll = 0,    ///< calendar pop + next_action polling (reference: node scan)
+  Poll = 0,    ///< calendar pop + next_action polling
   Adversary,   ///< view construction, choose_unreliable_reach, on_round_end
   Propagate,   ///< arrival deposits (sender self + reliable rows + extras)
   Deliver,     ///< reception computation + on_receive/on_activate delivery
@@ -112,7 +112,7 @@ struct ShardTotals {
 /// during the serial merge).
 class RoundTelemetry {
  public:
-  /// `window`: per-round sample ring capacity (like SimConfig::trace_window).
+  /// `window`: per-round sample ring capacity, in rounds.
   explicit RoundTelemetry(std::size_t window = 4096);
 
   /// Reset and size per-execution state. Engines call this once per run.
@@ -172,30 +172,6 @@ class RoundTelemetry {
   std::vector<ShardTotals> shard_totals_;
   std::uint64_t max_round_deliveries_ = 0;
   Round max_round_deliveries_round_ = 0;
-};
-
-/// Scoped phase timer: samples the clock at construction and adds the
-/// elapsed nanoseconds on stop()/destruction. Constructed only when
-/// telemetry is attached, so the disabled path never touches the clock.
-class PhaseTimer {
- public:
-  PhaseTimer(RoundTelemetry* telemetry, Phase phase)
-      : telemetry_(telemetry), phase_(phase),
-        start_(telemetry ? monotonic_ns() : 0) {}
-  ~PhaseTimer() { stop(); }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  void stop() {
-    if (telemetry_ == nullptr) return;
-    telemetry_->add_phase_ns(phase_, monotonic_ns() - start_);
-    telemetry_ = nullptr;
-  }
-
- private:
-  RoundTelemetry* telemetry_;
-  Phase phase_;
-  std::uint64_t start_;
 };
 
 }  // namespace dualrad::obs

@@ -6,6 +6,8 @@
 #include "adversary/theorem2_adversary.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
+#include "byz/plan.hpp"
+#include "core/reference_engine.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
@@ -321,8 +323,68 @@ TEST(ScriptedAdversary, ForcesCr4Resolution) {
 }
 
 // --------------------------------------------------------------- Legality
+//
+// Every engine guard lives in the shared execution frame or in a kernel;
+// each case runs through both engines and must throw std::logic_error from
+// each.
 
-TEST(AdversaryLegality, SimulatorRejectsIllegalReach) {
+void expect_both_engines_reject(const DualGraph& net,
+                                const ProcessFactory& factory,
+                                Adversary& adversary, const SimConfig& config) {
+  EXPECT_THROW((void)run_broadcast(net, factory, adversary, config),
+               std::logic_error)
+      << "run_broadcast";
+  EXPECT_THROW((void)run_broadcast_reference(net, factory, adversary, config),
+               std::logic_error)
+      << "run_broadcast_reference";
+}
+
+/// Path 0 - 1 - 2 with G' = G plus {0, 2}.
+DualGraph shortcut_path() {
+  Graph g = gen::path(3);
+  Graph gp = gen::path(3);
+  gp.add_undirected_edge(0, 2);
+  return DualGraph(std::move(g), std::move(gp), 0);
+}
+
+/// Sends `token` in round 1 whether or not it holds it.
+class TokenSender final : public TokenProcess {
+ public:
+  TokenSender(ProcessId id, TokenId token) : TokenProcess(id), token_(token) {}
+  TokenSender(const TokenSender&) = default;
+
+  [[nodiscard]] Action next_action(Round round) const override {
+    if (round != 1) return Action::silent();
+    return Action::transmit(Message{token_, id(), round, 0});
+  }
+
+  [[nodiscard]] std::unique_ptr<Process> clone() const override {
+    return std::make_unique<TokenSender>(*this);
+  }
+
+ private:
+  TokenId token_;
+};
+
+/// Process 1 sends `token` in round 1 (synchronous start wakes it); the
+/// others never send.
+void expect_send_rejected(const DualGraph& net, TokenId token,
+                          const byz::ByzantinePlan* plan = nullptr) {
+  const ProcessFactory factory = [token](ProcessId id, NodeId,
+                                         std::uint64_t)
+      -> std::unique_ptr<Process> {
+    if (id == 1) return std::make_unique<TokenSender>(id, token);
+    return std::make_unique<testing::Recorder>(id);
+  };
+  BenignAdversary adversary;
+  SimConfig config;
+  config.start = StartRule::Synchronous;
+  config.max_rounds = 1;
+  config.byzantine = plan;
+  expect_both_engines_reject(net, factory, adversary, config);
+}
+
+TEST(AdversaryLegality, EnginesRejectIllegalReach) {
   // An adversary that fires a reliable edge as if it were unreliable must be
   // caught by the engine's validation.
   class Cheater : public Adversary {
@@ -333,19 +395,72 @@ TEST(AdversaryLegality, SimulatorRejectsIllegalReach) {
       if (!senders.empty()) sink.add(0, 1);  // 0-1 is reliable
     }
   };
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
-  gp.add_undirected_edge(0, 2);
-  const DualGraph net(std::move(g), std::move(gp), 0);
   Cheater adversary;
-  const auto factory = scripted_factory({{0, {1}}});
   SimConfig config;
   config.max_rounds = 1;
-  EXPECT_THROW(run_broadcast(net, factory, adversary, config),
-               std::logic_error);
+  expect_both_engines_reject(shortcut_path(), scripted_factory({{0, {1}}}),
+                             adversary, config);
 }
 
-TEST(AdversaryLegality, SimulatorRejectsBadCr4Resolution) {
+TEST(AdversaryLegality, EnginesRejectReachOutsideTheNetwork) {
+  class Cheater : public Adversary {
+   public:
+    void choose_unreliable_reach(const AdversaryView&,
+                                 std::span<const NodeId> senders,
+                                 ReachSink& sink) override {
+      if (!senders.empty()) sink.add(0, 7);  // the network has 3 nodes
+    }
+  };
+  Cheater adversary;
+  SimConfig config;
+  config.max_rounds = 1;
+  expect_both_engines_reject(shortcut_path(), scripted_factory({{0, {1}}}),
+                             adversary, config);
+}
+
+TEST(AdversaryLegality, EnginesRejectNonPermutationProcMapping) {
+  class Cheater : public Adversary {
+   public:
+    std::vector<ProcessId> assign_processes(const DualGraph&) override {
+      return {0, 0, 1};
+    }
+  };
+  Cheater adversary;
+  expect_both_engines_reject(shortcut_path(), scripted_factory({}), adversary,
+                             SimConfig{});
+}
+
+TEST(AdversaryLegality, EnginesRejectBrokenFactories) {
+  BenignAdversary adversary;
+  const ProcessFactory null_factory =
+      [](ProcessId id, NodeId, std::uint64_t) -> std::unique_ptr<Process> {
+    if (id == 2) return nullptr;
+    return std::make_unique<testing::Recorder>(id);
+  };
+  expect_both_engines_reject(shortcut_path(), null_factory, adversary,
+                             SimConfig{});
+  const ProcessFactory wrong_id =
+      [](ProcessId id, NodeId, std::uint64_t) -> std::unique_ptr<Process> {
+    return std::make_unique<testing::Recorder>(id == 2 ? 1 : id);
+  };
+  expect_both_engines_reject(shortcut_path(), wrong_id, adversary,
+                             SimConfig{});
+}
+
+TEST(AdversaryLegality, EnginesRejectIllegalSends) {
+  const DualGraph net = shortcut_path();
+  // The broadcast token, which only the source holds before round 1.
+  expect_send_rejected(net, kBroadcastToken);
+  // A token id no source injected.
+  expect_send_rejected(net, 7);
+  // A forged id that node 1 never received (node 2 forges it).
+  byz::ByzantinePlan plan(1);
+  plan.add(2, byz::ByzBehavior::Forge);
+  plan.bind(net, {}, 5);
+  expect_send_rejected(net, plan.faults()[0].forged_token, &plan);
+}
+
+TEST(AdversaryLegality, EnginesRejectBadCr4Resolution) {
   class Cheater : public FullInterferenceAdversary {
    public:
     Reception resolve_cr4(const AdversaryView&, NodeId,
@@ -361,8 +476,7 @@ TEST(AdversaryLegality, SimulatorRejectsBadCr4Resolution) {
   config.rule = CollisionRule::CR4;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  EXPECT_THROW(run_broadcast(net, factory, adversary, config),
-               std::logic_error);
+  expect_both_engines_reject(net, factory, adversary, config);
 }
 
 }  // namespace

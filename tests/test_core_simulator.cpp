@@ -5,7 +5,6 @@
 #include <string>
 
 #include "adversary/basic_adversaries.hpp"
-#include "algorithms/round_robin_bcast.hpp"
 #include "byz/plan.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
@@ -43,7 +42,7 @@ const Reception& reception_of(const SimResult& result, Round round,
 
 // -------------------------------------------------------------- delivery
 
-TEST(Simulator, ReliableEdgesAlwaysDeliver) {
+TEST(SparseEngine, ReliableEdgesAlwaysDeliver) {
   const DualGraph net = tiny_net();
   BenignAdversary adversary;
   const auto factory = scripted_factory({{0, {1}}});
@@ -57,7 +56,7 @@ TEST(Simulator, ReliableEdgesAlwaysDeliver) {
   EXPECT_EQ(result.first_token[2], kNever);
 }
 
-TEST(Simulator, UnreliableEdgeFiresWhenAdversaryChooses) {
+TEST(SparseEngine, UnreliableEdgeFiresWhenAdversaryChooses) {
   const DualGraph net = tiny_net();
   FullInterferenceAdversary adversary;
   const auto factory = scripted_factory({{0, {1}}});
@@ -67,7 +66,7 @@ TEST(Simulator, UnreliableEdgeFiresWhenAdversaryChooses) {
   EXPECT_EQ(result.first_token[2], 1);
 }
 
-TEST(Simulator, SourceStartsCovered) {
+TEST(SparseEngine, SourceStartsCovered) {
   const DualGraph net = tiny_net();
   BenignAdversary adversary;
   const auto factory = scripted_factory({});
@@ -77,7 +76,7 @@ TEST(Simulator, SourceStartsCovered) {
   EXPECT_FALSE(result.completed);
 }
 
-TEST(Simulator, CompletionRoundIsFirstFullCoverage) {
+TEST(SparseEngine, CompletionRoundIsFirstFullCoverage) {
   const DualGraph net = tiny_net();
   BenignAdversary adversary;
   // 0 sends round 1 (covers 1); 1 sends round 2 (covers 2).
@@ -229,7 +228,7 @@ TEST(StartRules, SynchronousEveryoneAwakeRoundOne) {
 
 // ------------------------------------------------------------- accounting
 
-TEST(Simulator, SendAndCollisionCounters) {
+TEST(SparseEngine, SendAndCollisionCounters) {
   Graph g = gen::clique(3);
   const DualGraph net = make_classical(std::move(g), 0);
   BenignAdversary adversary;
@@ -243,7 +242,7 @@ TEST(Simulator, SendAndCollisionCounters) {
   EXPECT_EQ(result.trace.senders_per_round[1], 1u);
 }
 
-TEST(Simulator, CollisionEventsExcludeSendersUnderCR2ToCR4) {
+TEST(SparseEngine, CollisionEventsExcludeSendersUnderCR2ToCR4) {
   // Regression: on a 3-clique with nodes 0 and 1 both sending, every node
   // is reached by two messages. Under CR1 all three observe a collision;
   // under CR2-CR4 the two senders deterministically hear their own message,
@@ -261,7 +260,7 @@ TEST(Simulator, CollisionEventsExcludeSendersUnderCR2ToCR4) {
   }
 }
 
-TEST(Simulator, SoleSenderProducesNoCollisionEvents) {
+TEST(SparseEngine, SoleSenderProducesNoCollisionEvents) {
   // A lone sender's own message reaching it is one arrival, never a
   // collision — under any rule.
   for (const CollisionRule rule : {CollisionRule::CR1, CollisionRule::CR2,
@@ -276,7 +275,7 @@ TEST(Simulator, SoleSenderProducesNoCollisionEvents) {
   }
 }
 
-TEST(Simulator, ProcMappingIsPermutation) {
+TEST(SparseEngine, ProcMappingIsPermutation) {
   const DualGraph net = tiny_net();
   BenignAdversary adversary;
   const auto factory = scripted_factory({});
@@ -289,7 +288,7 @@ TEST(Simulator, ProcMappingIsPermutation) {
   EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
 }
 
-TEST(Simulator, FixedAssignmentPlacesProcesses) {
+TEST(SparseEngine, FixedAssignmentPlacesProcesses) {
   const DualGraph net = tiny_net();
   BenignAdversary inner;
   FixedAssignmentAdversary adversary({2, 0, 1}, inner);
@@ -301,7 +300,7 @@ TEST(Simulator, FixedAssignmentPlacesProcesses) {
   EXPECT_TRUE(reception_of(result, 1, 1).has_token());
 }
 
-TEST(Simulator, TraceRecordsReachSets) {
+TEST(SparseEngine, TraceRecordsReachSets) {
   const DualGraph net = tiny_net();
   FullInterferenceAdversary adversary;
   const auto factory = scripted_factory({{0, {1}}});
@@ -315,7 +314,7 @@ TEST(Simulator, TraceRecordsReachSets) {
   EXPECT_EQ(senders[0].reached.size(), 2u);
 }
 
-TEST(Simulator, StopsAtMaxRounds) {
+TEST(SparseEngine, StopsAtMaxRounds) {
   const DualGraph net = tiny_net();
   BenignAdversary adversary;
   const auto factory = scripted_factory({});
@@ -323,39 +322,6 @@ TEST(Simulator, StopsAtMaxRounds) {
   const SimResult result = run_broadcast(net, factory, adversary, config);
   EXPECT_EQ(result.rounds_executed, 5);
   EXPECT_FALSE(result.completed);
-}
-
-TEST(BoundedTrace, RejectsZeroWindow) {
-  const DualGraph net = make_classical(gen::path(3), 0);
-  BenignAdversary adversary;
-  SimConfig config;
-  config.trace = TraceLevel::Bounded;
-  config.trace_window = 0;
-  EXPECT_THROW(
-      run_broadcast(net, make_round_robin_factory(net.node_count()),
-                    adversary, config),
-      std::invalid_argument);
-}
-
-TEST(BoundedTrace, ShortExecutionFitsEntirelyInWindow) {
-  const DualGraph net = make_classical(gen::path(4), 0);
-  BenignAdversary adversary;
-  SimConfig config;
-  config.start = StartRule::Synchronous;
-  config.rule = CollisionRule::CR3;
-  config.trace = TraceLevel::Bounded;
-  config.trace_window = 64;
-  const SimResult result = run_broadcast(
-      net, make_round_robin_factory(net.node_count()), adversary, config);
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.trace.rounds_recorded, result.rounds_executed);
-  std::uint64_t ring_sends = 0;
-  for (Round r = 1; r <= result.rounds_executed; ++r) {
-    ASSERT_TRUE(result.trace.in_window(r));
-    ring_sends += result.trace.ring_senders_at(r);
-  }
-  EXPECT_EQ(ring_sends, result.total_sends);
-  EXPECT_EQ(result.trace.agg.total_sends, result.total_sends);
 }
 
 // ---------------------------------------------------- token-source validation
@@ -405,7 +371,7 @@ TEST(TokenSourceValidation, RejectsSourceCountReachingForgedTokenBand) {
   }
 }
 
-TEST(TokenSourceValidation, SimulatorRejectsBadSourcesUpFront) {
+TEST(TokenSourceValidation, EngineRejectsBadSourcesUpFront) {
   const DualGraph net = tiny_net();
   BenignAdversary adversary;
   const auto factory = scripted_factory({});

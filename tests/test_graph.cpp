@@ -354,11 +354,13 @@ TEST(CsrGraphBuilder, RejectsSelfLoopsAndOutOfRange) {
 }
 
 TEST(CsrGraphBuilder, MatchesGraphFrozenSnapshotUpToRowOrder) {
-  // The same generator emitted into both sinks must give the same edge
+  // The same edges emitted into both builders must give the same edge
   // sets; builder rows are the sorted version of the Graph rows.
   const Graph g = gen::complete_layered({1, 3, 2});
   const CsrGraph from_graph(g);
-  const CsrGraph streamed = gen::complete_layered_csr({1, 3, 2});
+  CsrGraphBuilder b(g.node_count());
+  for (const auto& [u, v] : g.edges()) b.add_edge(u, v);
+  const CsrGraph streamed = b.freeze();
   ASSERT_EQ(streamed.node_count(), from_graph.node_count());
   ASSERT_EQ(streamed.edge_count(), from_graph.edge_count());
   for (NodeId u = 0; u < streamed.node_count(); ++u) {
@@ -370,12 +372,6 @@ TEST(CsrGraphBuilder, MatchesGraphFrozenSnapshotUpToRowOrder) {
                            sorted.end()))
         << "row " << u;
   }
-  // Same for the other deterministic classics.
-  EXPECT_EQ(gen::clique_csr(7).edge_count(), gen::clique(7).edge_count());
-  EXPECT_EQ(gen::path_csr(9).edge_count(), gen::path(9).edge_count());
-  EXPECT_EQ(gen::cycle_csr(6).edge_count(), gen::cycle(6).edge_count());
-  EXPECT_EQ(gen::star_csr(8).edge_count(), gen::star(8).edge_count());
-  EXPECT_EQ(gen::grid_csr(4, 3).edge_count(), gen::grid(4, 3).edge_count());
 }
 
 TEST(CsrGraphBuilder, BacksCsrConstructedDualGraph) {

@@ -33,6 +33,17 @@ TEST(InterferenceNetwork, ValidatesInputs) {
   EXPECT_THROW(InterferenceNetwork(gt, gi, 0), std::invalid_argument);
 }
 
+TEST(InterferenceModel, RejectsCompressedTrace) {
+  // The engine has no compressed encoder: a Compressed request must fail
+  // up front instead of reporting the level over an empty blob.
+  const InterferenceNetwork net = tiny_inet();
+  InterferenceConfig config;
+  config.trace = TraceLevel::Compressed;
+  EXPECT_THROW((void)run_interference_broadcast(
+                   net, make_round_robin_factory(net.node_count()), config),
+               std::invalid_argument);
+}
+
 TEST(InterferenceModel, MessagesOnlyConveyOverGt) {
   // Node 0 sends alone: node 1 (G_T neighbor) receives; node 2 (G_I-only
   // neighbor) hears silence even though the message "reached" it.

@@ -7,10 +7,12 @@
 #include "adversary/basic_adversaries.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/strong_select.hpp"
+#include "core/reference_engine.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
 #include "interference/interference.hpp"
+#include "obs/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace dualrad {
@@ -42,15 +44,27 @@ TEST(ModelEdges, MessageValueEquality) {
   EXPECT_NE(a, b);
 }
 
-TEST(ModelEdges, SimulatorRejectsBadConfig) {
+TEST(ModelEdges, EngineRejectsBadConfig) {
   const DualGraph net = duals::bridge_network(8);
   BenignAdversary adversary;
   SimConfig config;
   config.max_rounds = 0;
-  EXPECT_THROW(Simulator(net, make_harmonic_factory(8), adversary, config),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_broadcast(net, make_harmonic_factory(8), adversary, config),
+      std::invalid_argument);
   SimConfig ok;
-  EXPECT_THROW(Simulator(net, ProcessFactory{}, adversary, ok),
+  EXPECT_THROW((void)run_broadcast(net, ProcessFactory{}, adversary, ok),
+               std::invalid_argument);
+}
+
+TEST(ModelEdges, ReferenceEngineRejectsTelemetry) {
+  const DualGraph net = duals::bridge_network(8);
+  BenignAdversary adversary;
+  obs::RoundTelemetry telemetry;
+  SimConfig config;
+  config.telemetry = &telemetry;
+  EXPECT_THROW((void)run_broadcast_reference(net, make_harmonic_factory(8),
+                                             adversary, config),
                std::invalid_argument);
 }
 
