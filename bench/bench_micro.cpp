@@ -1,11 +1,15 @@
-// M1: micro benchmarks — simulator round throughput and SSF construction
-// cost (google-benchmark).
+// M1: micro benchmarks — simulator round throughput, the Compressed trace
+// and its audit on a verified Byzantine trial, and SSF construction cost
+// (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
 #include "adversary/basic_adversaries.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/strong_select.hpp"
+#include "campaign/builtin_scenarios.hpp"
+#include "campaign/engine.hpp"
+#include "core/audit.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
 #include "selectors/kautz_singleton.hpp"
@@ -32,6 +36,75 @@ void BM_EngineRounds(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
 BENCHMARK(BM_EngineRounds)->Arg(32)->Arg(128);
+
+// One fixed verified-run trial: trial 0 of byz/grayzone-1k/cpa/f=1-forge
+// under master seed 1. Its forged token never lets the broadcast complete,
+// so the trial runs to the scenario's round cap.
+const campaign::TrialExecutor& byz_trial() {
+  static const campaign::TrialExecutor executor(
+      campaign::builtin_registry().at("byz/grayzone-1k/cpa/f=1-forge"), 1);
+  return executor;
+}
+
+const SimResult& byz_traced_result() {
+  static const SimResult result =
+      byz_trial().run(0, {.trace = TraceLevel::Compressed}).sim;
+  return result;
+}
+
+/// The trial end to end; arg 0 records no trace, arg 1 a Compressed one.
+void BM_ByzTrial(benchmark::State& state) {
+  const campaign::TrialExecutor& executor = byz_trial();
+  campaign::TrialOptions options;
+  options.trace =
+      state.range(0) == 0 ? TraceLevel::None : TraceLevel::Compressed;
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    const SimResult result = executor.run(0, options).sim;
+    rounds += static_cast<std::uint64_t>(result.rounds_executed);
+    benchmark::DoNotOptimize(result.trace.blob.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
+}
+BENCHMARK(BM_ByzTrial)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Decode every round of the trial's Compressed trace.
+void BM_ByzTraceDecode(benchmark::State& state) {
+  const SimResult& result = byz_traced_result();
+  const NodeId n = byz_trial().scenario().network().node_count();
+  SparseRound round;
+  for (auto _ : state) {
+    std::size_t heard = 0;
+    for (std::size_t i = 0; i < result.trace.compressed_rounds(); ++i) {
+      result.trace.decode_round(i, n, round);
+      heard += round.receptions.size();
+    }
+    benchmark::DoNotOptimize(heard);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() *
+      static_cast<std::int64_t>(result.trace.compressed_rounds())));
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() *
+      static_cast<std::int64_t>(result.trace.blob.size())));
+}
+BENCHMARK(BM_ByzTraceDecode)->Unit(benchmark::kMillisecond);
+
+/// audit_execution over the trial's Compressed trace.
+void BM_ByzAudit(benchmark::State& state) {
+  const SimResult& result = byz_traced_result();
+  const campaign::Scenario& scenario = byz_trial().scenario();
+  const DualGraph net = scenario.network();
+  for (auto _ : state) {
+    const audit::AuditReport report = audit::audit_execution(
+        net, result, scenario.rule, scenario.token_sources);
+    benchmark::DoNotOptimize(report.ok);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() *
+      static_cast<std::int64_t>(result.trace.compressed_rounds())));
+}
+BENCHMARK(BM_ByzAudit)->Unit(benchmark::kMillisecond);
 
 void BM_KautzSingletonConstruction(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/ascending_set.hpp"
 #include "graph/graph.hpp"
 
 namespace dualrad::audit {
@@ -12,6 +13,44 @@ std::string at(Round round, NodeId node) {
   std::ostringstream ss;
   ss << "round " << round << " node " << node << ": ";
   return ss.str();
+}
+
+/// Scan a Full record into the sparse form the check loop reads. A sender
+/// or reach id outside the network is reported and dropped, never used as
+/// an index; a record that does not hold one reception per node is
+/// reported, and the nodes it lacks read as silence.
+void scan_full(const RoundRecord& record, NodeId n, SparseRound& out,
+               AuditReport& report) {
+  const auto in_range = [n](NodeId v) { return v >= 0 && v < n; };
+  out.clear();
+  out.round = record.round;
+  for (const SenderRecord& s : record.senders) {
+    if (!in_range(s.node)) {
+      report.fail(at(record.round, s.node) + "sender out of range");
+      continue;
+    }
+    const std::size_t begin = out.reached.size();
+    for (const NodeId v : s.reached) {
+      if (in_range(v)) {
+        out.reached.push_back(v);
+      } else {
+        report.fail(at(record.round, s.node) + "reached out-of-range node " +
+                    std::to_string(v));
+      }
+    }
+    out.senders.push_back({s.node, s.message, begin, out.reached.size()});
+  }
+  const auto un = static_cast<std::size_t>(n);
+  if (record.receptions.size() != un) {
+    report.fail("round " + std::to_string(record.round) + ": record holds " +
+                std::to_string(record.receptions.size()) +
+                " receptions, want " + std::to_string(n));
+  }
+  for (std::size_t v = 0; v < std::min(un, record.receptions.size()); ++v) {
+    if (!record.receptions[v].is_silence()) {
+      out.receptions.push_back({static_cast<NodeId>(v), record.receptions[v]});
+    }
+  }
 }
 
 }  // namespace
@@ -104,36 +143,44 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
   };
 
   // The network's frozen CSR snapshots drive the per-round reconstruction:
-  // g_csr.row for "every reliable edge delivered", gp_csr.contains for
-  // "every reached node is a G' neighbor".
+  // g_csr.row for "every reliable edge delivered", gp_csr.row for "every
+  // reached node is a G' neighbor".
   const CsrGraph& g_csr = net.g_csr();
   const CsrGraph& gp_csr = net.g_prime_csr();
 
-  // Epoch-stamped arrival slots (one epoch per trace record): count + first
-  // message per node, full list spilled on collision, and a touched list so
-  // per-record cost scales with deliveries, not n. reach_seen carries a
-  // per-sender epoch for duplicate detection and reliable-edge coverage.
+  // Epoch-stamped arrival slots (one epoch per round): count + first message
+  // per node, full list spilled on collision, so per-round cost scales with
+  // deliveries, not n. reach_seen and gp_seen carry a per-sender stamp: the
+  // first for duplicate detection and reliable-edge coverage, the second
+  // marks the sender's G' row. `checked` collects the nodes with an arrival
+  // or a non-silence reception — the only nodes whose reception can fail a
+  // check — and yields them ascending, the order violations are reported in.
   std::vector<std::int64_t> arr_epoch(un, 0);
   std::vector<std::uint32_t> arr_count(un, 0);
   std::vector<Message> arr_first(un);
   std::vector<std::vector<Message>> multi(un);
   std::vector<std::int64_t> reach_seen(un, 0);
-  std::vector<bool> is_sender(un, false);
-  std::vector<NodeId> sender_nodes;
+  std::vector<std::int64_t> gp_seen(un, 0);
+  NodeFlags is_sender(un, 0);
+  AscendingNodeSet checked(un);
+  std::vector<NodeId> check_order;
   std::int64_t epoch = 0;
   std::int64_t reach_mark = 0;
 
-  // Compressed traces are decoded one round at a time into a reusable
-  // scratch record (the decode is value-identical to the Full-mode record),
-  // so the audit itself never materializes the whole history.
-  RoundRecord scratch;
+  // Both levels are audited one sparse round at a time: Compressed rounds
+  // are decoded, Full records scanned, into one reused SparseRound, so the
+  // audit never materializes the whole history.
+  SparseRound record;
+  const Reception silence = Reception::silence();
   const std::size_t round_count = compressed
                                       ? result.trace.compressed_rounds()
                                       : result.trace.rounds.size();
   for (std::size_t ri = 0; ri < round_count; ++ri) {
-    if (compressed) result.trace.decode_compressed(ri, n, scratch);
-    const RoundRecord& record =
-        compressed ? scratch : result.trace.rounds[ri];
+    if (compressed) {
+      result.trace.decode_round(ri, n, record);
+    } else {
+      scan_full(result.trace.rounds[ri], n, record, report);
+    }
     ++epoch;
     const auto deposit = [&](NodeId v, const Message& m) {
       const auto uv = static_cast<std::size_t>(v);
@@ -141,6 +188,7 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
         arr_epoch[uv] = epoch;
         arr_count[uv] = 1;
         arr_first[uv] = m;
+        checked.insert(v);
         return;
       }
       if (arr_count[uv] == 1) {
@@ -151,19 +199,20 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       multi[uv].push_back(m);
     };
 
-    sender_nodes.clear();
     for (const auto& sender : record.senders) {
-      is_sender[static_cast<std::size_t>(sender.node)] = true;
-      sender_nodes.push_back(sender.node);
+      is_sender[static_cast<std::size_t>(sender.node)] = 1;
       deposit(sender.node, sender.message);
 
       ++reach_mark;
+      for (const NodeId v : gp_csr.row(sender.node)) {
+        gp_seen[static_cast<std::size_t>(v)] = reach_mark;
+      }
       bool duplicates = false;
-      for (NodeId v : sender.reached) {
+      for (const NodeId v : record.reach(sender)) {
         const auto uv = static_cast<std::size_t>(v);
         if (reach_seen[uv] == reach_mark) duplicates = true;
         reach_seen[uv] = reach_mark;
-        if (!gp_csr.contains(sender.node, v)) {
+        if (gp_seen[uv] != reach_mark) {
           report.fail(at(record.round, sender.node) + "reached non-neighbor " +
                       std::to_string(v));
         }
@@ -217,11 +266,19 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       }
     }
 
-    // Reception consistency.
-    for (NodeId v = 0; v < n; ++v) {
+    // Reception consistency. A node outside `checked` heard silence with no
+    // arrival, which no check can fault.
+    for (const SparseRound::Heard& h : record.receptions) {
+      checked.insert(h.node);
+    }
+    check_order.clear();
+    checked.drain(check_order);
+    auto heard = record.receptions.begin();
+    for (const NodeId v : check_order) {
       const auto uv = static_cast<std::size_t>(v);
-      if (uv >= record.receptions.size()) break;
-      const Reception& rec = record.receptions[uv];
+      const bool listed =
+          heard != record.receptions.end() && heard->node == v;
+      const Reception& rec = listed ? (heard++)->reception : silence;
       const std::uint32_t arrived_count =
           arr_epoch[uv] == epoch ? arr_count[uv] : 0;
       switch (rec.kind) {
@@ -284,7 +341,9 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       }
     }
 
-    for (NodeId v : sender_nodes) is_sender[static_cast<std::size_t>(v)] = false;
+    for (const auto& sender : record.senders) {
+      is_sender[static_cast<std::size_t>(sender.node)] = 0;
+    }
   }
 
   for (std::size_t t = 0; t < k; ++t) {

@@ -34,6 +34,9 @@ struct AuditReport {
 
 /// Audit a complete trace (requires SimConfig::trace == TraceLevel::Full or
 /// TraceLevel::Compressed — compressed rounds are decoded on the fly):
+///  - every sender and reached node of a Full record is a node of `net`
+///    (Compressed rounds with an out-of-range id fail to decode and throw
+///    std::invalid_argument), and the record holds one reception per node;
 ///  - every reached node of every sender is a G'-out-neighbor;
 ///  - every G-out-neighbor of every sender is reached (reliable edges
 ///    always deliver);
@@ -56,6 +59,15 @@ struct AuditReport {
 ///    matches an independent recomputation from the trace. Wins — a correct
 ///    node relaying a forged token — are reported in AuditReport::forged_wins
 ///    naming the token, forger, relaying node, and round.
+///
+/// Cost: a Compressed round costs O(bytes + Σ over its senders of the G and
+/// G' out-degrees and the reach + the non-silence receptions + n/4096) —
+/// receptions are checked only at nodes with an arrival or a non-silence
+/// reception, the only nodes a check can fault. A Full record adds an O(n)
+/// scan of its receptions. Beyond that, setup and the final coverage and
+/// provenance checks are O((tokens + forged tokens) * n). Violations are
+/// reported round by round: sender checks in record order, then reception
+/// checks in ascending node order.
 [[nodiscard]] AuditReport audit_execution(
     const DualGraph& net, const SimResult& result, CollisionRule rule,
     const std::vector<NodeId>& token_sources = {});

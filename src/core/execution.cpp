@@ -85,6 +85,10 @@ ExecutionFrame::ExecutionFrame(const DualGraph& network,
   holds_.assign(k_ * un, 0);
   result_.token_first.assign(k_, std::vector<Round>(un, kNever));
   result_.trace.level = config.trace;
+  if (record_trace) {
+    trace_receptions.resize(un);
+    touched_ = AscendingNodeSet(un);
+  }
 }
 
 void ExecutionFrame::start(const std::function<void(NodeId)>& on_activate) {
@@ -149,20 +153,37 @@ Reception ExecutionFrame::resolve_cr4(NodeId v,
   return rec;
 }
 
-void ExecutionFrame::record_senders(Round round) {
+void ExecutionFrame::record_round(Round round) {
+  touched_order_.clear();
+  touched_.drain(touched_order_);
   const CsrGraph& g = net.g_csr();
+  if (config.trace == TraceLevel::Compressed) {
+    CompressedRound out(result_.trace, round, senders.size());
+    for (std::size_t i = 0; i < senders.size(); ++i) {
+      const NodeId u = senders[i];
+      out.sender(u, sent_msg[static_cast<std::size_t>(u)], g.row(u),
+                 sink.extras(i));
+    }
+    out.receptions(touched_order_, trace_receptions);
+    return;
+  }
+  RoundRecord& record = result_.trace.rounds.emplace_back();
   record.round = round;
-  record.senders.clear();
+  record.senders.reserve(senders.size());
   for (std::size_t i = 0; i < senders.size(); ++i) {
     const NodeId u = senders[i];
-    SenderRecord srec;
+    SenderRecord& srec = record.senders.emplace_back();
     srec.node = u;
     srec.message = sent_msg[static_cast<std::size_t>(u)];
     const auto row = g.row(u);
     const auto extras = sink.extras(i);
     srec.reached.assign(row.begin(), row.end());
     srec.reached.insert(srec.reached.end(), extras.begin(), extras.end());
-    record.senders.push_back(std::move(srec));
+  }
+  record.receptions.assign(un, Reception::silence());
+  for (const NodeId v : touched_order_) {
+    const auto uv = static_cast<std::size_t>(v);
+    record.receptions[uv] = trace_receptions[uv];
   }
 }
 
@@ -184,11 +205,7 @@ bool ExecutionFrame::end_round(Round round, std::uint32_t collision_events) {
         static_cast<std::uint32_t>(senders.size()));
     result_.trace.collisions_per_round.push_back(collision_events);
   }
-  if (config.trace == TraceLevel::Full) {
-    result_.trace.rounds.push_back(std::move(record));
-  } else if (config.trace == TraceLevel::Compressed) {
-    result_.trace.append_compressed(record);
-  }
+  if (record_trace) record_round(round);
   for (const NodeId v : senders) is_sender[static_cast<std::size_t>(v)] = 0;
   if (held_count_ == k_ * un && !result_.completed) {
     result_.completed = true;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "byz/runtime.hpp"
+#include "core/ascending_set.hpp"
 #include "core/simulator.hpp"
 
 /// \file execution.hpp
@@ -30,9 +31,12 @@
 ///
 /// A round, in kernel order: begin_round; the kernel's poll, calling
 /// add_sender per send; end_poll; choose_reach; the kernel's propagation,
-/// calling check_reach per adversary extra (and record_senders when
-/// recording); the kernel's receptions and delivery, calling account per
-/// delivery; add_coverage + publish_coverage; notify_round_end; end_round.
+/// calling check_reach per adversary extra; the kernel's receptions and
+/// delivery, calling account per delivery (and, when recording a trace,
+/// storing each touched node's reception and then naming the node to
+/// trace_touched); add_coverage + publish_coverage; notify_round_end;
+/// end_round, which records the round from the senders, their G rows, the
+/// sink's extras and the touched nodes' receptions.
 ///
 /// add_sender runs once per send and account once per delivery, so both are
 /// inline. account writes only node-v state and returns its deltas, so
@@ -101,9 +105,10 @@ class ExecutionFrame {
   [[nodiscard]] Reception resolve_cr4(NodeId v,
                                       const std::vector<Message>& arrivals);
 
-  /// Trace the round's senders with their realized reach (G row, then
-  /// adversary extras). Call only when record_trace.
-  void record_senders(Round round);
+  /// Name a node that had an arrival this round (record_trace only). The
+  /// kernel calls it serially, after storing the node's reception in
+  /// trace_receptions.
+  void trace_touched(NodeId v) { touched_.insert(v); }
 
   struct Delta {
     bool covered = false;  ///< v held no token before this delivery
@@ -171,16 +176,27 @@ class ExecutionFrame {
   NodeFlags is_sender;
   ReachSink sink;
   AdversaryView view;
-  /// Full and Compressed traces record rounds: the kernel writes
-  /// record.receptions, the frame everything else.
+  /// Full and Compressed traces record rounds: the kernel stores the
+  /// reception of every node with an arrival in trace_receptions[v] (sharded
+  /// workers concurrently, each at its own nodes) and names the node to
+  /// trace_touched; the frame records everything else. Entries of untouched
+  /// nodes are stale and never read, so the store is sized once and never
+  /// reset.
   const bool record_trace;
-  RoundRecord record;
+  std::vector<Reception> trace_receptions;
 
  private:
+  /// Append the round to the Full or Compressed trace.
+  void record_round(Round round);
+
   Adversary& adversary_;
   SimResult result_;
   std::vector<NodeId> sources_;
   std::size_t k_ = 0;
+  /// The round's touched nodes (record_trace), drained ascending into
+  /// touched_order_ when the round is recorded.
+  AscendingNodeSet touched_;
+  std::vector<NodeId> touched_order_;
   std::optional<byz::ByzRuntime> byzrt_;
   std::vector<NodeId> byz_removed_;
   std::vector<NodeId> byz_added_;

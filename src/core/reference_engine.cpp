@@ -44,7 +44,6 @@ SimResult run_broadcast_reference(const DualGraph& net,
         arrivals[static_cast<std::size_t>(v)].push_back(m);
       }
     }
-    if (f.record_trace) f.record_senders(round);
 
     // Receptions under the configured collision rule.
     std::uint32_t collision_events = 0;
@@ -85,6 +84,10 @@ SimResult run_broadcast_reference(const DualGraph& net,
           break;
       }
       receptions[uv] = rec;
+      if (f.record_trace && !arr.empty()) {
+        f.trace_receptions[uv] = rec;
+        f.trace_touched(v);
+      }
     }
 
     // Deliver; wake sleeping processes on message reception (async start).
@@ -107,7 +110,6 @@ SimResult run_broadcast_reference(const DualGraph& net,
     f.publish_coverage();
     f.notify_round_end();
 
-    if (f.record_trace) f.record.receptions = receptions;
     if (f.end_round(round, collision_events)) break;
   }
   return f.finish();

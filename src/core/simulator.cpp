@@ -407,7 +407,6 @@ void SparseKernel::propagate(Round round) {
   } else {
     pool_->run([this](unsigned w) { propagate_shard(w); });
   }
-  if (f_.record_trace) f_.record_senders(round);
 }
 
 /// Each shard scans every sender but deposits only into its own node range;
@@ -489,11 +488,15 @@ void SparseKernel::deliver(Round round) {
       if (!f_.is_sender[uv]) rec_of_[uv] = f_.resolve_cr4(v, multi_[uv]);
     }
   }
-  if (f_.record_trace) f_.record.receptions.assign(f_.un, Reception::silence());
   if (active_ == 1) {
     deliver_shard(0, round);
   } else {
     pool_->run([this, round](unsigned w) { deliver_shard(w, round); });
+  }
+  if (f_.record_trace) {
+    for (unsigned w = 0; w < active_; ++w) {
+      for (const NodeId v : shard_[w].touched) f_.trace_touched(v);
+    }
   }
 }
 
@@ -504,7 +507,8 @@ void SparseKernel::deliver(Round round) {
 /// reference engine's two-pass order — so computing and delivering per node
 /// in one pass is equivalent, and every write (process state, per-node
 /// flags, token accounting, trace receptions) lands on nodes this shard
-/// owns. Deferred effects (calendar replans, noisy additions, coverage
+/// owns; deliver() names the touched nodes to the trace once the shards
+/// joined. Deferred effects (calendar replans, noisy additions, coverage
 /// deltas) are collected per shard and merged in shard order. Processes
 /// activated this round consume their reception through on_activate, so
 /// only nodes noisy *before* this round's activations get the silence
@@ -557,7 +561,7 @@ void SparseKernel::deliver_shard(unsigned w, Round round) {
     const ExecutionFrame::Delta d = f_.account(v, rec, round);
     if (d.covered) s.newly_covered.push_back(v);
     if (d.held) ++s.held_delta;
-    if (f_.record_trace) f_.record.receptions[uv] = std::move(rec);
+    if (f_.record_trace) f_.trace_receptions[uv] = std::move(rec);
   }
   // Silence to this shard's slice of the pre-round noisy prefix.
   const Reception silence = Reception::silence();

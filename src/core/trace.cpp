@@ -1,11 +1,13 @@
 #include "core/trace.hpp"
 
+#include <string>
+
 /// \file trace.cpp
 /// TraceLevel::Compressed codec. LEB128 varints; signed fields (origin can
 /// be -1, reach lists are unsorted) go through zigzag. Node id lists that
 /// the engines emit in ascending order (senders, reception touchers) are
 /// stored as unsigned deltas off the previous id. Silence receptions are not
-/// encoded at all — decode initializes every node to silence — which is
+/// encoded at all — a node the round does not list heard silence — which is
 /// where the compression wins: at sparse densities almost every node hears
 /// silence almost every round.
 
@@ -61,45 +63,65 @@ void put_message(std::vector<std::uint8_t>& out, const Message& m) {
   return m;
 }
 
+/// The next id of an ascending node list, stored as a delta off `prev`
+/// (the first off 0): checked against the n-node network, and strictly
+/// ascending after the first.
+[[nodiscard]] NodeId get_next_id(const std::uint8_t*& p,
+                                 const std::uint8_t* end, NodeId prev,
+                                 bool first, NodeId n, const char* what) {
+  const std::uint64_t delta = get_varint(p, end);
+  DUALRAD_REQUIRE(first || delta > 0, std::string("compressed trace ") +
+                                          what + " ids not ascending");
+  DUALRAD_REQUIRE(delta < static_cast<std::uint64_t>(n - prev),
+                  std::string("compressed trace ") + what + " out of range");
+  return prev + static_cast<NodeId>(delta);
+}
+
 }  // namespace
 
-void Trace::append_compressed(const RoundRecord& record) {
-  blob_offsets.push_back(blob.size());
-  put_varint(blob, static_cast<std::uint64_t>(record.round));
+CompressedRound::CompressedRound(Trace& trace, Round round,
+                                 std::size_t sender_count)
+    : blob_(trace.blob) {
+  trace.blob_offsets.push_back(blob_.size());
+  put_varint(blob_, static_cast<std::uint64_t>(round));
+  put_varint(blob_, sender_count);
+}
 
-  put_varint(blob, record.senders.size());
-  std::int64_t prev = 0;
-  for (const SenderRecord& s : record.senders) {
-    // Senders are emitted in ascending node order by both engines.
-    put_varint(blob, static_cast<std::uint64_t>(s.node - prev));
-    prev = s.node;
-    put_message(blob, s.message);
-    put_varint(blob, s.reached.size());
-    std::int64_t rprev = 0;
-    for (const NodeId v : s.reached) {
-      put_varint(blob, zigzag(v - rprev));
+void CompressedRound::sender(NodeId node, const Message& message,
+                             std::span<const NodeId> reliable,
+                             std::span<const NodeId> extras) {
+  put_varint(blob_, static_cast<std::uint64_t>(node - prev_));
+  prev_ = node;
+  put_message(blob_, message);
+  put_varint(blob_, reliable.size() + extras.size());
+  std::int64_t rprev = 0;
+  for (const std::span<const NodeId> part : {reliable, extras}) {
+    for (const NodeId v : part) {
+      put_varint(blob_, zigzag(v - rprev));
       rprev = v;
     }
   }
+}
 
-  std::uint64_t touched = 0;
-  for (const Reception& r : record.receptions) {
-    if (!r.is_silence()) ++touched;
+void CompressedRound::receptions(std::span<const NodeId> nodes,
+                                 std::span<const Reception> at) {
+  std::uint64_t heard = 0;
+  for (const NodeId v : nodes) {
+    if (!at[static_cast<std::size_t>(v)].is_silence()) ++heard;
   }
-  put_varint(blob, touched);
-  prev = 0;
-  for (NodeId v = 0; v < static_cast<NodeId>(record.receptions.size()); ++v) {
-    const Reception& r = record.receptions[static_cast<std::size_t>(v)];
+  put_varint(blob_, heard);
+  std::int64_t prev = 0;
+  for (const NodeId v : nodes) {
+    const Reception& r = at[static_cast<std::size_t>(v)];
     if (r.is_silence()) continue;
-    put_varint(blob, static_cast<std::uint64_t>(v - prev));
+    put_varint(blob_, static_cast<std::uint64_t>(v - prev));
     prev = v;
-    blob.push_back(static_cast<std::uint8_t>(r.kind));
-    if (r.is_message()) put_message(blob, *r.message);
+    blob_.push_back(static_cast<std::uint8_t>(r.kind));
+    if (r.is_message()) put_message(blob_, *r.message);
   }
 }
 
-void Trace::decode_compressed(std::size_t index, NodeId n,
-                              RoundRecord& out) const {
+void Trace::decode_round(std::size_t index, NodeId n, SparseRound& out) const {
   DUALRAD_REQUIRE(index < blob_offsets.size(),
                   "compressed round index out of range");
   const std::uint8_t* p = blob.data() + blob_offsets[index];
@@ -107,42 +129,44 @@ void Trace::decode_compressed(std::size_t index, NodeId n,
       index + 1 < blob_offsets.size() ? blob.data() + blob_offsets[index + 1]
                                       : blob.data() + blob.size();
 
+  out.clear();
   out.round = static_cast<Round>(get_varint(p, end));
 
+  // Counts are not trusted for reserving: every entry consumes at least one
+  // byte, so a corrupt count runs into the truncation check instead.
   const std::uint64_t sender_count = get_varint(p, end);
-  out.senders.clear();
-  out.senders.resize(sender_count);
-  std::int64_t prev = 0;
-  for (SenderRecord& s : out.senders) {
-    prev += static_cast<std::int64_t>(get_varint(p, end));
-    s.node = static_cast<NodeId>(prev);
-    s.message = get_message(p, end);
+  NodeId node = 0;
+  for (std::uint64_t i = 0; i < sender_count; ++i) {
+    node = get_next_id(p, end, node, i == 0, n, "sender");
+    const Message message = get_message(p, end);
     const std::uint64_t reach_count = get_varint(p, end);
-    s.reached.clear();
-    s.reached.reserve(reach_count);
-    std::int64_t rprev = 0;
-    for (std::uint64_t i = 0; i < reach_count; ++i) {
-      rprev += unzigzag(get_varint(p, end));
-      s.reached.push_back(static_cast<NodeId>(rprev));
+    const std::size_t begin = out.reached.size();
+    NodeId v = 0;
+    for (std::uint64_t j = 0; j < reach_count; ++j) {
+      // Unsigned wraparound makes a negative delta land back in range.
+      const std::uint64_t next = static_cast<std::uint64_t>(v) +
+                                 static_cast<std::uint64_t>(
+                                     unzigzag(get_varint(p, end)));
+      DUALRAD_REQUIRE(next < static_cast<std::uint64_t>(n),
+                      "compressed trace reach target out of range");
+      v = static_cast<NodeId>(next);
+      out.reached.push_back(v);
     }
+    out.senders.push_back({node, message, begin, out.reached.size()});
   }
 
-  out.receptions.assign(static_cast<std::size_t>(n), Reception::silence());
-  const std::uint64_t touched = get_varint(p, end);
-  prev = 0;
-  for (std::uint64_t i = 0; i < touched; ++i) {
-    prev += static_cast<std::int64_t>(get_varint(p, end));
-    DUALRAD_REQUIRE(prev >= 0 && prev < n,
-                    "compressed trace reception out of range");
+  const std::uint64_t heard = get_varint(p, end);
+  node = 0;
+  for (std::uint64_t i = 0; i < heard; ++i) {
+    node = get_next_id(p, end, node, i == 0, n, "reception");
     DUALRAD_REQUIRE(p != end, "truncated compressed trace");
     const auto kind = static_cast<ReceptionKind>(*p++);
-    Reception& r = out.receptions[static_cast<std::size_t>(prev)];
     if (kind == ReceptionKind::Message) {
-      r = Reception::of(get_message(p, end));
+      out.receptions.push_back({node, Reception::of(get_message(p, end))});
     } else {
       DUALRAD_REQUIRE(kind == ReceptionKind::Collision,
                       "malformed reception kind in compressed trace");
-      r = Reception::collision();
+      out.receptions.push_back({node, Reception::collision()});
     }
   }
   DUALRAD_REQUIRE(p == end, "trailing bytes in compressed trace round");

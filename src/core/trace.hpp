@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/message.hpp"
@@ -17,10 +18,12 @@
 /// delta/varint-encoded into one byte blob: sender and toucher node ids are
 /// stored as deltas off the previous id (both lists are ascending), reach
 /// lists as zigzag deltas, and silence receptions — the overwhelming
-/// majority at sparse densities — are omitted entirely because silence is
-/// the decode default. Decoding a round reproduces the `Full`-mode
-/// RoundRecord *exactly* (value-equal, pinned in tests), so audits consume
-/// either level transparently; memory scales with arrivals, not with
+/// majority at sparse densities — are omitted entirely. The execution frame
+/// streams each round onto the blob straight from its round state
+/// (CompressedRound), and Trace::decode_round yields it back as a
+/// SparseRound: the Full record's senders and reach lists, and its
+/// non-silence receptions. Encoding and decoding a round cost O(senders +
+/// deliveries), not O(n), and memory scales with arrivals, not with
 /// nodes x rounds, which is what lets audits run past 10^4 nodes inside the
 /// CI memory gate.
 
@@ -45,6 +48,41 @@ struct RoundRecord {
   std::vector<Reception> receptions{};
 };
 
+/// One traced round in sparse form: what Trace::decode_round yields, and
+/// what the audit scans Full records into. Senders keep the record's order
+/// (ascending node ids) and reach lists; receptions lists only the
+/// non-silence ones, in ascending node order — every other node heard
+/// silence.
+struct SparseRound {
+  struct Sender {
+    NodeId node = kInvalidNode;
+    Message message{};
+    /// The sender's reach is reached[reach_begin, reach_end).
+    std::size_t reach_begin = 0;
+    std::size_t reach_end = 0;
+  };
+  struct Heard {
+    NodeId node = kInvalidNode;
+    Reception reception{};
+  };
+
+  Round round = 0;
+  std::vector<Sender> senders{};
+  std::vector<NodeId> reached{};
+  std::vector<Heard> receptions{};
+
+  [[nodiscard]] std::span<const NodeId> reach(const Sender& s) const {
+    return std::span<const NodeId>(reached).subspan(
+        s.reach_begin, s.reach_end - s.reach_begin);
+  }
+  /// Empty the lists, keeping their capacity.
+  void clear() {
+    senders.clear();
+    reached.clear();
+    receptions.clear();
+  }
+};
+
 struct Trace {
   TraceLevel level = TraceLevel::None;
   std::vector<RoundRecord> rounds{};
@@ -53,24 +91,44 @@ struct Trace {
   std::vector<std::uint32_t> senders_per_round{};
   std::vector<std::uint32_t> collisions_per_round{};
 
-  /// Compressed mode: delta/varint-encoded round records, one byte range per
-  /// round. `blob_offsets[i]` is where round i's encoding starts (its end is
-  /// the next offset, or blob.size() for the last round). The execution
-  /// frame (core/execution.hpp) encodes the same RoundRecord it stores in
-  /// Full mode through append_compressed, so the blob is bit-identical
-  /// across engines and thread counts.
+  /// Compressed mode: delta/varint-encoded rounds, one byte range per round.
+  /// `blob_offsets[i]` is where round i's encoding starts (its end is the
+  /// next offset, or blob.size() for the last round). The execution frame
+  /// (core/execution.hpp) streams every round onto it through
+  /// CompressedRound, so the blob is bit-identical across engines and
+  /// thread counts.
   std::vector<std::uint8_t> blob{};
   std::vector<std::uint64_t> blob_offsets{};
 
   [[nodiscard]] std::size_t compressed_rounds() const {
     return blob_offsets.size();
   }
-  /// Encode one round record onto the blob (Compressed mode).
-  void append_compressed(const RoundRecord& record);
-  /// Decode round `index` (0-based) into `out`. `n` sizes out.receptions;
-  /// nodes without an encoded reception decode to silence. The result is
-  /// value-equal to the RoundRecord Full mode would have stored.
-  void decode_compressed(std::size_t index, NodeId n, RoundRecord& out) const;
+  /// Decode round `index` (0-based) into `out`, reusing its buffers. Node
+  /// ids are checked against the n-node network: a sender, reach target or
+  /// reception out of range, an id list out of ascending order, or a
+  /// truncated or overlong round throws std::invalid_argument.
+  void decode_round(std::size_t index, NodeId n, SparseRound& out) const;
+};
+
+/// Appends one round to a Compressed trace, in blob order: construct it with
+/// the round and its sender count, call sender() once per sender in
+/// ascending node order, then receptions() once.
+class CompressedRound {
+ public:
+  CompressedRound(Trace& trace, Round round, std::size_t sender_count);
+
+  /// The sender's reach is `reliable` followed by `extras`.
+  void sender(NodeId node, const Message& message,
+              std::span<const NodeId> reliable,
+              std::span<const NodeId> extras);
+  /// The round's receptions: node v's is at[v], for each v of `nodes`
+  /// (ascending, every node with an arrival); silence is not stored.
+  void receptions(std::span<const NodeId> nodes,
+                  std::span<const Reception> at);
+
+ private:
+  std::vector<std::uint8_t>& blob_;
+  std::int64_t prev_ = 0;
 };
 
 }  // namespace dualrad

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 
@@ -139,9 +140,10 @@ TEST(CampaignEngine, MasterSeedChangesRandomizedResults) {
 
 // Each trial must get a *fresh* adversary: one instance, one execution.
 TEST(CampaignEngine, AdversaryFactoryCalledOncePerTrial) {
+  // Campaign worker threads construct and start adversaries concurrently.
   struct Counters {
-    int constructed = 0;
-    int reused = 0;  // instances whose on_execution_start ran twice
+    std::atomic<int> constructed{0};
+    std::atomic<int> reused{0};  // instances whose on_execution_start ran twice
   };
   struct CountingAdversary : BenignAdversary {
     explicit CountingAdversary(Counters* c) : counters(c) { ++c->constructed; }

@@ -456,9 +456,11 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
 
 TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
   // TraceLevel::Compressed must store the exact same per-round records as
-  // Full, only delta/varint-encoded: decoding round i yields a value-equal
-  // RoundRecord, and the encoded blob is bit-identical across engines and
-  // thread counts (expect_identical covers the blob on the compressed runs).
+  // Full, only delta/varint-encoded: decoding round i yields the Full
+  // record's senders and reach lists and exactly its non-silence
+  // receptions, ascending, and the encoded blob is bit-identical across
+  // engines and thread counts (expect_identical covers the blob on the
+  // compressed runs).
   const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
   const ProcessFactory factory = make_decay_factory(net.node_count());
   const auto adversary =
@@ -482,17 +484,29 @@ TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
     EXPECT_TRUE(compressed.trace.rounds.empty()) << label;
     ASSERT_EQ(compressed.trace.compressed_rounds(), full.trace.rounds.size())
         << label;
-    RoundRecord decoded;
+    SparseRound decoded;
     for (std::size_t i = 0; i < full.trace.rounds.size(); ++i) {
-      compressed.trace.decode_compressed(i, net.node_count(), decoded);
+      compressed.trace.decode_round(i, net.node_count(), decoded);
       const RoundRecord& want = full.trace.rounds[i];
       EXPECT_EQ(decoded.round, want.round) << label;
-      EXPECT_EQ(decoded.receptions, want.receptions) << label;
+      std::vector<Reception> receptions(want.receptions.size());
+      NodeId prev = -1;
+      for (const SparseRound::Heard& h : decoded.receptions) {
+        EXPECT_GT(h.node, prev) << label;
+        EXPECT_FALSE(h.reception.is_silence()) << label;
+        prev = h.node;
+        receptions[static_cast<std::size_t>(h.node)] = h.reception;
+      }
+      EXPECT_EQ(receptions, want.receptions) << label;
       ASSERT_EQ(decoded.senders.size(), want.senders.size()) << label;
       for (std::size_t s = 0; s < want.senders.size(); ++s) {
-        EXPECT_EQ(decoded.senders[s].node, want.senders[s].node) << label;
-        EXPECT_EQ(decoded.senders[s].message, want.senders[s].message) << label;
-        EXPECT_EQ(decoded.senders[s].reached, want.senders[s].reached) << label;
+        const SparseRound::Sender& got = decoded.senders[s];
+        EXPECT_EQ(got.node, want.senders[s].node) << label;
+        EXPECT_EQ(got.message, want.senders[s].message) << label;
+        const auto reach = decoded.reach(got);
+        EXPECT_EQ(std::vector<NodeId>(reach.begin(), reach.end()),
+                  want.senders[s].reached)
+            << label;
       }
     }
     // Compressed counts mirror Full's per-round counters.
