@@ -28,7 +28,8 @@ int main() {
     const DualGraph net = duals::backbone_plus_unreliable(
         {.n = 64, .p_reliable = 0.02, .p_unreliable = 0.05, .seed = seed});
     const NodeId n = net.node_count();
-    const auto true_delta = static_cast<NodeId>(net.g_prime().max_in_degree());
+    const auto true_delta =
+        static_cast<NodeId>(net.g_prime_csr().max_in_degree());
     GreedyBlockerAdversary greedy;
     SimConfig config;
     config.rule = CollisionRule::CR4;

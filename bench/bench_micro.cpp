@@ -1,6 +1,6 @@
-// M1: micro benchmarks — simulator round throughput, the Compressed trace
-// and its audit on a verified Byzantine trial, and SSF construction cost
-// (google-benchmark).
+// M1: micro benchmarks — network construction at 10^5 nodes, simulator
+// round throughput, the Compressed trace and its audit on a verified
+// Byzantine trial, and SSF construction cost (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,26 @@
 namespace {
 
 using namespace dualrad;
+
+/// Build the network of a scale/*-100k arm through CsrGraphBuilder: edge
+/// emission, the sort-dedup freeze, and DualGraph validation (E subset of
+/// E', reachability, the G'-only rows). Arg 0 is layered_sparse
+/// (layered-100k), arg 1 gray_zone_grid (grayzone-100k).
+void BM_NetworkBuild(benchmark::State& state) {
+  const char* name = state.range(0) == 0 ? "scale/decay/layered-100k/benign"
+                                         : "scale/decay/grayzone-100k/benign";
+  const campaign::NetworkBuilder build =
+      campaign::builtin_registry().at(name).network;
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    const DualGraph net = build();
+    edges += net.g_prime_csr().edge_count();
+    benchmark::DoNotOptimize(net.unreliable_edge_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(edges));  // G' edges
+  state.SetLabel(name);
+}
+BENCHMARK(BM_NetworkBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_EngineRounds(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -26,7 +26,7 @@ int main() {
   params.seed = 2026;
   const DualGraph net = duals::gray_zone(params);
   std::printf("network: n=%d reliable edges=%zu unreliable edges=%zu\n",
-              net.node_count(), net.g().edge_count(),
+              net.node_count(), net.g_csr().edge_count(),
               net.unreliable_edge_count());
 
   // The adversary controls when unreliable links deliver; the greedy blocker

@@ -23,7 +23,7 @@ namespace dualrad {
 
 struct CmsObliviousOptions {
   /// Known upper bound on the in-degree of G'. Mandatory knowledge for this
-  /// algorithm (Section 2.2); use net.g_prime().max_in_degree().
+  /// algorithm (Section 2.2); use net.g_prime_csr().max_in_degree().
   NodeId delta = 0;
   SsfProvider provider = nullptr;  ///< default: Kautz-Singleton
 };

@@ -114,8 +114,6 @@ namespace {
 
 [[nodiscard]] AlgorithmBuilder cms() {
   return [](const DualGraph& net) {
-    // The CSR snapshot answers max_in_degree without materializing a Graph
-    // view (CSR-built networks have none until asked).
     return make_cms_oblivious_factory(
         net.node_count(),
         {.delta = static_cast<NodeId>(net.g_prime_csr().max_in_degree())});

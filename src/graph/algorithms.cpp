@@ -1,30 +1,8 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <queue>
 
 namespace dualrad::graphalg {
-
-std::vector<Round> bfs_distances(const Graph& g, NodeId source) {
-  DUALRAD_REQUIRE(source >= 0 && source < g.node_count(),
-                  "BFS source out of range");
-  std::vector<Round> dist(static_cast<std::size_t>(g.node_count()), kNever);
-  std::queue<NodeId> frontier;
-  dist[static_cast<std::size_t>(source)] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (NodeId v : g.out_neighbors(u)) {
-      auto& dv = dist[static_cast<std::size_t>(v)];
-      if (dv == kNever) {
-        dv = dist[static_cast<std::size_t>(u)] + 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return dist;
-}
 
 std::vector<Round> bfs_distances(const CsrGraph& g, NodeId source) {
   DUALRAD_REQUIRE(source >= 0 && source < g.node_count(),
@@ -52,28 +30,13 @@ std::vector<Round> bfs_distances(const CsrGraph& g, NodeId source) {
   return dist;
 }
 
-bool all_reachable(const Graph& g, NodeId source) {
-  const auto dist = bfs_distances(g, source);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](Round d) { return d == kNever; });
-}
-
 bool all_reachable(const CsrGraph& g, NodeId source) {
   const auto dist = bfs_distances(g, source);
   return std::none_of(dist.begin(), dist.end(),
                       [](Round d) { return d == kNever; });
 }
 
-std::vector<NodeId> reachable_set(const Graph& g, NodeId source) {
-  const auto dist = bfs_distances(g, source);
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (dist[static_cast<std::size_t>(v)] != kNever) out.push_back(v);
-  }
-  return out;
-}
-
-Round eccentricity(const Graph& g, NodeId source) {
+Round eccentricity(const CsrGraph& g, NodeId source) {
   const auto dist = bfs_distances(g, source);
   Round ecc = 0;
   for (Round d : dist) {
@@ -83,7 +46,7 @@ Round eccentricity(const Graph& g, NodeId source) {
   return ecc;
 }
 
-Round diameter(const Graph& g) {
+Round diameter(const CsrGraph& g) {
   Round diam = 0;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const Round ecc = eccentricity(g, u);
@@ -93,11 +56,13 @@ Round diameter(const Graph& g) {
   return diam;
 }
 
-bool weakly_connected(const Graph& g) {
+bool weakly_connected(const CsrGraph& g) {
   if (g.node_count() == 0) return true;
-  Graph closure(g.node_count());
-  for (const auto& [u, v] : g.edges()) closure.add_undirected_edge(u, v);
-  return all_reachable(closure, 0);
+  CsrGraphBuilder closure(g.node_count());
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const NodeId v : g.row(u)) closure.add_undirected_edge(u, v);
+  }
+  return all_reachable(closure.freeze(), 0);
 }
 
 }  // namespace dualrad::graphalg

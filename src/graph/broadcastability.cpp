@@ -7,7 +7,7 @@
 namespace dualrad::broadcastability {
 
 Round broadcastability_lower_bound(const DualGraph& net) {
-  return graphalg::eccentricity(net.g(), net.source());
+  return graphalg::eccentricity(net.g_csr(), net.source());
 }
 
 NodeId coverage_after(const DualGraph& net, const OracleSchedule& schedule) {
@@ -18,7 +18,7 @@ NodeId coverage_after(const DualGraph& net, const OracleSchedule& schedule) {
     DUALRAD_REQUIRE(u >= 0 && u < net.node_count(), "sender out of range");
     DUALRAD_REQUIRE(covered[static_cast<std::size_t>(u)],
                     "scheduled sender does not hold the message");
-    for (NodeId v : net.g().out_neighbors(u)) {
+    for (NodeId v : net.g_csr().row(u)) {
       if (!covered[static_cast<std::size_t>(v)]) {
         covered[static_cast<std::size_t>(v)] = true;
         ++count;
@@ -40,7 +40,7 @@ OracleSchedule greedy_oracle_schedule(const DualGraph& net) {
     for (NodeId u = 0; u < n; ++u) {
       if (!covered[static_cast<std::size_t>(u)]) continue;
       NodeId gain = 0;
-      for (NodeId v : net.g().out_neighbors(u)) {
+      for (NodeId v : net.g_csr().row(u)) {
         if (!covered[static_cast<std::size_t>(v)]) ++gain;
       }
       if (gain > best_gain) {
@@ -51,7 +51,7 @@ OracleSchedule greedy_oracle_schedule(const DualGraph& net) {
     DUALRAD_CHECK(best != kInvalidNode,
                   "coverage stalled despite reachability invariant");
     schedule.senders.push_back(best);
-    for (NodeId v : net.g().out_neighbors(best)) {
+    for (NodeId v : net.g_csr().row(best)) {
       if (!covered[static_cast<std::size_t>(v)]) {
         covered[static_cast<std::size_t>(v)] = true;
         --remaining;
@@ -69,14 +69,14 @@ bool dfs(const DualGraph& net, std::vector<bool>& covered, NodeId remaining,
   if (budget == 0) return false;
   const NodeId n = net.node_count();
   // Prune: one sender covers at most max out-degree new nodes per round.
-  const auto max_gain = static_cast<NodeId>(net.g().max_out_degree());
+  const auto max_gain = static_cast<NodeId>(net.g_csr().max_out_degree());
   if (static_cast<Round>((remaining + max_gain - 1) / max_gain) > budget) {
     return false;
   }
   for (NodeId u = 0; u < n; ++u) {
     if (!covered[static_cast<std::size_t>(u)]) continue;
     std::vector<NodeId> newly;
-    for (NodeId v : net.g().out_neighbors(u)) {
+    for (NodeId v : net.g_csr().row(u)) {
       if (!covered[static_cast<std::size_t>(v)]) newly.push_back(v);
     }
     if (newly.empty()) continue;

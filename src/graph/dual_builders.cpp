@@ -102,7 +102,7 @@ DualGraph gray_zone(const GrayZoneParams& params) {
   // Wire stranded nodes into the source component along nearest-neighbor
   // links so G satisfies the model's reachability assumption.
   for (;;) {
-    const auto d = graphalg::bfs_distances(g, 0);
+    const auto d = graphalg::bfs_distances(CsrGraph(g), 0);
     std::size_t best_u = n, best_v = n;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t u = 0; u < n; ++u) {
@@ -147,8 +147,7 @@ DualGraph backbone_plus_unreliable(const BackboneParams& params) {
 }
 
 DualGraph strip_unreliable(const DualGraph& net) {
-  Graph g = net.g();
-  return make_classical(std::move(g), net.source());
+  return DualGraph(net.g_csr(), net.g_csr(), net.source());
 }
 
 DualGraph layered_sparse(const LayeredSparseParams& params) {

@@ -1,25 +1,15 @@
 #include "graph/dual_graph.hpp"
 
+#include <utility>
+
 #include "graph/algorithms.hpp"
 
 namespace dualrad {
 
 namespace {
 
-/// Rebuild a mutable Graph view from a CSR snapshot (row order preserved,
-/// so out_neighbors matches the CSR delivery order exactly).
-[[nodiscard]] Graph to_graph(const CsrGraph& csr) {
-  Graph g(csr.node_count());
-  g.reserve_edges(csr.edge_count());
-  for (NodeId u = 0; u < csr.node_count(); ++u) {
-    for (const NodeId v : csr.row(u)) g.add_edge(u, v);
-  }
-  return g;
-}
-
 /// The G'-only adjacency: each G' row minus the G edges, *in G' row order*
-/// — stateful adversaries consume their RNG streams in this order, so it
-/// must match what iterating g_prime().out_neighbors minus G produced.
+/// — stateful adversaries consume their RNG streams in this order.
 [[nodiscard]] CsrGraph unreliable_of(const CsrGraph& g, const CsrGraph& gp) {
   std::vector<std::uint32_t> offsets(
       static_cast<std::size_t>(gp.node_count()) + 1, 0);
@@ -37,7 +27,8 @@ namespace {
 
 }  // namespace
 
-void DualGraph::validate_and_index() {
+DualGraph::DualGraph(CsrGraph reliable, CsrGraph full, NodeId source)
+    : g_csr_(std::move(reliable)), gp_csr_(std::move(full)), source_(source) {
   DUALRAD_REQUIRE(g_csr_.node_count() == gp_csr_.node_count(),
                   "G and G' must share a vertex set");
   DUALRAD_REQUIRE(g_csr_.node_count() >= 2, "the model fixes n >= 2");
@@ -49,42 +40,13 @@ void DualGraph::validate_and_index() {
   unreliable_csr_ = unreliable_of(g_csr_, gp_csr_);
 }
 
-DualGraph::DualGraph(Graph reliable, Graph full, NodeId source)
-    : g_csr_(reliable), gp_csr_(full), source_(source) {
-  validate_and_index();
-  reliable_view_ = std::make_shared<const Graph>(std::move(reliable));
-  full_view_ = std::make_shared<const Graph>(std::move(full));
-}
+DualGraph::DualGraph(const Graph& reliable, const Graph& full, NodeId source)
+    : DualGraph(CsrGraph(reliable), CsrGraph(full), source) {}
 
-DualGraph::DualGraph(CsrGraph reliable, CsrGraph full, NodeId source)
-    : g_csr_(std::move(reliable)),
-      gp_csr_(std::move(full)),
-      source_(source),
-      lazy_(std::make_shared<std::mutex>()) {
-  validate_and_index();
-}
-
-const Graph& DualGraph::g() const {
-  if (!lazy_) return *reliable_view_;
-  const std::lock_guard<std::mutex> lock(*lazy_);
-  if (!reliable_view_) {
-    reliable_view_ = std::make_shared<const Graph>(to_graph(g_csr_));
-  }
-  return *reliable_view_;
-}
-
-const Graph& DualGraph::g_prime() const {
-  if (!lazy_) return *full_view_;
-  const std::lock_guard<std::mutex> lock(*lazy_);
-  if (!full_view_) {
-    full_view_ = std::make_shared<const Graph>(to_graph(gp_csr_));
-  }
-  return *full_view_;
-}
-
-DualGraph make_classical(Graph g, NodeId source) {
-  Graph copy = g;
-  return DualGraph(std::move(copy), std::move(g), source);
+DualGraph make_classical(const Graph& g, NodeId source) {
+  CsrGraph csr(g);
+  CsrGraph copy = csr;
+  return DualGraph(std::move(copy), std::move(csr), source);
 }
 
 }  // namespace dualrad

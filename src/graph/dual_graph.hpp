@@ -1,9 +1,6 @@
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <span>
-#include <utility>
 
 #include "graph/graph.hpp"
 
@@ -19,42 +16,34 @@
 /// reachable in G. The classical (reliable) radio-network model is the
 /// special case G == G'.
 ///
-/// Representation: a DualGraph always carries frozen `CsrGraph` snapshots of
-/// G, G', and the G'-only ("unreliable") adjacency — these back every hot
-/// path (the round engine, adversaries, the trace auditor). Networks built
-/// from `Graph` objects additionally keep those builders for the mutable
-/// Graph API (`g()` / `g_prime()`); networks streamed straight from a
-/// `CsrGraphBuilder` (the 10^5+-node scale families) materialize a `Graph`
-/// view lazily — and pay its hash-set RSS — only if some cold path actually
-/// asks for one.
+/// Representation: a DualGraph is nothing but three frozen `CsrGraph`
+/// snapshots — G, G', and the G'-only ("unreliable") adjacency — and every
+/// reader of a network (the round engines, adversaries, the trace auditor,
+/// graph algorithms, the interference model) reads them. A network built
+/// from `Graph` builders freezes them once and keeps nothing else; the
+/// 10^5+-node scale families stream straight from a `CsrGraphBuilder`.
 
 namespace dualrad {
 
 class DualGraph {
  public:
-  /// Build a network from a reliable graph, a full graph, and a source.
-  /// Validates: same vertex set, E subset of E', source in range, and every
-  /// node reachable from the source in G.
-  DualGraph(Graph reliable, Graph full, NodeId source);
-
-  /// Build a network from frozen CSR snapshots (typically streamed from
-  /// CsrGraphBuilder — no Graph, no hash set). Same validation as above.
+  /// Build a network from frozen CSR snapshots of the reliable graph G and
+  /// the full graph G', and a source. Validates: same vertex set, n >= 2,
+  /// source in range, E subset of E', and every node reachable from the
+  /// source in G.
   DualGraph(CsrGraph reliable, CsrGraph full, NodeId source);
+
+  /// Freeze two `Graph` builders (rows keep insertion order) and build the
+  /// network from the snapshots, as above.
+  DualGraph(const Graph& reliable, const Graph& full, NodeId source);
 
   [[nodiscard]] NodeId node_count() const { return g_csr_.node_count(); }
   [[nodiscard]] NodeId source() const { return source_; }
 
-  /// The reliable graph G as a mutable-API Graph view. CSR-built networks
-  /// materialize it (with its hash index) on first use — avoid on 10^5+-node
-  /// networks; hot paths should use g_csr().
-  [[nodiscard]] const Graph& g() const;
-  /// The full graph G' (reliable plus unreliable links); see g().
-  [[nodiscard]] const Graph& g_prime() const;
-
   /// Frozen CSR snapshot of G. Row order is the authoritative delivery
   /// order of the engines.
   [[nodiscard]] const CsrGraph& g_csr() const { return g_csr_; }
-  /// Frozen CSR snapshot of G'.
+  /// Frozen CSR snapshot of G' (reliable plus unreliable links).
   [[nodiscard]] const CsrGraph& g_prime_csr() const { return gp_csr_; }
   /// Frozen CSR of the G'-only adjacency (row order matches g_prime_csr).
   [[nodiscard]] const CsrGraph& unreliable_csr() const {
@@ -83,21 +72,13 @@ class DualGraph {
   }
 
  private:
-  void validate_and_index();
-
   CsrGraph g_csr_;
   CsrGraph gp_csr_;
   CsrGraph unreliable_csr_;
   NodeId source_ = 0;
-  /// Guards lazy Graph materialization; non-null iff CSR-built. Copies of a
-  /// DualGraph share the mutex and any already-materialized views (both are
-  /// immutable once set).
-  std::shared_ptr<std::mutex> lazy_;
-  mutable std::shared_ptr<const Graph> reliable_view_;
-  mutable std::shared_ptr<const Graph> full_view_;
 };
 
 /// Convenience: a classical network (G == G').
-[[nodiscard]] DualGraph make_classical(Graph g, NodeId source);
+[[nodiscard]] DualGraph make_classical(const Graph& g, NodeId source);
 
 }  // namespace dualrad

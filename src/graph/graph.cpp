@@ -7,7 +7,6 @@ namespace dualrad {
 Graph::Graph(NodeId n) {
   DUALRAD_REQUIRE(n >= 0, "node count must be non-negative");
   out_.resize(static_cast<std::size_t>(n));
-  in_.resize(static_cast<std::size_t>(n));
 }
 
 void Graph::check_node(NodeId u, const char* what) const {
@@ -19,10 +18,9 @@ void Graph::add_edge(NodeId u, NodeId v) {
   check_node(v, "edge endpoint out of range");
   DUALRAD_REQUIRE(u != v, "self-loops are not allowed");
   DUALRAD_REQUIRE(!has_edge(u, v), "duplicate edge");
-  if (indexed_) edge_set_.insert(key(u, v));
+  edge_set_.insert(key(u, v));
   edge_list_.emplace_back(u, v);
   out_[static_cast<std::size_t>(u)].push_back(v);
-  in_[static_cast<std::size_t>(v)].push_back(u);
 }
 
 void Graph::add_undirected_edge(NodeId u, NodeId v) {
@@ -32,69 +30,17 @@ void Graph::add_undirected_edge(NodeId u, NodeId v) {
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
   if (u < 0 || v < 0 || u >= node_count() || v >= node_count()) return false;
-  if (indexed_) return edge_set_.contains(key(u, v));
-  const auto& nbrs = out_[static_cast<std::size_t>(u)];
-  return std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end();
+  return edge_set_.contains(key(u, v));
 }
 
 void Graph::reserve_edges(std::size_t edges) {
-  if (indexed_) edge_set_.reserve(edges);
+  edge_set_.reserve(edges);
   edge_list_.reserve(edges);
-}
-
-void Graph::release_edge_index() {
-  indexed_ = false;
-  edge_set_ = {};  // actually free the buckets (clear() keeps them)
 }
 
 const std::vector<NodeId>& Graph::out_neighbors(NodeId u) const {
   check_node(u, "node out of range");
   return out_[static_cast<std::size_t>(u)];
-}
-
-const std::vector<NodeId>& Graph::in_neighbors(NodeId u) const {
-  check_node(u, "node out of range");
-  return in_[static_cast<std::size_t>(u)];
-}
-
-std::size_t Graph::max_in_degree() const {
-  std::size_t best = 0;
-  for (const auto& nbrs : in_) best = std::max(best, nbrs.size());
-  return best;
-}
-
-std::size_t Graph::max_out_degree() const {
-  std::size_t best = 0;
-  for (const auto& nbrs : out_) best = std::max(best, nbrs.size());
-  return best;
-}
-
-bool Graph::is_undirected() const {
-  return std::all_of(edge_list_.begin(), edge_list_.end(),
-                     [&](const auto& e) { return has_edge(e.second, e.first); });
-}
-
-bool Graph::is_subgraph_of(const Graph& other) const {
-  if (node_count() != other.node_count()) return false;
-  return std::all_of(
-      edge_list_.begin(), edge_list_.end(),
-      [&](const auto& e) { return other.has_edge(e.first, e.second); });
-}
-
-bool operator==(const Graph& a, const Graph& b) {
-  if (a.out_.size() != b.out_.size() ||
-      a.edge_list_.size() != b.edge_list_.size()) {
-    return false;
-  }
-  if (a.indexed_ && b.indexed_) return a.edge_set_ == b.edge_set_;
-  const auto sorted_keys = [](const Graph& g) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(g.edge_list_.size());
-    for (const auto& [u, v] : g.edge_list_) keys.push_back(Graph::key(u, v));
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  };
-  return sorted_keys(a) == sorted_keys(b);
 }
 
 void CsrGraph::require_edges_fit(std::size_t edge_count) {

@@ -9,25 +9,23 @@
 #include "core/types.hpp"
 
 /// \file graph.hpp
-/// A simple directed graph with O(1) edge lookup and in/out adjacency lists,
-/// plus a frozen CSR (compressed sparse row) snapshot for hot paths and a
+/// A directed-graph builder with O(1) duplicate-edge checks, the frozen CSR
+/// (compressed sparse row) snapshot every reader of a network uses, and a
 /// streaming CSR builder for large-n construction.
 ///
 /// Graphs in the dual graph model (Section 2.1) are directed; a network is
 /// called *undirected* when every edge appears in both directions. The
-/// `Graph` class therefore stores directed edges and provides helpers for
-/// symmetric insertion and symmetry checking. `Graph` is the mutable
-/// *builder*; performance-sensitive consumers (the round engine, the trace
-/// auditor) freeze it into a `CsrGraph` once per execution and iterate flat
-/// arrays instead of a vector-of-vectors.
+/// `Graph` class therefore stores directed edges and provides symmetric
+/// insertion. `Graph` is only a construction-time *builder*: a network
+/// freezes it into `CsrGraph` snapshots once and drops it, and every reader
+/// (the round engines, adversaries, the trace auditor, graph algorithms)
+/// iterates the flat CSR arrays.
 ///
 /// Memory at scale: `Graph` keeps a hash set of packed edge keys for O(1)
 /// has_edge, which costs tens of bytes per edge and dominates peak RSS from
-/// n ~ 10^5 up. Scale workloads should skip `Graph` entirely and stream
-/// edges into a `CsrGraphBuilder` (~8 bytes per emitted edge transient,
-/// sort-based dedup, ~4 bytes per edge frozen); callers that must route
-/// through `Graph` can bound the damage with `reserve_edges` + a
-/// `release_edge_index` once construction is complete.
+/// n ~ 10^5 up. Scale workloads skip `Graph` entirely and stream edges into
+/// a `CsrGraphBuilder` (~8 bytes per emitted edge transient, sort-based
+/// dedup, ~4 bytes per edge frozen).
 
 namespace dualrad {
 
@@ -56,43 +54,18 @@ class Graph {
   /// bulk construction does not rehash repeatedly.
   void reserve_edges(std::size_t edges);
 
-  /// Drop the hash-set edge index — the peak-RSS hog at large n. The graph
-  /// stays fully functional: has_edge (and the add_edge duplicate check)
-  /// fall back to scanning the out-adjacency of u, which is O(out_degree)
-  /// instead of O(1). Call after construction, once the graph is about to be
-  /// frozen or used read-mostly; adding more edges afterwards is legal but
-  /// slow on high-degree nodes.
-  void release_edge_index();
-
+  /// Out-neighbors of u in insertion order (the row order a CsrGraph
+  /// snapshot keeps).
   [[nodiscard]] const std::vector<NodeId>& out_neighbors(NodeId u) const;
-  [[nodiscard]] const std::vector<NodeId>& in_neighbors(NodeId u) const;
 
   [[nodiscard]] std::size_t out_degree(NodeId u) const {
     return out_neighbors(u).size();
   }
-  [[nodiscard]] std::size_t in_degree(NodeId u) const {
-    return in_neighbors(u).size();
-  }
-
-  /// Maximum in-degree over all nodes (the Delta of [11]).
-  [[nodiscard]] std::size_t max_in_degree() const;
-  [[nodiscard]] std::size_t max_out_degree() const;
-
-  /// True iff for every edge (u, v), the reverse edge (v, u) exists.
-  [[nodiscard]] bool is_undirected() const;
-
-  /// True iff every edge of this graph is an edge of `other`
-  /// (subgraph on the same vertex set).
-  [[nodiscard]] bool is_subgraph_of(const Graph& other) const;
 
   /// All directed edges, in insertion order.
   [[nodiscard]] const std::vector<std::pair<NodeId, NodeId>>& edges() const {
     return edge_list_;
   }
-
-  /// Equality is edge-set equality on the same vertex count (insertion order
-  /// is irrelevant; works whether or not either side released its index).
-  friend bool operator==(const Graph& a, const Graph& b);
 
  private:
   void check_node(NodeId u, const char* what) const;
@@ -102,9 +75,7 @@ class Graph {
   }
 
   std::vector<std::vector<NodeId>> out_{};
-  std::vector<std::vector<NodeId>> in_{};
   std::unordered_set<std::uint64_t> edge_set_{};
-  bool indexed_ = true;  ///< false once release_edge_index() dropped the set
   std::vector<std::pair<NodeId, NodeId>> edge_list_{};
 };
 
@@ -113,9 +84,9 @@ class Graph {
 /// Two flat arrays replace the per-node neighbor vectors: `offsets_[u]`
 /// indexes into `targets_`, and `row(u)` returns the out-neighbors of `u`.
 /// Snapshots frozen from a `Graph` keep the builder's *insertion order* —
-/// the round engine relies on that order matching `Graph::out_neighbors`
-/// exactly, so executions are bit-identical whichever representation
-/// delivers the messages — and carry a per-row sorted copy backing
+/// the engines deliver in row order and stateful adversaries draw their
+/// RNG streams in it, so a network's executions are fixed by the order its
+/// builder inserted edges — and carry a per-row sorted copy backing
 /// `contains()` (binary search). Snapshots produced by `CsrGraphBuilder`
 /// have rows already sorted ascending, so `contains()` searches the rows
 /// directly and the sorted copy (and its ~4 bytes/edge) is not allocated.

@@ -3,31 +3,18 @@
 #include <algorithm>
 
 #include "core/rng.hpp"
-#include "graph/algorithms.hpp"
 
 namespace dualrad {
 
-InterferenceNetwork::InterferenceNetwork(Graph transmission,
-                                         Graph interference, NodeId source)
-    : gt_(std::move(transmission)),
-      gi_(std::move(interference)),
-      source_(source) {
-  DUALRAD_REQUIRE(gt_.node_count() == gi_.node_count(),
-                  "G_T and G_I must share a vertex set");
-  DUALRAD_REQUIRE(gt_.is_subgraph_of(gi_), "G_T must be a subgraph of G_I");
-  DUALRAD_REQUIRE(source_ >= 0 && source_ < gt_.node_count(),
-                  "source out of range");
-  DUALRAD_REQUIRE(graphalg::all_reachable(gt_, source_),
-                  "every node must be reachable from the source in G_T");
-}
-
-DualGraph InterferenceNetwork::to_dual() const {
-  return DualGraph(gt_, gi_, source_);
-}
+InterferenceNetwork::InterferenceNetwork(const Graph& transmission,
+                                         const Graph& interference,
+                                         NodeId source)
+    : dual_(transmission, interference, source) {}
 
 InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
                                               const ProcessFactory& factory,
                                               const InterferenceConfig& config) {
+  const DualGraph& dual = net.to_dual();
   const NodeId n = net.node_count();
   const auto un = static_cast<std::size_t>(n);
 
@@ -100,13 +87,14 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
       ++arrival_count[uu];
       ++receivable_count[uu];
       sole_receivable[uu] = sent_msg[uu];
-      for (NodeId v : net.gi().out_neighbors(u)) {
+      for (NodeId v : dual.g_csr().row(u)) {
         const auto uv = static_cast<std::size_t>(v);
         ++arrival_count[uv];
-        if (net.gt().has_edge(u, v)) {
-          ++receivable_count[uv];
-          sole_receivable[uv] = sent_msg[uu];
-        }
+        ++receivable_count[uv];
+        sole_receivable[uv] = sent_msg[uu];
+      }
+      for (NodeId v : dual.unreliable_out(u)) {
+        ++arrival_count[static_cast<std::size_t>(v)];
       }
     }
 
@@ -198,6 +186,7 @@ void InterferenceSimAdversary::choose_unreliable_reach(
     const AdversaryView& view, std::span<const NodeId> senders,
     ReachSink& sink) {
   (void)view;
+  const DualGraph& dual = inet_.to_dual();
   const NodeId n = inet_.node_count();
   const auto un = static_cast<std::size_t>(n);
 
@@ -209,11 +198,12 @@ void InterferenceSimAdversary::choose_unreliable_reach(
     is_sender[static_cast<std::size_t>(u)] = true;
     ++arrival_count[static_cast<std::size_t>(u)];
     ++receivable_count[static_cast<std::size_t>(u)];
-    for (NodeId v : inet_.gi().out_neighbors(u)) {
+    for (NodeId v : dual.g_csr().row(u)) {
       ++arrival_count[static_cast<std::size_t>(v)];
-      if (inet_.gt().has_edge(u, v)) {
-        ++receivable_count[static_cast<std::size_t>(v)];
-      }
+      ++receivable_count[static_cast<std::size_t>(v)];
+    }
+    for (NodeId v : dual.unreliable_out(u)) {
+      ++arrival_count[static_cast<std::size_t>(v)];
     }
   }
   // R: nodes that receive an actual message in the interference execution.
@@ -247,11 +237,10 @@ void InterferenceSimAdversary::choose_unreliable_reach(
   // round-by-round by the Lemma1Equivalence tests.
   for (std::size_t i = 0; i < senders.size(); ++i) {
     const NodeId v = senders[i];  // condition (3): v sends
-    for (NodeId u : inet_.gi().out_neighbors(v)) {
+    for (NodeId u : dual.unreliable_out(v)) {  // only G_I-only edges
       const auto uu = static_cast<std::size_t>(u);
-      if (inet_.gt().has_edge(v, u)) continue;   // only G_I-only edges
-      if (arrival_count[uu] < 2) continue;       // condition (1), see above
-      if (receives[uu]) continue;                // condition (2)
+      if (arrival_count[uu] < 2) continue;  // condition (1), see above
+      if (receives[uu]) continue;           // condition (2)
       sink.add(i, u);
     }
   }

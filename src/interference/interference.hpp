@@ -29,23 +29,25 @@
 
 namespace dualrad {
 
+/// Lemma 1 reads (G_T, G_I) as exactly the dual graph G = G_T, G' = G_I, so
+/// the network is stored as that DualGraph: `g_csr()` holds the G_T rows and
+/// `unreliable_out(u)` the G_I-only rows, the edges whose arrivals interfere
+/// but can never be received.
 class InterferenceNetwork {
  public:
-  /// Validates G_T subgraph of G_I and reachability from the source in G_T.
-  InterferenceNetwork(Graph transmission, Graph interference, NodeId source);
+  /// Validates like DualGraph: same vertex set, n >= 2, source in range,
+  /// G_T a subgraph of G_I, and every node reachable from the source in G_T.
+  InterferenceNetwork(const Graph& transmission, const Graph& interference,
+                      NodeId source);
 
-  [[nodiscard]] NodeId node_count() const { return gt_.node_count(); }
-  [[nodiscard]] NodeId source() const { return source_; }
-  [[nodiscard]] const Graph& gt() const { return gt_; }
-  [[nodiscard]] const Graph& gi() const { return gi_; }
+  [[nodiscard]] NodeId node_count() const { return dual_.node_count(); }
+  [[nodiscard]] NodeId source() const { return dual_.source(); }
 
   /// The dual graph of Lemma 1's simulation: G = G_T, G' = G_I.
-  [[nodiscard]] DualGraph to_dual() const;
+  [[nodiscard]] const DualGraph& to_dual() const { return dual_; }
 
  private:
-  Graph gt_;
-  Graph gi_;
-  NodeId source_;
+  DualGraph dual_;
 };
 
 struct InterferenceConfig {

@@ -509,7 +509,7 @@ class Builder {
           is_target[static_cast<std::size_t>(
               node_of_pid_[static_cast<std::size_t>(t)])] = true;
         }
-        for (NodeId v : net.g().out_neighbors(u)) {
+        for (NodeId v : net.g_csr().row(u)) {
           DUALRAD_CHECK(is_target[static_cast<std::size_t>(v)],
                         "restricted delivery would miss a reliable neighbor");
         }

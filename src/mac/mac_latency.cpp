@@ -19,7 +19,19 @@ MacLatencySummary measure_mac_latency(const DualGraph& net,
       "result does not match the network");
 
   double prog_sum = 0.0;
+  // avail[v]: earliest round some reliable in-neighbor of v held the token,
+  // filled by one forward pass over the G rows per token.
+  std::vector<Round> avail(static_cast<std::size_t>(n));
   for (const std::vector<Round>& first : result.token_first) {
+    std::fill(avail.begin(), avail.end(), kNever);
+    for (NodeId u = 0; u < n; ++u) {
+      const Round r = first[static_cast<std::size_t>(u)];
+      if (r == kNever) continue;
+      for (const NodeId v : net.g_csr().row(u)) {
+        Round& a = avail[static_cast<std::size_t>(v)];
+        if (a == kNever || r < a) a = r;
+      }
+    }
     for (NodeId v = 0; v < n; ++v) {
       const Round got = first[static_cast<std::size_t>(v)];
       if (got == kNever) {
@@ -27,15 +39,11 @@ MacLatencySummary measure_mac_latency(const DualGraph& net,
         continue;
       }
       if (got == 0) continue;  // the token's source
-      Round avail = kNever;
-      for (NodeId u : net.g().in_neighbors(v)) {
-        const Round r = first[static_cast<std::size_t>(u)];
-        if (r != kNever && (avail == kNever || r < avail)) avail = r;
-      }
+      const Round held = avail[static_cast<std::size_t>(v)];
       // Excluded: no reliable in-neighbor ever held it, or the node beat
       // them to it over an unreliable link.
-      if (avail == kNever || avail >= got) continue;
-      const Round latency = got - avail;
+      if (held == kNever || held >= got) continue;
+      const Round latency = got - held;
       ++summary.prog_samples;
       // lint: fp-ok (post-run analysis in fixed token/node order)
       prog_sum += static_cast<double>(latency);

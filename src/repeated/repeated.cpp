@@ -20,7 +20,10 @@ LearnedTopology estimate_reliable_links(const DualGraph& net,
                     "learning requires full traces");
     for (const auto& record : trace.rounds) {
       for (const auto& sender : record.senders) {
-        for (NodeId v : net.g_prime().out_neighbors(sender.node)) {
+        // Trace ids come from outside: check before indexing the CSR rows.
+        DUALRAD_REQUIRE(sender.node >= 0 && sender.node < net.node_count(),
+                        "trace sender out of range");
+        for (NodeId v : net.g_prime_csr().row(sender.node)) {
           auto& est = links[{sender.node, v}];
           est.from = sender.node;
           est.to = v;
@@ -40,11 +43,11 @@ LearnedTopology estimate_reliable_links(const DualGraph& net,
     learned.estimates.push_back(est);
     if (est.sends >= min_samples && est.deliveries == est.sends) {
       learned.estimated_reliable.add_edge(est.from, est.to);
-      if (!net.g().has_edge(est.from, est.to)) learned.sound = false;
+      if (!net.g_csr().contains(est.from, est.to)) learned.sound = false;
     }
   }
-  learned.usable =
-      graphalg::all_reachable(learned.estimated_reliable, net.source());
+  learned.usable = graphalg::all_reachable(
+      CsrGraph(learned.estimated_reliable), net.source());
   return learned;
 }
 
@@ -102,8 +105,8 @@ RepeatedReport run_repeated_broadcast(const DualGraph& net,
   // the oblivious algorithm — a deployment would keep training.
   ProcessFactory follow_up = algorithm;
   if (report.topology.usable) {
-    const DualGraph learned_net(report.topology.estimated_reliable,
-                                net.g_prime(), net.source());
+    const DualGraph learned_net(CsrGraph(report.topology.estimated_reliable),
+                                net.g_prime_csr(), net.source());
     const auto schedule =
         broadcastability::greedy_oracle_schedule(learned_net);
     report.tdma_period = schedule.rounds();

@@ -57,8 +57,8 @@ TEST(Bernoulli, FiresSubsetOfUnreliableEdges) {
   ASSERT_EQ(reach.size(), 2u);
   for (std::size_t i = 0; i < senders.size(); ++i) {
     for (NodeId v : reach[i]) {
-      EXPECT_TRUE(net.g_prime().has_edge(senders[i], v));
-      EXPECT_FALSE(net.g().has_edge(senders[i], v));
+      EXPECT_TRUE(net.g_prime_csr().contains(senders[i], v));
+      EXPECT_FALSE(net.g_csr().contains(senders[i], v));
     }
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/algorithms.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/dual_graph.hpp"
@@ -8,6 +10,17 @@
 
 namespace dualrad {
 namespace {
+
+/// Same vertex count and identical rows, in order.
+bool same_rows(const CsrGraph& a, const CsrGraph& b) {
+  if (a.node_count() != b.node_count()) return false;
+  for (NodeId u = 0; u < a.node_count(); ++u) {
+    const auto ra = a.row(u);
+    const auto rb = b.row(u);
+    if (!std::equal(ra.begin(), ra.end(), rb.begin(), rb.end())) return false;
+  }
+  return true;
+}
 
 TEST(Graph, EmptyGraphHasNoEdges) {
   Graph g(5);
@@ -22,8 +35,7 @@ TEST(Graph, AddEdgeIsDirected) {
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(1, 0));
   EXPECT_EQ(g.out_degree(0), 1u);
-  EXPECT_EQ(g.in_degree(1), 1u);
-  EXPECT_FALSE(g.is_undirected());
+  EXPECT_FALSE(CsrGraph(g).is_symmetric());
 }
 
 TEST(Graph, AddUndirectedEdgeAddsBoth) {
@@ -31,7 +43,7 @@ TEST(Graph, AddUndirectedEdgeAddsBoth) {
   g.add_undirected_edge(1, 2);
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_TRUE(g.has_edge(2, 1));
-  EXPECT_TRUE(g.is_undirected());
+  EXPECT_TRUE(CsrGraph(g).is_symmetric());
 }
 
 TEST(Graph, RejectsSelfLoop) {
@@ -56,12 +68,12 @@ TEST(Graph, SubgraphDetection) {
   small.add_edge(0, 1);
   big.add_edge(0, 1);
   big.add_edge(1, 2);
-  EXPECT_TRUE(small.is_subgraph_of(big));
-  EXPECT_FALSE(big.is_subgraph_of(small));
+  EXPECT_TRUE(CsrGraph(small).is_subgraph_of(CsrGraph(big)));
+  EXPECT_FALSE(CsrGraph(big).is_subgraph_of(CsrGraph(small)));
 }
 
 TEST(Graph, MaxDegrees) {
-  Graph g = gen::star(5);
+  const CsrGraph g(gen::star(5));
   EXPECT_EQ(g.max_out_degree(), 4u);
   EXPECT_EQ(g.max_in_degree(), 4u);
 }
@@ -75,8 +87,8 @@ TEST(CsrGraph, SnapshotPreservesInsertionOrder) {
   const CsrGraph csr(g);
   EXPECT_EQ(csr.node_count(), 5);
   EXPECT_EQ(csr.edge_count(), 4u);
-  // Rows must mirror Graph::out_neighbors exactly — the round engine's
-  // arrival order (and thus bit-identical execution) depends on it.
+  // Rows must mirror Graph::out_neighbors exactly — the engines deliver in
+  // row order, so a network's executions depend on it.
   for (NodeId u = 0; u < 5; ++u) {
     const auto row = csr.row(u);
     ASSERT_EQ(row.size(), g.out_neighbors(u).size());
@@ -119,10 +131,10 @@ TEST(ScaleFamilies, LayeredSparseIsValidAndBoundedDegree) {
   EXPECT_TRUE(net.is_undirected());
   // Degrees stay O(fwd + unreliable) regardless of n: each node draws at
   // most 3 parents, receives expected 3 child links, and 2+2 skip links.
-  EXPECT_LE(net.g_prime().max_in_degree(), 60u);
+  EXPECT_LE(net.g_prime_csr().max_in_degree(), 60u);
   EXPECT_GT(net.unreliable_edge_count(), 0u);
   // Deterministic: same params, same network.
-  EXPECT_TRUE(net.g() == duals::layered_sparse(params).g());
+  EXPECT_TRUE(same_rows(net.g_csr(), duals::layered_sparse(params).g_csr()));
 }
 
 TEST(ScaleFamilies, GrayZoneGridIsValidAndDeterministic) {
@@ -132,14 +144,15 @@ TEST(ScaleFamilies, GrayZoneGridIsValidAndDeterministic) {
   EXPECT_EQ(net.node_count(), 300);
   EXPECT_TRUE(net.is_undirected());
   EXPECT_GT(net.unreliable_edge_count(), 0u);
-  EXPECT_TRUE(net.g() == duals::gray_zone_grid(params).g());
+  EXPECT_TRUE(
+      same_rows(net.g_csr(), duals::gray_zone_grid(params).g_csr()));
   // Every node reachable (the constructor asserts it; double-check here).
-  const auto d = graphalg::bfs_distances(net.g(), 0);
+  const auto d = graphalg::bfs_distances(net.g_csr(), 0);
   for (Round dist : d) EXPECT_NE(dist, kNever);
 }
 
 TEST(GraphAlg, BfsDistancesOnPath) {
-  Graph g = gen::path(5);
+  const CsrGraph g(gen::path(5));
   const auto d = graphalg::bfs_distances(g, 0);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(d[static_cast<std::size_t>(v)], v);
 }
@@ -147,51 +160,53 @@ TEST(GraphAlg, BfsDistancesOnPath) {
 TEST(GraphAlg, UnreachableIsNever) {
   Graph g(3);
   g.add_edge(0, 1);
-  const auto d = graphalg::bfs_distances(g, 0);
+  const CsrGraph csr(g);
+  const auto d = graphalg::bfs_distances(csr, 0);
   EXPECT_EQ(d[2], kNever);
-  EXPECT_FALSE(graphalg::all_reachable(g, 0));
+  EXPECT_FALSE(graphalg::all_reachable(csr, 0));
 }
 
 TEST(GraphAlg, DiameterOfCycle) {
-  EXPECT_EQ(graphalg::diameter(gen::cycle(6)), 3);
-  EXPECT_EQ(graphalg::diameter(gen::clique(6)), 1);
+  EXPECT_EQ(graphalg::diameter(CsrGraph(gen::cycle(6))), 3);
+  EXPECT_EQ(graphalg::diameter(CsrGraph(gen::clique(6))), 1);
 }
 
 TEST(GraphAlg, EccentricityOfStarCenter) {
-  EXPECT_EQ(graphalg::eccentricity(gen::star(9), 0), 1);
-  EXPECT_EQ(graphalg::eccentricity(gen::star(9), 3), 2);
+  const CsrGraph star(gen::star(9));
+  EXPECT_EQ(graphalg::eccentricity(star, 0), 1);
+  EXPECT_EQ(graphalg::eccentricity(star, 3), 2);
 }
 
 TEST(GraphAlg, WeaklyConnected) {
   Graph g(3);
   g.add_edge(0, 1);
-  EXPECT_FALSE(graphalg::weakly_connected(g));
+  EXPECT_FALSE(graphalg::weakly_connected(CsrGraph(g)));
   g.add_edge(2, 1);
-  EXPECT_TRUE(graphalg::weakly_connected(g));
+  EXPECT_TRUE(graphalg::weakly_connected(CsrGraph(g)));
 }
 
 TEST(Generators, CliqueEdgeCount) {
   const Graph g = gen::clique(7);
   EXPECT_EQ(g.edge_count(), 7u * 6u);  // directed count
-  EXPECT_TRUE(g.is_undirected());
+  EXPECT_TRUE(CsrGraph(g).is_symmetric());
 }
 
 TEST(Generators, GridShape) {
-  const Graph g = gen::grid(3, 4);
+  const CsrGraph g(gen::grid(3, 4));
   EXPECT_EQ(g.node_count(), 12);
-  EXPECT_TRUE(g.is_undirected());
+  EXPECT_TRUE(g.is_symmetric());
   EXPECT_EQ(graphalg::diameter(g), 2 + 3);
 }
 
 TEST(Generators, RandomTreeIsConnectedAndAcyclic) {
   const Graph g = gen::random_tree(40, 7);
-  EXPECT_TRUE(graphalg::all_reachable(g, 0));
+  EXPECT_TRUE(graphalg::all_reachable(CsrGraph(g), 0));
   EXPECT_EQ(g.edge_count(), 2u * 39u);
 }
 
 TEST(Generators, GnpConnected) {
   for (std::uint64_t seed : {1, 2, 3}) {
-    const Graph g = gen::gnp_connected(30, 0.05, seed);
+    const CsrGraph g(gen::gnp_connected(30, 0.05, seed));
     EXPECT_TRUE(graphalg::all_reachable(g, 0));
   }
 }
@@ -255,7 +270,7 @@ TEST(DualBuilders, BridgeNetworkIs2Broadcastable) {
   const DualGraph net = duals::bridge_network(8);
   const auto layout = duals::bridge_layout(8);
   // Source can reach everyone within 2 hops in G via the bridge.
-  const auto d = graphalg::bfs_distances(net.g(), net.source());
+  const auto d = graphalg::bfs_distances(net.g_csr(), net.source());
   for (NodeId v = 0; v < 8; ++v) {
     EXPECT_LE(d[static_cast<std::size_t>(v)], 2);
   }
@@ -276,8 +291,9 @@ TEST(DualBuilders, Theorem12NetworkLayers) {
       if (u == v) continue;
       const auto lu = layer[static_cast<std::size_t>(u)];
       const auto lv = layer[static_cast<std::size_t>(v)];
-      EXPECT_EQ(net.g().has_edge(u, v), std::abs(lu - lv) <= 1) << u << " " << v;
-      EXPECT_TRUE(net.g_prime().has_edge(u, v));
+      EXPECT_EQ(net.g_csr().contains(u, v), std::abs(lu - lv) <= 1)
+          << u << " " << v;
+      EXPECT_TRUE(net.g_prime_csr().contains(u, v));
     }
   }
 }
@@ -292,8 +308,8 @@ TEST(DualBuilders, GrayZoneIsValidDual) {
     params.n = 40;
     params.seed = seed;
     const DualGraph net = duals::gray_zone(params);
-    EXPECT_TRUE(net.g().is_subgraph_of(net.g_prime()));
-    EXPECT_TRUE(graphalg::all_reachable(net.g(), net.source()));
+    EXPECT_TRUE(net.g_csr().is_subgraph_of(net.g_prime_csr()));
+    EXPECT_TRUE(graphalg::all_reachable(net.g_csr(), net.source()));
     EXPECT_TRUE(net.is_undirected());
   }
 }
@@ -304,7 +320,7 @@ TEST(DualBuilders, BackbonePlusUnreliable) {
   params.p_unreliable = 0.3;
   params.seed = 11;
   const DualGraph net = duals::backbone_plus_unreliable(params);
-  EXPECT_TRUE(graphalg::all_reachable(net.g(), 0));
+  EXPECT_TRUE(graphalg::all_reachable(net.g_csr(), 0));
   EXPECT_GT(net.unreliable_edge_count(), 0u);
 }
 
@@ -312,13 +328,13 @@ TEST(DualBuilders, StripUnreliableGivesClassical) {
   const DualGraph net = duals::bridge_network(10);
   const DualGraph classical = duals::strip_unreliable(net);
   EXPECT_TRUE(classical.is_classical());
-  EXPECT_EQ(classical.g().edge_count(), net.g().edge_count());
+  EXPECT_EQ(classical.g_csr().edge_count(), net.g_csr().edge_count());
 }
 
 TEST(DualBuilders, LayeredCompleteGPrime) {
   const DualGraph net = duals::layered_complete_gprime(4, 3);
   EXPECT_EQ(net.node_count(), 1 + 3 * 3);
-  EXPECT_TRUE(graphalg::all_reachable(net.g(), 0));
+  EXPECT_TRUE(graphalg::all_reachable(net.g_csr(), 0));
   EXPECT_FALSE(net.is_classical());
 }
 
@@ -376,7 +392,7 @@ TEST(CsrGraphBuilder, MatchesGraphFrozenSnapshotUpToRowOrder) {
 
 TEST(CsrGraphBuilder, BacksCsrConstructedDualGraph) {
   // A DualGraph built straight from frozen CSRs: validation, unreliable
-  // adjacency, and the lazy Graph view must all agree with the Graph path.
+  // adjacency, and the snapshots must all agree with the Graph path.
   CsrGraphBuilder gb(4);
   gb.add_undirected_edge(0, 1);
   gb.add_undirected_edge(1, 2);
@@ -393,10 +409,9 @@ TEST(CsrGraphBuilder, BacksCsrConstructedDualGraph) {
   EXPECT_EQ(net.unreliable_edge_count(), 2u);
   ASSERT_EQ(net.unreliable_out(0).size(), 1u);
   EXPECT_EQ(net.unreliable_out(0)[0], 3);
-  // Lazy Graph view materializes on demand and matches the CSR.
-  EXPECT_EQ(net.g().edge_count(), net.g_csr().edge_count());
-  EXPECT_TRUE(net.g_prime().has_edge(0, 3));
-  EXPECT_FALSE(net.g().has_edge(0, 3));
+  EXPECT_EQ(net.g_csr().edge_count(), 6u);
+  EXPECT_TRUE(net.g_prime_csr().contains(0, 3));
+  EXPECT_FALSE(net.g_csr().contains(0, 3));
 }
 
 TEST(CsrGraphBuilder, CsrDualGraphValidatesLikeGraphPath) {
@@ -416,33 +431,6 @@ TEST(CsrGraphBuilder, CsrDualGraphValidatesLikeGraphPath) {
   gp2.add_undirected_edge(1, 2);
   EXPECT_THROW(DualGraph(g2.freeze(), gp2.freeze(), 0),
                std::invalid_argument);
-}
-
-TEST(Graph, ReleaseEdgeIndexKeepsSemantics) {
-  Graph g(5);
-  g.reserve_edges(8);
-  g.add_undirected_edge(0, 1);
-  g.add_undirected_edge(1, 2);
-  Graph indexed = g;
-  g.release_edge_index();
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(2, 1));
-  EXPECT_FALSE(g.has_edge(0, 2));
-  EXPECT_THROW(g.add_edge(0, 1), std::invalid_argument);  // dup still caught
-  g.add_undirected_edge(0, 2);  // adding after release stays legal
-  EXPECT_TRUE(g.has_edge(0, 2));
-  EXPECT_EQ(g.edge_count(), 6u);
-  // Equality works across indexed/released representations.
-  EXPECT_FALSE(g == indexed);
-  indexed.add_undirected_edge(0, 2);
-  EXPECT_TRUE(g == indexed);
-}
-
-TEST(GraphAlg, CsrBfsMatchesGraphBfs) {
-  const Graph g = gen::gnp_connected(40, 0.08, 7);
-  const CsrGraph csr(g);
-  EXPECT_EQ(graphalg::bfs_distances(csr, 0), graphalg::bfs_distances(g, 0));
-  EXPECT_TRUE(graphalg::all_reachable(csr, 0));
 }
 
 TEST(CsrGraph, OffsetOverflowGuardFailsLoudlyPast32Bit) {

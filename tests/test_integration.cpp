@@ -62,11 +62,11 @@ void audit_trace(const DualGraph& net, const SimResult& result) {
       std::set<NodeId> reached(sender.reached.begin(), sender.reached.end());
       EXPECT_EQ(reached.size(), sender.reached.size()) << "duplicate reach";
       for (NodeId v : sender.reached) {
-        EXPECT_TRUE(net.g_prime().has_edge(sender.node, v))
+        EXPECT_TRUE(net.g_prime_csr().contains(sender.node, v))
             << sender.node << "->" << v;
       }
       // ...and all G-out-neighbors are reached.
-      for (NodeId v : net.g().out_neighbors(sender.node)) {
+      for (NodeId v : net.g_csr().row(sender.node)) {
         EXPECT_TRUE(reached.contains(v))
             << "reliable edge skipped: " << sender.node << "->" << v;
       }
@@ -257,7 +257,7 @@ TEST(Integration, AsyncStartNeverBeatsOracleDistance) {
   const SimResult result = run_broadcast(
       net, make_harmonic_factory(net.node_count()), adversary, config);
   ASSERT_TRUE(result.completed);
-  const auto dist = graphalg::bfs_distances(net.g_prime(), net.source());
+  const auto dist = graphalg::bfs_distances(net.g_prime_csr(), net.source());
   for (NodeId v = 0; v < net.node_count(); ++v) {
     EXPECT_GE(result.first_token[static_cast<std::size_t>(v)],
               dist[static_cast<std::size_t>(v)])

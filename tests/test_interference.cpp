@@ -31,6 +31,20 @@ TEST(InterferenceNetwork, ValidatesInputs) {
   gi.add_undirected_edge(0, 1);
   // G_T not a subgraph of G_I:
   EXPECT_THROW(InterferenceNetwork(gt, gi, 0), std::invalid_argument);
+  // Different vertex sets:
+  EXPECT_THROW(InterferenceNetwork(gen::path(3), gen::path(4), 0),
+               std::invalid_argument);
+  // Source out of range:
+  EXPECT_THROW(InterferenceNetwork(gen::path(3), gen::path(3), 3),
+               std::invalid_argument);
+  // Node 2 unreachable from the source in G_T:
+  Graph gt_cut(3);
+  gt_cut.add_undirected_edge(0, 1);
+  EXPECT_THROW(InterferenceNetwork(gt_cut, gen::path(3), 0),
+               std::invalid_argument);
+  // The model fixes n >= 2: a 1-node network is refused when it is built.
+  EXPECT_THROW(InterferenceNetwork(Graph(1), Graph(1), 0),
+               std::invalid_argument);
 }
 
 TEST(InterferenceModel, RejectsCompressedTrace) {

@@ -89,10 +89,10 @@ TEST(Theorem11, NetworkIsSqrtNBroadcastable) {
   const NodeId n = 100;
   const DualGraph net = lowerbound::theorem11_network(n);
   EXPECT_GE(net.node_count(), n - 1);
-  const Round ecc = graphalg::eccentricity(net.g(), net.source());
+  const Round ecc = graphalg::eccentricity(net.g_csr(), net.source());
   const auto layout = lowerbound::theorem11_layout(n);
   EXPECT_EQ(ecc, layout.num_layers);
-  EXPECT_FALSE(net.g().is_undirected());
+  EXPECT_FALSE(net.g_csr().is_symmetric());
 }
 
 TEST(Theorem11, GPrimeHasForwardSkipLinks) {

@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(ManyN, ScheduleGeometry,
 TEST(Theorem12More, CmsObliviousForcedPastBound) {
   const NodeId n = 17;
   const DualGraph net = duals::theorem12_network(n);
-  const auto delta = static_cast<NodeId>(net.g_prime().max_in_degree());
+  const auto delta = static_cast<NodeId>(net.g_prime_csr().max_in_degree());
   const auto result = lowerbound::run_theorem12(
       n, make_cms_oblivious_factory(n, {.delta = delta}));
   ASSERT_TRUE(result.valid);

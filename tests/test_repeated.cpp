@@ -54,7 +54,8 @@ TEST(CmsOblivious, CompletesOnDualNetworks) {
       duals::gray_zone({.n = 32, .seed = 8}),
   };
   for (const DualGraph& net : nets) {
-    const auto delta = static_cast<NodeId>(net.g_prime().max_in_degree());
+    const auto delta =
+        static_cast<NodeId>(net.g_prime_csr().max_in_degree());
     GreedyBlockerAdversary adversary;
     SimConfig config;
     config.max_rounds = 5'000'000;
@@ -83,7 +84,8 @@ TEST(CmsOblivious, UnderestimatedDeltaCanBreakIsolation) {
   const SimResult strong = run_broadcast(
       net,
       make_cms_oblivious_factory(
-          16, {.delta = static_cast<NodeId>(net.g_prime().max_in_degree())}),
+          16,
+          {.delta = static_cast<NodeId>(net.g_prime_csr().max_in_degree())}),
       adversary, config);
   EXPECT_TRUE(strong.completed);
   if (weak.completed) {
@@ -118,7 +120,7 @@ TEST(LinkEstimation, RecoversReliableGraphUnderBernoulli) {
   EXPECT_TRUE(learned.sound);
   // Every estimated link is a real G' link at minimum.
   for (const auto& [u, v] : learned.estimated_reliable.edges()) {
-    EXPECT_TRUE(net.g_prime().has_edge(u, v));
+    EXPECT_TRUE(net.g_prime_csr().contains(u, v));
   }
 }
 
@@ -140,6 +142,23 @@ TEST(LinkEstimation, FullInterferenceMakesEverythingLookReliable) {
   const auto learned =
       repeated::estimate_reliable_links(net, {result.trace}, 2);
   EXPECT_FALSE(learned.sound);
+}
+
+TEST(LinkEstimation, RejectsTraceSenderOutOfRange) {
+  // A trace comes from outside the network: a sender id the network does
+  // not have must be refused, never used to index its rows.
+  const DualGraph net = duals::bridge_network(8);
+  for (const NodeId bad : {NodeId{8}, NodeId{-1}, NodeId{100000}}) {
+    Trace trace;
+    trace.level = TraceLevel::Full;
+    RoundRecord record;
+    record.round = 1;
+    record.senders.push_back({.node = bad});
+    trace.rounds.push_back(std::move(record));
+    EXPECT_THROW((void)repeated::estimate_reliable_links(net, {trace}),
+                 std::invalid_argument)
+        << "sender " << bad;
+  }
 }
 
 // ------------------------------------------------------ repeated driver

@@ -66,7 +66,7 @@ void usage() {
       "  --csv       machine-readable output\n");
 }
 
-std::optional<Options> parse(int argc, char** argv) {
+std::optional<Options> parse(int argc, char** argv) try {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -88,6 +88,10 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (auto v = value("--rule=")) {
       options.rule = *v;
     } else if (auto v = value("--start=")) {
+      if (*v != "sync" && *v != "async") {
+        std::fprintf(stderr, "unknown start rule: %s\n", v->c_str());
+        return std::nullopt;
+      }
       options.start = *v;
     } else if (auto v = value("--seed=")) {
       options.seed = std::stoull(*v);
@@ -103,6 +107,9 @@ std::optional<Options> parse(int argc, char** argv) {
     }
   }
   return options;
+} catch (const std::exception&) {
+  std::fprintf(stderr, "malformed numeric argument\n");
+  return std::nullopt;
 }
 
 DualGraph build_network(const Options& options) {
@@ -144,7 +151,7 @@ ProcessFactory build_algorithm(const Options& options, const DualGraph& net) {
   if (options.algorithm == "gossip") return make_uniform_gossip_factory(n);
   if (options.algorithm == "cms") {
     return make_cms_oblivious_factory(
-        n, {.delta = static_cast<NodeId>(net.g_prime().max_in_degree())});
+        n, {.delta = static_cast<NodeId>(net.g_prime_csr().max_in_degree())});
   }
   throw std::invalid_argument("unknown algorithm: " + options.algorithm);
 }
@@ -202,7 +209,7 @@ int main(int argc, char** argv) {
       std::printf("network=%s n=%d (|E|=%zu unreliable=%zu) algorithm=%s "
                   "adversary=%s %s %s\n",
                   options.network.c_str(), net.node_count(),
-                  net.g().edge_count(), net.unreliable_edge_count(),
+                  net.g_csr().edge_count(), net.unreliable_edge_count(),
                   options.algorithm.c_str(), options.adversary.c_str(),
                   to_string(config.rule).c_str(),
                   to_string(config.start).c_str());
