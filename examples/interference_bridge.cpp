@@ -28,6 +28,21 @@ std::string show(const dualrad::Reception& reception) {
   return "?";
 }
 
+/// One row of the table: every node's reception in round `index` of
+/// `trace`, silence for the nodes the decoded round does not list.
+std::string show_round(const dualrad::Trace& trace, std::size_t index,
+                       dualrad::NodeId n) {
+  dualrad::SparseRound round;
+  trace.decode_round(index, n, round);
+  std::string row;
+  auto heard = round.receptions.begin();
+  for (dualrad::NodeId v = 0; v < n; ++v) {
+    const bool listed = heard != round.receptions.end() && heard->node == v;
+    row += show(listed ? (heard++)->reception : dualrad::Reception{}) + " ";
+  }
+  return row;
+}
+
 }  // namespace
 
 int main() {
@@ -44,7 +59,7 @@ int main() {
   InterferenceConfig iconfig;
   iconfig.rule = CollisionRule::CR1;
   iconfig.max_rounds = 100'000;
-  iconfig.trace = TraceLevel::Full;
+  iconfig.trace = TraceLevel::Compressed;
   const auto interference = run_interference_broadcast(inet, factory, iconfig);
 
   const DualGraph dual = inet.to_dual();
@@ -53,7 +68,7 @@ int main() {
   dconfig.rule = CollisionRule::CR1;
   dconfig.start = StartRule::Synchronous;
   dconfig.max_rounds = 100'000;
-  dconfig.trace = TraceLevel::Full;
+  dconfig.trace = TraceLevel::Compressed;
   const auto dual_run = run_broadcast(dual, factory, adversary, dconfig);
 
   std::printf("interference model completed in %lld rounds;"
@@ -64,15 +79,10 @@ int main() {
   std::printf("%-6s | %-40s | %-40s\n", "round", "interference receptions",
               "dual-graph receptions");
   const std::size_t show_rounds =
-      std::min<std::size_t>(10, interference.trace.rounds.size());
+      std::min<std::size_t>(10, interference.trace.compressed_rounds());
   for (std::size_t r = 0; r < show_rounds; ++r) {
-    std::string left, right;
-    for (NodeId v = 0; v < n; ++v) {
-      left += show(interference.trace.rounds[r].receptions[
-                       static_cast<std::size_t>(v)]) + " ";
-      right += show(dual_run.trace.rounds[r].receptions[
-                        static_cast<std::size_t>(v)]) + " ";
-    }
+    const std::string left = show_round(interference.trace, r, n);
+    const std::string right = show_round(dual_run.trace, r, n);
     std::printf("%-6zu | %-40s | %-40s\n", r + 1, left.c_str(), right.c_str());
   }
   std::printf("\n('.' silence, 'T' collision notification, 'mX' message from "

@@ -134,9 +134,9 @@ struct CampaignConfig {
   unsigned heartbeat_secs = 0;
   /// SimConfig::trace of every trial. None (the default) keeps trials lean;
   /// observers that re-verify executions (e.g. the trace auditor behind
-  /// dualrad_campaign --audit) need TraceLevel::Compressed or Full here.
-  /// Trial rows and default exports are identical for every level — traces
-  /// ride on the SimResult handed to `observer` and are dropped after it.
+  /// dualrad_campaign --audit) need TraceLevel::Compressed here. Trial rows
+  /// and default exports are identical for both levels — traces ride on the
+  /// SimResult handed to `observer` and are dropped after it.
   TraceLevel trial_trace = TraceLevel::None;
   /// Optional per-trial observer with access to the full SimResult (e.g. for
   /// audits that need first_token). Called from worker threads but

@@ -15,53 +15,14 @@ std::string at(Round round, NodeId node) {
   return ss.str();
 }
 
-/// Scan a Full record into the sparse form the check loop reads. A sender
-/// or reach id outside the network is reported and dropped, never used as
-/// an index; a record that does not hold one reception per node is
-/// reported, and the nodes it lacks read as silence.
-void scan_full(const RoundRecord& record, NodeId n, SparseRound& out,
-               AuditReport& report) {
-  const auto in_range = [n](NodeId v) { return v >= 0 && v < n; };
-  out.clear();
-  out.round = record.round;
-  for (const SenderRecord& s : record.senders) {
-    if (!in_range(s.node)) {
-      report.fail(at(record.round, s.node) + "sender out of range");
-      continue;
-    }
-    const std::size_t begin = out.reached.size();
-    for (const NodeId v : s.reached) {
-      if (in_range(v)) {
-        out.reached.push_back(v);
-      } else {
-        report.fail(at(record.round, s.node) + "reached out-of-range node " +
-                    std::to_string(v));
-      }
-    }
-    out.senders.push_back({s.node, s.message, begin, out.reached.size()});
-  }
-  const auto un = static_cast<std::size_t>(n);
-  if (record.receptions.size() != un) {
-    report.fail("round " + std::to_string(record.round) + ": record holds " +
-                std::to_string(record.receptions.size()) +
-                " receptions, want " + std::to_string(n));
-  }
-  for (std::size_t v = 0; v < std::min(un, record.receptions.size()); ++v) {
-    if (!record.receptions[v].is_silence()) {
-      out.receptions.push_back({static_cast<NodeId>(v), record.receptions[v]});
-    }
-  }
-}
-
 }  // namespace
 
 AuditReport audit_execution(const DualGraph& net, const SimResult& result,
                             CollisionRule rule,
                             const std::vector<NodeId>& token_sources) {
   AuditReport report;
-  const bool compressed = result.trace.level == TraceLevel::Compressed;
-  if (result.trace.level != TraceLevel::Full && !compressed) {
-    report.fail("audit requires a full trace");
+  if (result.trace.level != TraceLevel::Compressed) {
+    report.fail("audit requires a compressed trace");
     return report;
   }
   const NodeId n = net.node_count();
@@ -167,19 +128,22 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
   std::int64_t epoch = 0;
   std::int64_t reach_mark = 0;
 
-  // Both levels are audited one sparse round at a time: Compressed rounds
-  // are decoded, Full records scanned, into one reused SparseRound, so the
-  // audit never materializes the whole history.
+  // The trace holds one round per executed round, numbered 1, 2, ... in
+  // order. Each is decoded into one reused SparseRound, so the audit never
+  // materializes the whole history.
+  const std::size_t round_count = result.trace.compressed_rounds();
+  if (round_count != static_cast<std::size_t>(result.rounds_executed)) {
+    report.fail("trace records " + std::to_string(round_count) +
+                " rounds, result executed " +
+                std::to_string(result.rounds_executed));
+  }
   SparseRound record;
   const Reception silence = Reception::silence();
-  const std::size_t round_count = compressed
-                                      ? result.trace.compressed_rounds()
-                                      : result.trace.rounds.size();
   for (std::size_t ri = 0; ri < round_count; ++ri) {
-    if (compressed) {
-      result.trace.decode_round(ri, n, record);
-    } else {
-      scan_full(result.trace.rounds[ri], n, record, report);
+    result.trace.decode_round(ri, n, record);
+    if (record.round != static_cast<Round>(ri + 1)) {
+      report.fail("trace round " + std::to_string(ri + 1) +
+                  " is numbered " + std::to_string(record.round));
     }
     ++epoch;
     const auto deposit = [&](NodeId v, const Message& m) {
@@ -199,10 +163,13 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       multi[uv].push_back(m);
     };
 
+    // Every sender deposits its own message first, so a sender's arr_first
+    // is what it sent.
     for (const auto& sender : record.senders) {
       is_sender[static_cast<std::size_t>(sender.node)] = 1;
       deposit(sender.node, sender.message);
-
+    }
+    for (const auto& sender : record.senders) {
       ++reach_mark;
       for (const NodeId v : gp_csr.row(sender.node)) {
         gp_seen[static_cast<std::size_t>(v)] = reach_mark;
@@ -281,11 +248,19 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       const Reception& rec = listed ? (heard++)->reception : silence;
       const std::uint32_t arrived_count =
           arr_epoch[uv] == epoch ? arr_count[uv] : 0;
+      // A sender's own message always reaches it. Under CR2-CR4 a sender
+      // hears that message; under CR1 it hears it only as its sole arrival
+      // (senders collide too). A non-sender hears its sole arrival, and
+      // several arrivals as top (CR1, CR2), silence (CR3), or the
+      // adversary's pick of silence or one of them (CR4).
       switch (rec.kind) {
         case ReceptionKind::Collision:
           if (rule != CollisionRule::CR1 && rule != CollisionRule::CR2) {
             report.fail(at(record.round, v) +
                         "collision notification under " + to_string(rule));
+          } else if (rule == CollisionRule::CR2 && is_sender[uv]) {
+            report.fail(at(record.round, v) +
+                        "sender heard collision notification under CR2");
           }
           if (arrived_count < 2) {
             report.fail(at(record.round, v) +
@@ -293,20 +268,28 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
           }
           break;
         case ReceptionKind::Message: {
+          // A sender's own message always arrived; any other message is
+          // looked up among the arrivals.
+          const bool own = is_sender[uv] && *rec.message == arr_first[uv];
           const bool arrived =
-              arrived_count == 1
-                  ? arr_first[uv] == *rec.message
-                  : arrived_count >= 2 &&
-                        std::find(multi[uv].begin(), multi[uv].end(),
-                                  *rec.message) != multi[uv].end();
+              own || (arrived_count == 1
+                          ? arr_first[uv] == *rec.message
+                          : arrived_count >= 2 &&
+                                std::find(multi[uv].begin(), multi[uv].end(),
+                                          *rec.message) != multi[uv].end());
           if (!arrived) {
             report.fail(at(record.round, v) +
                         "received a message that did not arrive");
-          }
-          if (arrived_count > 1 && !is_sender[uv] &&
-              rule != CollisionRule::CR4) {
+          } else if (is_sender[uv] && !own) {
             report.fail(at(record.round, v) +
-                        "non-sender received one of several messages under " +
+                        "sender received a message other than its own");
+          }
+          if (arrived_count > 1 &&
+              (rule == CollisionRule::CR1 ||
+               (!is_sender[uv] && rule != CollisionRule::CR4))) {
+            report.fail(at(record.round, v) +
+                        (is_sender[uv] ? "sender" : "non-sender") +
+                        " received one of several messages under " +
                         to_string(rule));
           }
           break;
@@ -316,8 +299,12 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
             report.fail(at(record.round, v) +
                         "heard silence despite a sole arrival");
           }
-          // A sender's own message always reaches it, so a sender can never
-          // hear silence under any rule (CR1 gives it the message or top).
+          if (arrived_count > 1 && !is_sender[uv] &&
+              (rule == CollisionRule::CR1 || rule == CollisionRule::CR2)) {
+            report.fail(at(record.round, v) +
+                        "heard silence despite a collision under " +
+                        to_string(rule));
+          }
           if (is_sender[uv]) {
             report.fail(at(record.round, v) + "sender heard silence");
           }

@@ -32,11 +32,11 @@ struct AuditReport {
   [[nodiscard]] bool forged_token_won() const { return !forged_wins.empty(); }
 };
 
-/// Audit a complete trace (requires SimConfig::trace == TraceLevel::Full or
-/// TraceLevel::Compressed — compressed rounds are decoded on the fly):
-///  - every sender and reached node of a Full record is a node of `net`
-///    (Compressed rounds with an out-of-range id fail to decode and throw
-///    std::invalid_argument), and the record holds one reception per node;
+/// Audit a complete trace (requires SimConfig::trace ==
+/// TraceLevel::Compressed; rounds are decoded on the fly, and a round that
+/// fails to decode — an id outside `net`, a malformed or truncated
+/// encoding — throws std::invalid_argument):
+///  - the trace holds one round per executed round, the i-th numbered i;
 ///  - every reached node of every sender is a G'-out-neighbor;
 ///  - every G-out-neighbor of every sender is reached (reliable edges
 ///    always deliver);
@@ -49,9 +49,12 @@ struct AuditReport {
 ///    against net.source() and multi-token sources are only checked for
 ///    uniqueness;
 ///  - SimResult::first_token / token_first match the trace;
-///  - reception kinds are consistent with arrival counts under the rule
-///    (collision notifications only under CR1/CR2; a non-sender message
-///    reception requires that message to have arrived);
+///  - every reception is the one the collision rule gives for the node's
+///    arrivals: a sender hears its own message (under CR1 only as its sole
+///    arrival, top otherwise); a non-sender hears silence with no arrival,
+///    the message of a sole arrival, and with several arrivals top (CR1,
+///    CR2), silence (CR3), or silence or one of them (CR4: the adversary's
+///    pick);
 ///  - every out-of-band token id is registered in SimResult::forged_tokens
 ///    (Byzantine executions, src/byz/), a non-forger transmits a forged
 ///    token only after receiving it, and each ForgedTokenRecord's provenance
@@ -60,14 +63,13 @@ struct AuditReport {
 ///    node relaying a forged token — are reported in AuditReport::forged_wins
 ///    naming the token, forger, relaying node, and round.
 ///
-/// Cost: a Compressed round costs O(bytes + Σ over its senders of the G and
-/// G' out-degrees and the reach + the non-silence receptions + n/4096) —
+/// Cost: a round costs O(bytes + Σ over its senders of the G and G'
+/// out-degrees and the reach + the non-silence receptions + n/4096) —
 /// receptions are checked only at nodes with an arrival or a non-silence
-/// reception, the only nodes a check can fault. A Full record adds an O(n)
-/// scan of its receptions. Beyond that, setup and the final coverage and
-/// provenance checks are O((tokens + forged tokens) * n). Violations are
-/// reported round by round: sender checks in record order, then reception
-/// checks in ascending node order.
+/// reception, the only nodes a check can fault. Beyond that, setup and the
+/// final coverage and provenance checks are O((tokens + forged tokens) * n).
+/// Violations are reported round by round: sender checks in record order,
+/// then reception checks in ascending node order.
 [[nodiscard]] AuditReport audit_execution(
     const DualGraph& net, const SimResult& result, CollisionRule rule,
     const std::vector<NodeId>& token_sources = {});

@@ -35,8 +35,7 @@ ExecutionFrame::ExecutionFrame(const DualGraph& network,
       config(cfg),
       n(network.node_count()),
       un(static_cast<std::size_t>(n)),
-      record_trace(cfg.trace == TraceLevel::Full ||
-                   cfg.trace == TraceLevel::Compressed),
+      record_trace(cfg.trace == TraceLevel::Compressed),
       adversary_(adversary),
       unreliable_(network.unreliable_csr()) {
   DUALRAD_REQUIRE(config.max_rounds >= 1, "max_rounds must be positive");
@@ -157,34 +156,13 @@ void ExecutionFrame::record_round(Round round) {
   touched_order_.clear();
   touched_.drain(touched_order_);
   const CsrGraph& g = net.g_csr();
-  if (config.trace == TraceLevel::Compressed) {
-    CompressedRound out(result_.trace, round, senders.size());
-    for (std::size_t i = 0; i < senders.size(); ++i) {
-      const NodeId u = senders[i];
-      out.sender(u, sent_msg[static_cast<std::size_t>(u)], g.row(u),
-                 sink.extras(i));
-    }
-    out.receptions(touched_order_, trace_receptions);
-    return;
-  }
-  RoundRecord& record = result_.trace.rounds.emplace_back();
-  record.round = round;
-  record.senders.reserve(senders.size());
+  CompressedRound out(result_.trace, round, senders.size());
   for (std::size_t i = 0; i < senders.size(); ++i) {
     const NodeId u = senders[i];
-    SenderRecord& srec = record.senders.emplace_back();
-    srec.node = u;
-    srec.message = sent_msg[static_cast<std::size_t>(u)];
-    const auto row = g.row(u);
-    const auto extras = sink.extras(i);
-    srec.reached.assign(row.begin(), row.end());
-    srec.reached.insert(srec.reached.end(), extras.begin(), extras.end());
+    out.sender(u, sent_msg[static_cast<std::size_t>(u)], g.row(u),
+               sink.extras(i));
   }
-  record.receptions.assign(un, Reception::silence());
-  for (const NodeId v : touched_order_) {
-    const auto uv = static_cast<std::size_t>(v);
-    record.receptions[uv] = trace_receptions[uv];
-  }
+  out.receptions(touched_order_, trace_receptions);
 }
 
 void ExecutionFrame::publish_coverage() {
@@ -200,11 +178,6 @@ void ExecutionFrame::notify_round_end() {
 
 bool ExecutionFrame::end_round(Round round, std::uint32_t collision_events) {
   result_.total_collision_events += collision_events;
-  if (config.trace != TraceLevel::None) {
-    result_.trace.senders_per_round.push_back(
-        static_cast<std::uint32_t>(senders.size()));
-    result_.trace.collisions_per_round.push_back(collision_events);
-  }
   if (record_trace) record_round(round);
   for (const NodeId v : senders) is_sender[static_cast<std::size_t>(v)] = 0;
   if (held_count_ == k_ * un && !result_.completed) {

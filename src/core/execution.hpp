@@ -26,7 +26,7 @@
 ///    kernels' per-delivery token accounting;
 ///  * the adversary's reach choice and round-end hook, CR4 resolution and
 ///    its validation;
-///  * the Counts / Full / Compressed trace, the completion test, and
+///  * the Compressed trace, the completion test, and
 ///    finalization (forged tokens, first_token, process metrics).
 ///
 /// A round, in kernel order: begin_round; the kernel's poll, calling
@@ -176,9 +176,9 @@ class ExecutionFrame {
   NodeFlags is_sender;
   ReachSink sink;
   AdversaryView view;
-  /// Full and Compressed traces record rounds: the kernel stores the
-  /// reception of every node with an arrival in trace_receptions[v] (sharded
-  /// workers concurrently, each at its own nodes) and names the node to
+  /// A Compressed trace records rounds: the kernel stores the reception of
+  /// every node with an arrival in trace_receptions[v] (sharded workers
+  /// concurrently, each at its own nodes) and names the node to
   /// trace_touched; the frame records everything else. Entries of untouched
   /// nodes are stale and never read, so the store is sized once and never
   /// reset.
@@ -186,7 +186,7 @@ class ExecutionFrame {
   std::vector<Reception> trace_receptions;
 
  private:
-  /// Append the round to the Full or Compressed trace.
+  /// Append the round to the trace.
   void record_round(Round round);
 
   Adversary& adversary_;

@@ -60,7 +60,7 @@ namespace dualrad {
 /// no-ops, adversary call order (one sealed ReachSink batch per round with
 /// senders ascending; CR4 resolutions in ascending node order, exactly the
 /// reference's node scan; on_round_end with the round's ascending coverage
-/// delta), RNG streams, SimResult including full traces — is bit-identical
+/// delta), RNG streams, SimResult including trace bytes — is bit-identical
 /// to the reference engine; tests/test_engine_equivalence.cpp enforces this
 /// across random small executions and the whole builtin campaign grid.
 

@@ -97,8 +97,8 @@ struct ProcessMetricSample {
 /// Provenance of one forged token (SimConfig::byzantine executions): who
 /// forged it, when it first flew, and whether it *won* — was ever relayed by
 /// a protocol-following (non-forger) node. Consumed by the trace auditor
-/// (core/audit.hpp), which independently recomputes every field from a Full
-/// or Compressed trace, and by the broadcast-contract checker
+/// (core/audit.hpp), which independently recomputes every field from the
+/// execution's trace, and by the broadcast-contract checker
 /// (campaign/contract.hpp), which reports wins as no-creation violations.
 struct ForgedTokenRecord {
   TokenId token = kNoToken;

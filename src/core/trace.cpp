@@ -3,10 +3,10 @@
 #include <string>
 
 /// \file trace.cpp
-/// TraceLevel::Compressed codec. LEB128 varints; signed fields (origin can
-/// be -1, reach lists are unsorted) go through zigzag. Node id lists that
-/// the engines emit in ascending order (senders, reception touchers) are
-/// stored as unsigned deltas off the previous id. Silence receptions are not
+/// The trace codec. LEB128 varints; signed fields (origin can be -1, reach
+/// lists are unsorted) go through zigzag. Node id lists that the engines
+/// emit in ascending order (senders, reception touchers) are stored as
+/// unsigned deltas off the previous id. Silence receptions are not
 /// encoded at all — a node the round does not list heard silence — which is
 /// where the compression wins: at sparse densities almost every node hears
 /// silence almost every round.
@@ -40,7 +40,12 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     DUALRAD_REQUIRE(p != end, "truncated compressed trace");
     const std::uint8_t byte = *p++;
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) {
+      // The tenth byte holds bit 63 only: anything more is past 64 bits.
+      DUALRAD_REQUIRE(shift < 63 || byte <= 1,
+                      "malformed varint in compressed trace");
+      return v;
+    }
     shift += 7;
     DUALRAD_REQUIRE(shift < 64, "malformed varint in compressed trace");
   }
@@ -124,10 +129,13 @@ void CompressedRound::receptions(std::span<const NodeId> nodes,
 void Trace::decode_round(std::size_t index, NodeId n, SparseRound& out) const {
   DUALRAD_REQUIRE(index < blob_offsets.size(),
                   "compressed round index out of range");
-  const std::uint8_t* p = blob.data() + blob_offsets[index];
-  const std::uint8_t* const end =
-      index + 1 < blob_offsets.size() ? blob.data() + blob_offsets[index + 1]
-                                      : blob.data() + blob.size();
+  const std::uint64_t begin = blob_offsets[index];
+  const std::uint64_t stop =
+      index + 1 < blob_offsets.size() ? blob_offsets[index + 1] : blob.size();
+  DUALRAD_REQUIRE(begin <= stop && stop <= blob.size(),
+                  "compressed round offsets outside the blob");
+  const std::uint8_t* p = blob.data() + begin;
+  const std::uint8_t* const end = blob.data() + stop;
 
   out.clear();
   out.round = static_cast<Round>(get_varint(p, end));

@@ -8,51 +8,31 @@
 #include "core/types.hpp"
 
 /// \file trace.hpp
-/// Execution traces. `TraceLevel::Full` records, per round, the senders, each
-/// sender's realized reach (reliable + adversary-chosen unreliable), and the
-/// reception of every node — enough to replay and audit an execution.
-/// `Counts` keeps only the per-round sender/collision counters (O(rounds)
-/// memory).
-///
-/// `Compressed` keeps the *complete* audit-grade history of `Full`, but
-/// delta/varint-encoded into one byte blob: sender and toucher node ids are
-/// stored as deltas off the previous id (both lists are ascending), reach
-/// lists as zigzag deltas, and silence receptions — the overwhelming
-/// majority at sparse densities — are omitted entirely. The execution frame
-/// streams each round onto the blob straight from its round state
-/// (CompressedRound), and Trace::decode_round yields it back as a
-/// SparseRound: the Full record's senders and reach lists, and its
-/// non-silence receptions. Encoding and decoding a round cost O(senders +
-/// deliveries), not O(n), and memory scales with arrivals, not with
-/// nodes x rounds, which is what lets audits run past 10^4 nodes inside the
-/// CI memory gate.
+/// Execution traces: `TraceLevel::Compressed` records, per round, the
+/// senders, each sender's realized reach (reliable + adversary-chosen
+/// unreliable), and every node's reception — enough to replay and audit an
+/// execution — delta/varint-encoded into one byte blob. Sender and reception
+/// node ids are stored as deltas off the previous id (both lists are
+/// ascending), reach lists as zigzag deltas, and silence receptions — the
+/// overwhelming majority at sparse densities — are omitted entirely. The
+/// execution frame streams each round onto the blob straight from its round
+/// state (CompressedRound), and Trace::decode_round yields it back as a
+/// SparseRound: the senders with their reach lists, and the non-silence
+/// receptions. Encoding and decoding a round cost O(senders + deliveries),
+/// not O(n), and memory scales with arrivals, not with nodes x rounds, which
+/// is what lets audits run past 10^4 nodes inside the CI memory gate.
 
 namespace dualrad {
 
-enum class TraceLevel : std::uint8_t { None, Counts, Full, Compressed };
+/// None records nothing; Compressed records every round.
+enum class TraceLevel : std::uint8_t { None, Compressed };
 
-struct SenderRecord {
-  NodeId node = kInvalidNode;
-  Message message{};
-  /// Nodes this message reached (excluding the sender itself, which is always
-  /// reached), reliable and unreliable combined.
-  std::vector<NodeId> reached{};
-};
-
-struct RoundRecord {
-  Round round = 0;
-  std::vector<SenderRecord> senders{};
-  /// reception[node] — what the process at each node received. For sleeping
-  /// processes (async start, not yet activated) this is what they *would*
-  /// have received; a Message reception is what activated them.
-  std::vector<Reception> receptions{};
-};
-
-/// One traced round in sparse form: what Trace::decode_round yields, and
-/// what the audit scans Full records into. Senders keep the record's order
-/// (ascending node ids) and reach lists; receptions lists only the
-/// non-silence ones, in ascending node order — every other node heard
-/// silence.
+/// One traced round in sparse form, as Trace::decode_round yields it.
+/// Senders are in ascending node order, each with its reach list (the nodes
+/// its message reached, the sender itself excluded); receptions lists only
+/// the non-silence ones, in ascending node order — every other node heard
+/// silence. For a process still asleep (async start) a reception is what it
+/// *would* have received; a Message reception is what activated it.
 struct SparseRound {
   struct Sender {
     NodeId node = kInvalidNode;
@@ -85,13 +65,8 @@ struct SparseRound {
 
 struct Trace {
   TraceLevel level = TraceLevel::None;
-  std::vector<RoundRecord> rounds{};
 
-  /// Round-indexed counts (filled at every level but None).
-  std::vector<std::uint32_t> senders_per_round{};
-  std::vector<std::uint32_t> collisions_per_round{};
-
-  /// Compressed mode: delta/varint-encoded rounds, one byte range per round.
+  /// Delta/varint-encoded rounds, one byte range per round.
   /// `blob_offsets[i]` is where round i's encoding starts (its end is the
   /// next offset, or blob.size() for the last round). The execution frame
   /// (core/execution.hpp) streams every round onto it through
@@ -104,13 +79,14 @@ struct Trace {
     return blob_offsets.size();
   }
   /// Decode round `index` (0-based) into `out`, reusing its buffers. Node
-  /// ids are checked against the n-node network: a sender, reach target or
-  /// reception out of range, an id list out of ascending order, or a
+  /// ids are checked against the n-node network: an index or byte range
+  /// outside the blob, a sender, reach target or reception out of range, an
+  /// id list out of ascending order, an unknown reception kind, or a
   /// truncated or overlong round throws std::invalid_argument.
   void decode_round(std::size_t index, NodeId n, SparseRound& out) const;
 };
 
-/// Appends one round to a Compressed trace, in blob order: construct it with
+/// Appends one round to a trace's blob, in blob order: construct it with
 /// the round and its sender count, call sender() once per sender in
 /// ascending node order, then receptions() once.
 class CompressedRound {

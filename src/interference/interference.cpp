@@ -1,6 +1,7 @@
 #include "interference/interference.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/rng.hpp"
 
@@ -20,13 +21,10 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
 
   InterferenceResult result;
   result.first_token.assign(un, kNever);
-  // This engine targets the small dual-interference constructions of
-  // Lemma 1; it records counts and full rounds, nothing compressed.
-  DUALRAD_REQUIRE(config.trace == TraceLevel::None ||
-                      config.trace == TraceLevel::Counts ||
-                      config.trace == TraceLevel::Full,
-                  "interference engine traces only None, Counts and Full");
   result.trace.level = config.trace;
+  // A traced round lists every node's reception; the writer drops silence.
+  std::vector<NodeId> all_nodes(un);
+  std::iota(all_nodes.begin(), all_nodes.end(), NodeId{0});
 
   std::vector<std::unique_ptr<Process>> proc_at(un);
   for (NodeId v = 0; v < n; ++v) {
@@ -98,11 +96,9 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
       }
     }
 
-    std::uint32_t collision_events = 0;
     for (NodeId v = 0; v < n; ++v) {
       const auto uv = static_cast<std::size_t>(v);
       const int arrivals = arrival_count[uv];
-      if (arrivals >= 2) ++collision_events;
       Reception rec = Reception::silence();
       const auto single = [&]() -> Reception {
         // Exactly one message reached v; deliverable only if it came over a
@@ -151,22 +147,13 @@ InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
       }
     }
 
-    if (config.trace != TraceLevel::None) {
-      result.trace.senders_per_round.push_back(
-          static_cast<std::uint32_t>(senders.size()));
-      result.trace.collisions_per_round.push_back(collision_events);
-    }
-    if (config.trace == TraceLevel::Full) {
-      RoundRecord record;
-      record.round = round;
+    if (config.trace == TraceLevel::Compressed) {
+      CompressedRound out(result.trace, round, senders.size());
       for (NodeId u : senders) {
-        SenderRecord srec;
-        srec.node = u;
-        srec.message = sent_msg[static_cast<std::size_t>(u)];
-        record.senders.push_back(std::move(srec));
+        out.sender(u, sent_msg[static_cast<std::size_t>(u)],
+                   dual.g_csr().row(u), dual.unreliable_out(u));
       }
-      record.receptions.assign(receptions.begin(), receptions.end());
-      result.trace.rounds.push_back(std::move(record));
+      out.receptions(all_nodes, receptions);
     }
 
     if (covered_count == n && !result.completed) {

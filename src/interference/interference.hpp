@@ -55,6 +55,9 @@ struct InterferenceConfig {
   StartRule start = StartRule::Synchronous;
   Round max_rounds = 1'000'000;
   std::uint64_t seed = 1;
+  /// Compressed records every round (core/trace.hpp). A sender's reach is
+  /// its G_T row followed by its G_I-only row: every node its message
+  /// reaches, whether or not it can be received there.
   TraceLevel trace = TraceLevel::None;
   bool stop_on_completion = true;
 };

@@ -15,21 +15,22 @@ LearnedTopology estimate_reliable_links(const DualGraph& net,
   // For each observed (sender, target) pair over G' edges, count delivery
   // opportunities (sender transmitted) vs actual deliveries.
   std::map<std::pair<NodeId, NodeId>, LinkEstimate> links;
+  SparseRound round;
   for (const Trace& trace : traces) {
-    DUALRAD_REQUIRE(trace.level == TraceLevel::Full,
-                    "learning requires full traces");
-    for (const auto& record : trace.rounds) {
-      for (const auto& sender : record.senders) {
-        // Trace ids come from outside: check before indexing the CSR rows.
-        DUALRAD_REQUIRE(sender.node >= 0 && sender.node < net.node_count(),
-                        "trace sender out of range");
+    DUALRAD_REQUIRE(trace.level == TraceLevel::Compressed,
+                    "learning requires recorded traces");
+    // Trace ids come from outside: decoding checks them against the network
+    // before they index its rows.
+    for (std::size_t i = 0; i < trace.compressed_rounds(); ++i) {
+      trace.decode_round(i, net.node_count(), round);
+      for (const auto& sender : round.senders) {
         for (NodeId v : net.g_prime_csr().row(sender.node)) {
           auto& est = links[{sender.node, v}];
           est.from = sender.node;
           est.to = v;
           ++est.sends;
         }
-        for (NodeId v : sender.reached) {
+        for (NodeId v : round.reach(sender)) {
           ++links[{sender.node, v}].deliveries;
         }
       }
@@ -80,7 +81,7 @@ RepeatedReport run_repeated_broadcast(const DualGraph& net,
     report.all_completed = report.all_completed && result.completed;
   }
 
-  // Learned strategy: training broadcasts with full traces, then TDMA.
+  // Learned strategy: training broadcasts with traces, then TDMA.
   // The proc mapping must be stable across broadcasts for schedules over
   // process ids to make sense; pin the identity mapping.
   std::vector<ProcessId> identity(static_cast<std::size_t>(net.node_count()));
@@ -89,7 +90,7 @@ RepeatedReport run_repeated_broadcast(const DualGraph& net,
   for (int b = 0; b < options.training; ++b) {
     SimConfig config = options.config;
     config.seed = mix_seed(options.config.seed, 0x6C00 + static_cast<std::uint64_t>(b));
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     FixedAssignmentAdversary pinned(identity, adversary);
     const SimResult result = run_broadcast(net, algorithm, pinned, config);
     report.learned_rounds.push_back(result.completed ? result.completion_round

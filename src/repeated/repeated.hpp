@@ -16,7 +16,8 @@
 ///
 /// The pipeline:
 ///   1. run a few broadcasts with a topology-oblivious algorithm, recording
-///      full traces;
+///      their traces (core/trace.hpp): who sent, and whom each message
+///      reached;
 ///   2. estimate the reliable subgraph ETX-style: an observed link whose
 ///      delivery never failed over enough samples is presumed reliable
 ///      (exactly the link-quality-assessment practice the introduction
@@ -50,7 +51,9 @@ struct LearnedTopology {
   bool usable = false;
 };
 
-/// Estimate reliable links from full execution traces (ETX-style).
+/// Estimate reliable links from recorded execution traces (ETX-style). A
+/// trace that was not recorded (TraceLevel::None), or whose rounds fail to
+/// decode against `net`, throws std::invalid_argument.
 [[nodiscard]] LearnedTopology estimate_reliable_links(
     const DualGraph& net, const std::vector<Trace>& traces,
     std::size_t min_samples = 3);

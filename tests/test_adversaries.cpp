@@ -204,14 +204,14 @@ TEST(Theorem2Adversary, SingleCliqueSenderReachesOnlyClique) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
   // Receiver heard silence; clique nodes heard the message.
-  const auto& recs = result.trace.rounds[0].receptions;
-  EXPECT_TRUE(recs[static_cast<std::size_t>(layout.receiver)].is_silence());
-  EXPECT_TRUE(recs[0].is_message());
-  EXPECT_TRUE(recs[static_cast<std::size_t>(layout.bridge)].is_message());
+  const SparseRound round = testing::decode_rounds(result.trace, n)[0];
+  EXPECT_TRUE(testing::reception_at(round, layout.receiver).is_silence());
+  EXPECT_TRUE(testing::reception_at(round, 0).is_message());
+  EXPECT_TRUE(testing::reception_at(round, layout.bridge).is_message());
 }
 
 TEST(Theorem2Adversary, BridgeSoloReachesEveryone) {
@@ -227,14 +227,12 @@ TEST(Theorem2Adversary, BridgeSoloReachesEveryone) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
+  const SparseRound round = testing::decode_rounds(result.trace, n)[0];
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_TRUE(result.trace.rounds[0]
-                    .receptions[static_cast<std::size_t>(v)]
-                    .is_message())
-        << v;
+    EXPECT_TRUE(testing::reception_at(round, v).is_message()) << v;
   }
 }
 
@@ -250,14 +248,12 @@ TEST(Theorem2Adversary, MultiSenderGivesEveryoneCollision) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
+  const SparseRound round = testing::decode_rounds(result.trace, n)[0];
   for (NodeId v = 0; v < n; ++v) {
-    EXPECT_TRUE(result.trace.rounds[0]
-                    .receptions[static_cast<std::size_t>(v)]
-                    .is_collision())
-        << v;
+    EXPECT_TRUE(testing::reception_at(round, v).is_collision()) << v;
   }
 }
 
@@ -294,11 +290,13 @@ TEST(ScriptedAdversary, ReplaysReachChoices) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 2;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
-  EXPECT_TRUE(result.trace.rounds[0].receptions[2].is_message());  // scripted
-  EXPECT_TRUE(result.trace.rounds[1].receptions[2].is_silence());  // beyond
+  const std::vector<SparseRound> rounds =
+      testing::decode_rounds(result.trace, 3);
+  EXPECT_TRUE(testing::reception_at(rounds[0], 2).is_message());  // scripted
+  EXPECT_TRUE(testing::reception_at(rounds[1], 2).is_silence());  // beyond
 }
 
 TEST(ScriptedAdversary, ForcesCr4Resolution) {
@@ -314,10 +312,11 @@ TEST(ScriptedAdversary, ForcesCr4Resolution) {
   config.rule = CollisionRule::CR4;
   config.start = StartRule::Synchronous;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
-  const auto& rec = result.trace.rounds[0].receptions[2];
+  const Reception rec =
+      testing::reception_at(testing::decode_rounds(result.trace, 3)[0], 2);
   ASSERT_TRUE(rec.is_message());
   EXPECT_EQ(rec.message->origin, 1);
 }

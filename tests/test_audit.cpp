@@ -9,6 +9,7 @@
 #include "algorithms/harmonic.hpp"
 #include "algorithms/strong_select.hpp"
 #include "core/audit.hpp"
+#include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
@@ -22,12 +23,12 @@ SimResult run_traced(const DualGraph& net, const ProcessFactory& factory,
   SimConfig config;
   config.rule = rule;
   config.max_rounds = 2'000'000;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   return run_broadcast(net, factory, adversary, config);
 }
 
 /// A two-round scripted execution on the classical path 0-1-2-3 (source 0,
-/// synchronous start) with a Full trace. Round 1: node 0 sends the token, so
+/// synchronous start) with a trace. Round 1: node 0 sends the token, so
 /// node 1 hears it as a sole arrival while nodes 2 and 3 hear nothing.
 /// Round 2: nodes 0 and 2 send, so node 1 has two arrivals and node 3 a sole
 /// one from node 2, which holds no token and sends a token-less message.
@@ -38,7 +39,7 @@ SimResult run_path_script(CollisionRule rule) {
   config.rule = rule;
   config.start = StartRule::Synchronous;
   config.max_rounds = 2;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   return run_broadcast(net,
                        testing::scripted_factory({{0, {1, 2}}, {2, {2}}}),
@@ -50,6 +51,45 @@ audit::AuditReport audit_path_script(const SimResult& result,
                                      CollisionRule rule) {
   return audit::audit_execution(make_classical(gen::path(4), 0), result,
                                 rule);
+}
+
+/// A one-round scripted execution on the classical 3-clique (source 0,
+/// synchronous start) with a trace: nodes 0 and 1 send, so every node has
+/// two arrivals. Only node 0 holds the token.
+SimResult run_clique_script(CollisionRule rule) {
+  const DualGraph net = make_classical(gen::clique(3), 0);
+  BenignAdversary adversary;
+  SimConfig config;
+  config.rule = rule;
+  config.start = StartRule::Synchronous;
+  config.max_rounds = 1;
+  config.trace = TraceLevel::Compressed;
+  config.stop_on_completion = false;
+  return run_broadcast(net, testing::scripted_factory({{0, {1}}, {1, {1}}}),
+                       adversary, config);
+}
+
+audit::AuditReport audit_clique_script(const SimResult& result,
+                                       CollisionRule rule) {
+  return audit::audit_execution(make_classical(gen::clique(3), 0), result,
+                                rule);
+}
+
+/// Edit the decoded rounds of a scripted run's trace and re-encode them.
+template <class Edit>
+void tamper(SimResult& result, Edit&& edit) {
+  testing::edit_rounds(result.trace,
+                       static_cast<NodeId>(result.process_of_node.size()),
+                       std::forward<Edit>(edit));
+}
+
+/// Index of the first round with a sender.
+std::size_t first_sending_round(const std::vector<SparseRound>& rounds) {
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    if (!rounds[i].senders.empty()) return i;
+  }
+  ADD_FAILURE() << "no round had a sender";
+  return 0;
 }
 
 TEST(Audit, CleanExecutionsPass) {
@@ -77,10 +117,9 @@ TEST(Audit, StrongSelectPasses) {
   EXPECT_TRUE(audit::audit_execution(net, result, CollisionRule::CR4).ok);
 }
 
-TEST(Audit, CompressedTraceAuditsTransparently) {
-  // TraceLevel::Compressed decodes to the exact Full-mode records, so the
-  // audit accepts it unchanged — same pass on clean executions, same
-  // violation detection on forged results.
+TEST(Audit, DetectsForgedCoverageClaim) {
+  // A clean execution passes; the same result with a forged coverage claim
+  // fails against its trace.
   const DualGraph net = duals::gray_zone({.n = 32, .seed = 6});
   for (CollisionRule rule :
        {CollisionRule::CR1, CollisionRule::CR3, CollisionRule::CR4}) {
@@ -91,21 +130,19 @@ TEST(Audit, CompressedTraceAuditsTransparently) {
     config.trace = TraceLevel::Compressed;
     SimResult result = run_broadcast(
         net, make_harmonic_factory(net.node_count()), adversary, config);
-    EXPECT_TRUE(result.trace.rounds.empty());
     EXPECT_GT(result.trace.compressed_rounds(), 0u);
     const auto report = audit::audit_execution(net, result, rule);
     EXPECT_TRUE(report.ok) << to_string(rule) << ": "
                            << (report.violations.empty()
                                    ? ""
                                    : report.violations.front());
-    // A forged coverage claim is still caught through the compressed trace.
     result.first_token[1] = 1;
     result.token_first[0][1] = 1;
     EXPECT_FALSE(audit::audit_execution(net, result, rule).ok);
   }
 }
 
-TEST(Audit, RequiresFullTrace) {
+TEST(Audit, RequiresTrace) {
   const DualGraph net = duals::bridge_network(8);
   BenignAdversary adversary;
   SimConfig config;
@@ -114,7 +151,8 @@ TEST(Audit, RequiresFullTrace) {
       run_broadcast(net, make_harmonic_factory(8), adversary, config);
   const auto report =
       audit::audit_execution(net, result, CollisionRule::CR4);
-  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.violations,
+            std::vector<std::string>{"audit requires a compressed trace"});
 }
 
 TEST(Audit, DetectsTamperedReach) {
@@ -125,13 +163,13 @@ TEST(Audit, DetectsTamperedReach) {
   ASSERT_TRUE(result.completed);
   // Tamper: claim a sender reached a node with no G' edge (self loop is
   // never an edge).
-  ASSERT_FALSE(result.trace.rounds.empty());
-  for (auto& record : result.trace.rounds) {
-    if (!record.senders.empty()) {
-      record.senders.front().reached.push_back(record.senders.front().node);
-      break;
-    }
-  }
+  ASSERT_GT(result.trace.compressed_rounds(), 0u);
+  testing::edit_rounds(result.trace, 8, [](std::vector<SparseRound>& rounds) {
+    SparseRound& round = rounds[first_sending_round(rounds)];
+    std::vector<NodeId> reach = testing::reach_of(round, 0);
+    reach.push_back(round.senders.front().node);
+    testing::set_reach(round, 0, reach);
+  });
   EXPECT_FALSE(audit::audit_execution(net, result, CollisionRule::CR4).ok);
 }
 
@@ -140,12 +178,16 @@ TEST(Audit, DetectsSkippedReliableEdge) {
   BenignAdversary adversary;
   SimResult result = run_traced(net, make_harmonic_factory(8), adversary,
                                 CollisionRule::CR4);
-  for (auto& record : result.trace.rounds) {
-    if (!record.senders.empty() && !record.senders.front().reached.empty()) {
-      record.senders.front().reached.pop_back();
-      break;
+  testing::edit_rounds(result.trace, 8, [](std::vector<SparseRound>& rounds) {
+    for (SparseRound& round : rounds) {
+      if (round.senders.empty()) continue;
+      std::vector<NodeId> reach = testing::reach_of(round, 0);
+      if (reach.empty()) continue;
+      reach.pop_back();
+      testing::set_reach(round, 0, reach);
+      return;
     }
-  }
+  });
   EXPECT_FALSE(audit::audit_execution(net, result, CollisionRule::CR4).ok);
 }
 
@@ -170,117 +212,162 @@ TEST(Audit, DetectsWrongRuleClaim) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Synchronous;
   config.max_rounds = 4;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, factory, adversary, config);
   EXPECT_TRUE(audit::audit_execution(net, result, CollisionRule::CR1).ok);
   EXPECT_FALSE(audit::audit_execution(net, result, CollisionRule::CR4).ok);
 }
 
-TEST(Audit, ReportsOutOfRangeSenderWithoutIndexing) {
+TEST(Audit, ThrowsOnOutOfRangeIds) {
+  // An id outside the network fails to decode: the audit throws rather
+  // than index with it.
   const DualGraph net = duals::bridge_network(8);
   BenignAdversary adversary;
-  SimResult result = run_traced(net, make_harmonic_factory(8), adversary,
-                                CollisionRule::CR4);
-  for (auto& record : result.trace.rounds) {
-    if (!record.senders.empty()) {
-      record.senders.front().node = 1000;
-      const auto report =
-          audit::audit_execution(net, result, CollisionRule::CR4);
-      ASSERT_FALSE(report.violations.empty());
-      EXPECT_EQ(report.violations.front(),
-                "round " + std::to_string(record.round) +
-                    " node 1000: sender out of range");
-      return;
-    }
-  }
-  FAIL() << "no round had a sender";
+  const SimResult clean = run_traced(net, make_harmonic_factory(8), adversary,
+                                     CollisionRule::CR4);
+  const auto audit_edited = [&](auto edit) {
+    SimResult result = clean;
+    testing::edit_rounds(result.trace, 8, [&](std::vector<SparseRound>& r) {
+      edit(r[first_sending_round(r)]);
+    });
+    return audit::audit_execution(net, result, CollisionRule::CR4);
+  };
+  EXPECT_THROW((void)audit_edited([](SparseRound& round) {
+                 round.senders.back().node = 1000;
+               }),
+               std::invalid_argument);
+  EXPECT_THROW((void)audit_edited([](SparseRound& round) {
+                 std::vector<NodeId> reach = testing::reach_of(round, 0);
+                 reach.push_back(100000);
+                 testing::set_reach(round, 0, reach);
+               }),
+               std::invalid_argument);
 }
 
-TEST(Audit, ReportsOutOfRangeReachWithoutIndexing) {
-  const DualGraph net = duals::bridge_network(8);
-  BenignAdversary adversary;
-  SimResult result = run_traced(net, make_harmonic_factory(8), adversary,
-                                CollisionRule::CR4);
-  for (auto& record : result.trace.rounds) {
-    if (!record.senders.empty()) {
-      SenderRecord& sender = record.senders.front();
-      sender.reached.push_back(100000);
-      const auto report =
-          audit::audit_execution(net, result, CollisionRule::CR4);
-      EXPECT_EQ(report.violations,
-                std::vector<std::string>{
-                    "round " + std::to_string(record.round) + " node " +
-                    std::to_string(sender.node) +
-                    ": reached out-of-range node 100000"});
-      return;
-    }
+/// The message Trace::decode_round throws for round `index`, or "" when
+/// the round decodes.
+std::string decode_error(const Trace& trace, NodeId n, std::size_t index = 0) {
+  SparseRound out;
+  try {
+    trace.decode_round(index, n, out);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
   }
-  FAIL() << "no round had a sender";
+  return "";
+}
+
+bool mentions(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+const Message kMessage{/*token=*/1, /*origin=*/0, /*round_tag=*/1,
+                       /*payload=*/0};
+const std::vector<NodeId> kNone;
+
+/// A one-round trace: `senders` (each sending kMessage, reaching no one)
+/// and the receptions `at` of the nodes `heard`.
+Trace one_round(const std::vector<NodeId>& senders,
+                const std::vector<NodeId>& heard = {},
+                const std::vector<Reception>& at = {}) {
+  Trace trace;
+  CompressedRound round(trace, 1, senders.size());
+  for (const NodeId u : senders) round.sender(u, kMessage, kNone, kNone);
+  round.receptions(heard, at);
+  return trace;
 }
 
 TEST(Audit, DecoderRejectsOutOfRangeIds) {
-  const Message m{/*token=*/1, /*origin=*/0, /*round_tag=*/1, /*payload=*/0};
-  const auto decode_error = [](const Trace& trace, NodeId n) -> std::string {
-    SparseRound out;
-    try {
-      trace.decode_round(0, n, out);
-    } catch (const std::invalid_argument& e) {
-      return e.what();
-    }
-    return "";
-  };
-  const std::vector<NodeId> none;
-  const std::vector<Reception> no_receptions;
-  Trace sender;
-  {
-    CompressedRound round(sender, 1, 1);
-    round.sender(8, m, none, none);
-    round.receptions(none, no_receptions);
-  }
-  EXPECT_NE(decode_error(sender, 8).find("sender out of range"),
-            std::string::npos);
+  const Trace sender = one_round({8});
+  EXPECT_TRUE(mentions(decode_error(sender, 8), "sender out of range"));
   EXPECT_EQ(decode_error(sender, 9), "");
 
   Trace reach;
   {
     const std::vector<NodeId> far = {100000};
     CompressedRound round(reach, 1, 1);
-    round.sender(0, m, far, none);
-    round.receptions(none, no_receptions);
+    round.sender(0, kMessage, far, kNone);
+    round.receptions(kNone, {});
   }
-  EXPECT_NE(decode_error(reach, 8).find("reach target out of range"),
-            std::string::npos);
+  EXPECT_TRUE(mentions(decode_error(reach, 8), "reach target out of range"));
   EXPECT_EQ(decode_error(reach, 100001), "");
+
+  const std::vector<Reception> at(10, Reception::collision());
+  const Trace reception = one_round({}, {9}, at);
+  EXPECT_TRUE(mentions(decode_error(reception, 8), "reception out of range"));
+  EXPECT_EQ(decode_error(reception, 10), "");
 }
 
-TEST(Audit, DetectsTruncatedRecord) {
-  const DualGraph net = duals::bridge_network(8);
-  BenignAdversary adversary;
-  SimConfig config;
-  config.rule = CollisionRule::CR4;
-  config.max_rounds = 400;
-  config.stop_on_completion = false;
-  config.trace = TraceLevel::Full;
-  SimResult result =
-      run_broadcast(net, make_harmonic_factory(8), adversary, config);
-  ASSERT_EQ(result.trace.rounds.size(), 400u);
-  RoundRecord& last = result.trace.rounds.back();
-  ASSERT_FALSE(last.senders.empty());
-  last.receptions.clear();
-  const auto report = audit::audit_execution(net, result, CollisionRule::CR4);
-  EXPECT_FALSE(report.ok);
-  ASSERT_FALSE(report.violations.empty());
-  EXPECT_EQ(report.violations.front(),
-            "round 400: record holds 0 receptions, want 8");
+TEST(Audit, DecoderRejectsNonAscendingIds) {
+  EXPECT_TRUE(
+      mentions(decode_error(one_round({3, 3}), 8), "sender ids not ascending"));
+  const std::vector<Reception> at(3, Reception::collision());
+  EXPECT_TRUE(mentions(decode_error(one_round({}, {2, 2}, at), 8),
+                       "reception ids not ascending"));
+}
+
+TEST(Audit, DecoderRejectsMalformedBytes) {
+  const std::vector<Reception> at(2, Reception::collision());
+  const Trace valid = one_round({0}, {1}, at);
+  ASSERT_EQ(decode_error(valid, 8), "");
+
+  Trace truncated = valid;
+  truncated.blob.pop_back();
+  EXPECT_TRUE(mentions(decode_error(truncated, 8), "truncated"));
+
+  Trace trailing = valid;
+  trailing.blob.push_back(0);
+  EXPECT_TRUE(mentions(decode_error(trailing, 8), "trailing bytes"));
+
+  // The collision's kind is the round's last byte.
+  for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{3}}) {
+    Trace bad_kind = valid;
+    bad_kind.blob.back() = kind;
+    EXPECT_TRUE(mentions(decode_error(bad_kind, 8), "reception kind"))
+        << "kind " << int{kind};
+  }
+
+  // The round number is the first varint: eleven bytes, or ten whose last
+  // sets a bit past bit 63, do not fit in 64 bits.
+  for (const std::uint8_t last : {std::uint8_t{0x81}, std::uint8_t{0x02}}) {
+    Trace overlong = valid;
+    std::vector<std::uint8_t> varint(9, 0xFF);
+    varint.push_back(last);
+    if (last & 0x80) varint.push_back(0x01);
+    overlong.blob.erase(overlong.blob.begin());  // round 1 is one byte
+    overlong.blob.insert(overlong.blob.begin(), varint.begin(), varint.end());
+    EXPECT_TRUE(mentions(decode_error(overlong, 8), "malformed varint"))
+        << "tenth byte " << int{last};
+  }
+}
+
+TEST(Audit, DecoderRejectsIndexAndOffsetsOutsideTheBlob) {
+  Trace two = one_round({0});
+  {
+    CompressedRound round(two, 2, 1);
+    round.sender(1, kMessage, kNone, kNone);
+    round.receptions(kNone, {});
+  }
+  ASSERT_EQ(decode_error(two, 8, 1), "");
+  EXPECT_TRUE(mentions(decode_error(two, 8, 2), "index out of range"));
+
+  Trace beyond = two;
+  beyond.blob_offsets.back() = beyond.blob.size() + 64;
+  EXPECT_TRUE(mentions(decode_error(beyond, 8, 1), "outside the blob"));
+
+  Trace backwards = two;
+  backwards.blob_offsets[0] = backwards.blob_offsets[1] + 1;
+  EXPECT_TRUE(mentions(decode_error(backwards, 8, 0), "outside the blob"));
 }
 
 // One tamper per reception check: each pins that the audit still visits the
 // node that fails it, and with the same text.
 TEST(AuditTamper, SoleArrivalHeardAsSilence) {
   SimResult result = run_path_script(CollisionRule::CR3);
-  ASSERT_TRUE(result.trace.rounds[0].receptions[1].is_message());
-  result.trace.rounds[0].receptions[1] = Reception::silence();
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_TRUE(testing::reception_at(rounds[0], 1).is_message());
+    testing::set_reception(rounds[0], 1, Reception::silence());
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
             (std::vector<std::string>{
                 "round 1 node 1: heard silence despite a sole arrival",
@@ -290,16 +377,20 @@ TEST(AuditTamper, SoleArrivalHeardAsSilence) {
 
 TEST(AuditTamper, SenderHeardSilence) {
   SimResult result = run_path_script(CollisionRule::CR3);
-  result.trace.rounds[0].receptions[0] = Reception::silence();
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    testing::set_reception(rounds[0], 0, Reception::silence());
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
             std::vector<std::string>{"round 1 node 0: sender heard silence"});
 }
 
 TEST(AuditTamper, MessageThatDidNotArrive) {
   SimResult result = run_path_script(CollisionRule::CR3);
-  ASSERT_TRUE(result.trace.rounds[0].receptions[3].is_silence());
-  result.trace.rounds[0].receptions[3] =
-      Reception::of(result.trace.rounds[0].senders[0].message);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_TRUE(testing::reception_at(rounds[0], 3).is_silence());
+    testing::set_reception(rounds[0], 3,
+                           Reception::of(rounds[0].senders[0].message));
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
             (std::vector<std::string>{
                 "round 1 node 3: received a message that did not arrive",
@@ -309,8 +400,10 @@ TEST(AuditTamper, MessageThatDidNotArrive) {
 
 TEST(AuditTamper, CollisionNotificationWithoutCollision) {
   SimResult result = run_path_script(CollisionRule::CR2);
-  ASSERT_TRUE(result.trace.rounds[0].receptions[3].is_silence());
-  result.trace.rounds[0].receptions[3] = Reception::collision();
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_TRUE(testing::reception_at(rounds[0], 3).is_silence());
+    testing::set_reception(rounds[0], 3, Reception::collision());
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR2).violations,
             std::vector<std::string>{
                 "round 1 node 3: collision notification without a collision"});
@@ -318,11 +411,13 @@ TEST(AuditTamper, CollisionNotificationWithoutCollision) {
 
 TEST(AuditTamper, NonSenderReceivedOneOfSeveral) {
   SimResult result = run_path_script(CollisionRule::CR3);
-  const RoundRecord& round2 = result.trace.rounds[1];
-  ASSERT_EQ(round2.senders.size(), 2u);
-  ASSERT_TRUE(round2.receptions[1].is_silence());
-  result.trace.rounds[1].receptions[1] =
-      Reception::of(round2.senders[0].message);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    SparseRound& round2 = rounds[1];
+    ASSERT_EQ(round2.senders.size(), 2u);
+    ASSERT_TRUE(testing::reception_at(round2, 1).is_silence());
+    testing::set_reception(round2, 1,
+                           Reception::of(round2.senders[0].message));
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
             std::vector<std::string>{
                 "round 2 node 1: non-sender received one of several "
@@ -331,9 +426,12 @@ TEST(AuditTamper, NonSenderReceivedOneOfSeveral) {
 
 TEST(AuditTamper, DuplicateReachEntries) {
   SimResult result = run_path_script(CollisionRule::CR3);
-  std::vector<NodeId>& reached = result.trace.rounds[0].senders[0].reached;
-  ASSERT_FALSE(reached.empty());
-  reached.push_back(reached.front());
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    std::vector<NodeId> reach = testing::reach_of(rounds[0], 0);
+    ASSERT_FALSE(reach.empty());
+    reach.push_back(reach.front());
+    testing::set_reach(rounds[0], 0, reach);
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
             (std::vector<std::string>{
                 "round 1 node 0: duplicate reach entries",
@@ -343,15 +441,176 @@ TEST(AuditTamper, DuplicateReachEntries) {
 
 TEST(AuditTamper, TokenTransmittedWithoutHoldingIt) {
   SimResult result = run_path_script(CollisionRule::CR3);
-  SenderRecord& sender = result.trace.rounds[1].senders[1];
-  ASSERT_EQ(sender.node, 2);
-  ASSERT_EQ(sender.message.token, kNoToken);
-  sender.message.token = kBroadcastToken;
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    SparseRound::Sender& sender = rounds[1].senders[1];
+    ASSERT_EQ(sender.node, 2);
+    ASSERT_EQ(sender.message.token, kNoToken);
+    sender.message.token = kBroadcastToken;
+  });
   EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
             (std::vector<std::string>{
                 "round 2 node 2: transmitted a token without holding it",
                 "round 2 node 2: received a message that did not arrive",
                 "round 2 node 3: received a message that did not arrive"}));
+}
+
+TEST(AuditTamper, CollisionHeardAsSilence) {
+  SimResult result = run_path_script(CollisionRule::CR2);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_TRUE(testing::reception_at(rounds[1], 1).is_collision());
+    testing::set_reception(rounds[1], 1, Reception::silence());
+  });
+  EXPECT_EQ(audit_path_script(result, CollisionRule::CR2).violations,
+            std::vector<std::string>{
+                "round 2 node 1: heard silence despite a collision under CR2"});
+}
+
+TEST(AuditTamper, SenderReceivedAnotherSendersMessage) {
+  SimResult result = run_clique_script(CollisionRule::CR3);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_EQ(rounds[0].senders.size(), 2u);
+    testing::set_reception(rounds[0], 0,
+                           Reception::of(rounds[0].senders[1].message));
+  });
+  EXPECT_EQ(audit_clique_script(result, CollisionRule::CR3).violations,
+            std::vector<std::string>{
+                "round 1 node 0: sender received a message other than its "
+                "own"});
+}
+
+TEST(AuditTamper, SenderHeardItsOwnMessageDespiteCollisionUnderCR1) {
+  // CR1 senders collide too.
+  SimResult result = run_clique_script(CollisionRule::CR1);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_TRUE(testing::reception_at(rounds[0], 0).is_collision());
+    testing::set_reception(rounds[0], 0,
+                           Reception::of(rounds[0].senders[0].message));
+  });
+  EXPECT_EQ(audit_clique_script(result, CollisionRule::CR1).violations,
+            std::vector<std::string>{
+                "round 1 node 0: sender received one of several messages "
+                "under CR1"});
+}
+
+TEST(AuditTamper, SenderHeardCollisionUnderCR2) {
+  // Under CR2 a sender hears its own message, never top.
+  SimResult result = run_clique_script(CollisionRule::CR2);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    ASSERT_TRUE(testing::reception_at(rounds[0], 0).is_message());
+    testing::set_reception(rounds[0], 0, Reception::collision());
+  });
+  EXPECT_EQ(audit_clique_script(result, CollisionRule::CR2).violations,
+            std::vector<std::string>{
+                "round 1 node 0: sender heard collision notification under "
+                "CR2"});
+}
+
+TEST(AuditTamper, RelabelledRound) {
+  // Round 1 relabelled as round 2, with coverage claims that match the
+  // label: only the numbering gives it away.
+  SimResult result = run_path_script(CollisionRule::CR3);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    rounds[0].round = 2;
+  });
+  result.first_token[1] = result.token_first[0][1] = 2;
+  EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
+            std::vector<std::string>{"trace round 1 is numbered 2"});
+}
+
+TEST(AuditTamper, MissingRound) {
+  SimResult result = run_path_script(CollisionRule::CR3);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    rounds.pop_back();
+  });
+  EXPECT_EQ(audit_path_script(result, CollisionRule::CR3).violations,
+            std::vector<std::string>{
+                "trace records 1 rounds, result executed 2"});
+}
+
+TEST(AuditMutation, MutatedTracesAreRejectedOrFlagged) {
+  // Seeded mutations of traced runs: bit flips, byte overwrites, truncation
+  // and offset perturbation. Every round must decode with in-range ids or
+  // throw std::invalid_argument, and the audit must not fail any other way
+  // (the sanitizer jobs run this too). On a classical network (G = G') under
+  // CR2 or CR3 the model fixes every reach list (the sender's G row) and
+  // every reception (from the arrivals; a sender hears its own message), so
+  // no mutant is a legal execution and the audit must report a violation or
+  // throw std::invalid_argument. G'-only edges and CR4 resolutions leave the
+  // adversary choices a mutant can remake legally.
+  struct Run {
+    DualGraph net;
+    CollisionRule rule;
+    bool determined;
+  };
+  const std::vector<Run> runs = {
+      {duals::gray_zone({.n = 40, .seed = 6}), CollisionRule::CR4, false},
+      {make_classical(gen::gnp_connected(40, 0.1, 6), 0), CollisionRule::CR2,
+       true},
+      {make_classical(gen::gnp_connected(40, 0.1, 6), 0), CollisionRule::CR3,
+       true},
+  };
+  StreamRng rng(0x7ACE);
+  for (const Run& run : runs) {
+    const NodeId n = run.net.node_count();
+    BernoulliAdversary adversary(0.3, 5);
+    SimConfig config;
+    config.rule = run.rule;
+    config.max_rounds = 400;
+    config.stop_on_completion = false;
+    config.trace = TraceLevel::Compressed;
+    const SimResult clean = run_broadcast(
+        run.net, make_harmonic_factory(n), adversary, config);
+    ASSERT_TRUE(audit::audit_execution(run.net, clean, run.rule).ok);
+
+    for (int i = 0; i < 300; ++i) {
+      SimResult result = clean;
+      std::vector<std::uint8_t>& blob = result.trace.blob;
+      const std::size_t at = rng.below(blob.size());
+      switch (rng.below(4)) {
+        case 0:
+          blob[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+          break;
+        case 1:
+          blob[at] = static_cast<std::uint8_t>(blob[at] + 1 + rng.below(255));
+          break;
+        case 2:
+          blob.resize(at);
+          break;
+        default: {
+          std::vector<std::uint64_t>& offsets = result.trace.blob_offsets;
+          std::uint64_t& offset = offsets[rng.below(offsets.size())];
+          offset += 1 + rng.below(16);
+          if (rng.bernoulli(0.5)) offset -= 17;  // may wrap below zero
+          break;
+        }
+      }
+      const std::string label =
+          to_string(run.rule) + " mutant " + std::to_string(i);
+      const auto in_range = [n](NodeId v) { return v >= 0 && v < n; };
+      SparseRound round;
+      for (std::size_t r = 0; r < result.trace.compressed_rounds(); ++r) {
+        try {
+          result.trace.decode_round(r, n, round);
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        for (const SparseRound::Sender& s : round.senders) {
+          EXPECT_TRUE(in_range(s.node)) << label;
+        }
+        for (const NodeId v : round.reached) EXPECT_TRUE(in_range(v)) << label;
+        for (const SparseRound::Heard& h : round.receptions) {
+          EXPECT_TRUE(in_range(h.node)) << label;
+        }
+      }
+      try {
+        const auto report = audit::audit_execution(run.net, result, run.rule);
+        if (run.determined) {
+          EXPECT_FALSE(report.ok) << label;
+        }
+      } catch (const std::invalid_argument&) {
+      }
+    }
+  }
 }
 
 }  // namespace

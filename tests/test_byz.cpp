@@ -283,7 +283,7 @@ TEST(CertifiedPropagation, CpaAcceptsLegitimateTokenViaDistinctConfirmers) {
 
 // ----------------------------------------------- audit + contract dimension
 
-TEST(ByzAudit, ForgedWinSurfacesThroughFullAndCompressedTraces) {
+TEST(ByzAudit, ForgedWinSurfacesThroughTheTrace) {
   const DualGraph net = five_node_net();
   byz::ByzantinePlan plan(1);
   plan.add(4, byz::ByzBehavior::Forge);
@@ -291,19 +291,17 @@ TEST(ByzAudit, ForgedWinSurfacesThroughFullAndCompressedTraces) {
   const ProcessFactory relay =
       byz::make_uncertified_relay_factory(net.node_count(), {.relay_p = 1.0});
 
-  for (const TraceLevel level : {TraceLevel::Full, TraceLevel::Compressed}) {
-    BenignAdversary adversary;
-    const SimResult result =
-        run_broadcast(net, relay, adversary, byz_config(plan, 16, level));
-    const audit::AuditReport report =
-        audit::audit_execution(net, result, CollisionRule::CR3);
-    EXPECT_TRUE(report.ok)
-        << (report.violations.empty() ? "" : report.violations.front());
-    ASSERT_TRUE(report.forged_token_won());
-    ASSERT_EQ(report.forged_wins.size(), 1u);
-    EXPECT_NE(report.forged_wins[0].find("forged token"), std::string::npos);
-    EXPECT_NE(report.forged_wins[0].find("node 3"), std::string::npos);
-  }
+  BenignAdversary adversary;
+  const SimResult result = run_broadcast(
+      net, relay, adversary, byz_config(plan, 16, TraceLevel::Compressed));
+  const audit::AuditReport report =
+      audit::audit_execution(net, result, CollisionRule::CR3);
+  EXPECT_TRUE(report.ok)
+      << (report.violations.empty() ? "" : report.violations.front());
+  ASSERT_TRUE(report.forged_token_won());
+  ASSERT_EQ(report.forged_wins.size(), 1u);
+  EXPECT_NE(report.forged_wins[0].find("forged token"), std::string::npos);
+  EXPECT_NE(report.forged_wins[0].find("node 3"), std::string::npos);
 }
 
 TEST(ByzAudit, CpaExecutionAuditsCleanWithNoWins) {
@@ -314,16 +312,14 @@ TEST(ByzAudit, CpaExecutionAuditsCleanWithNoWins) {
   const ProcessFactory cpa = byz::make_cpa_factory(
       net.node_count(), {.f = 1, .trusted_origins = {0}, .relay_p = 1.0});
 
-  for (const TraceLevel level : {TraceLevel::Full, TraceLevel::Compressed}) {
-    BenignAdversary adversary;
-    const SimResult result =
-        run_broadcast(net, cpa, adversary, byz_config(plan, 64, level));
-    const audit::AuditReport report =
-        audit::audit_execution(net, result, CollisionRule::CR3);
-    EXPECT_TRUE(report.ok)
-        << (report.violations.empty() ? "" : report.violations.front());
-    EXPECT_FALSE(report.forged_token_won());
-  }
+  BenignAdversary adversary;
+  const SimResult result = run_broadcast(
+      net, cpa, adversary, byz_config(plan, 64, TraceLevel::Compressed));
+  const audit::AuditReport report =
+      audit::audit_execution(net, result, CollisionRule::CR3);
+  EXPECT_TRUE(report.ok)
+      << (report.violations.empty() ? "" : report.violations.front());
+  EXPECT_FALSE(report.forged_token_won());
 }
 
 TEST(ByzAudit, TamperedProvenanceFailsTheAudit) {
@@ -334,8 +330,8 @@ TEST(ByzAudit, TamperedProvenanceFailsTheAudit) {
   const ProcessFactory relay =
       byz::make_uncertified_relay_factory(net.node_count(), {.relay_p = 1.0});
   BenignAdversary adversary;
-  SimResult result = run_broadcast(net, relay, adversary,
-                                   byz_config(plan, 16, TraceLevel::Full));
+  SimResult result = run_broadcast(
+      net, relay, adversary, byz_config(plan, 16, TraceLevel::Compressed));
   ASSERT_EQ(result.forged_tokens.size(), 1u);
   result.forged_tokens[0].victim_sends += 1;  // claim one send too many
   const audit::AuditReport report =
@@ -438,7 +434,7 @@ TEST(ByzEquivalence, FiveNodeForgeRunsIdenticallyEverywhere) {
   plan.bind(net, {}, 33);
   const ProcessFactory relay =
       byz::make_uncertified_relay_factory(net.node_count(), {.relay_p = 1.0});
-  const SimConfig config = byz_config(plan, 16, TraceLevel::Full);
+  const SimConfig config = byz_config(plan, 16, TraceLevel::Compressed);
 
   BenignAdversary a1, a2, a3, a4;
   const SimResult serial = run_broadcast(net, relay, a1, config);
@@ -454,6 +450,9 @@ TEST(ByzEquivalence, FiveNodeForgeRunsIdenticallyEverywhere) {
   const SimResult sharded4 = run_broadcast(net, relay, a4, four);
   EXPECT_EQ(serial.forged_tokens, sharded2.forged_tokens);
   EXPECT_EQ(serial.forged_tokens, sharded4.forged_tokens);
+  ASSERT_GT(serial.trace.compressed_rounds(), 0u);
+  EXPECT_EQ(serial.trace.blob, reference.trace.blob);
+  EXPECT_EQ(serial.trace.blob, sharded2.trace.blob);
   EXPECT_EQ(serial.trace.blob, sharded4.trace.blob);
 }
 

@@ -29,15 +29,22 @@ SimConfig sync_config(CollisionRule rule, Round max_rounds = 16) {
   config.rule = rule;
   config.start = StartRule::Synchronous;
   config.max_rounds = max_rounds;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   return config;
 }
 
-const Reception& reception_of(const SimResult& result, Round round,
-                              NodeId node) {
-  return result.trace.rounds[static_cast<std::size_t>(round - 1)]
-      .receptions[static_cast<std::size_t>(node)];
+/// Round `round` of the result's trace, decoded.
+SparseRound round_of(const SimResult& result, Round round) {
+  SparseRound out;
+  result.trace.decode_round(static_cast<std::size_t>(round - 1),
+                            static_cast<NodeId>(result.process_of_node.size()),
+                            out);
+  return out;
+}
+
+Reception reception_of(const SimResult& result, Round round, NodeId node) {
+  return testing::reception_at(round_of(result, round), node);
 }
 
 // -------------------------------------------------------------- delivery
@@ -212,7 +219,7 @@ TEST(StartRules, CollisionDoesNotWakeAsleepProcess) {
   const SimResult result = run_broadcast(net, factory, adversary, config);
   EXPECT_TRUE(reception_of(result, 2, 2).is_collision());
   EXPECT_EQ(result.first_token[2], kNever);
-  EXPECT_TRUE(result.trace.rounds[2].senders.empty());
+  EXPECT_TRUE(round_of(result, 3).senders.empty());
 }
 
 TEST(StartRules, SynchronousEveryoneAwakeRoundOne) {
@@ -236,10 +243,11 @@ TEST(SparseEngine, SendAndCollisionCounters) {
   const SimResult result =
       run_broadcast(net, factory, adversary, sync_config(CollisionRule::CR1, 2));
   EXPECT_EQ(result.total_sends, 3u);
-  // Round 1: all three nodes see two arrivals each.
-  EXPECT_EQ(result.trace.collisions_per_round[0], 3u);
-  EXPECT_EQ(result.trace.senders_per_round[0], 2u);
-  EXPECT_EQ(result.trace.senders_per_round[1], 1u);
+  // Round 1: all three nodes see two arrivals each; round 2's lone sender
+  // collides nowhere.
+  EXPECT_EQ(result.total_collision_events, 3u);
+  EXPECT_EQ(round_of(result, 1).senders.size(), 2u);
+  EXPECT_EQ(round_of(result, 2).senders.size(), 1u);
 }
 
 TEST(SparseEngine, CollisionEventsExcludeSendersUnderCR2ToCR4) {
@@ -256,7 +264,6 @@ TEST(SparseEngine, CollisionEventsExcludeSendersUnderCR2ToCR4) {
     const SimResult result =
         run_broadcast(net, factory, adversary, sync_config(rule, 1));
     EXPECT_EQ(result.total_collision_events, 1u) << to_string(rule);
-    EXPECT_EQ(result.trace.collisions_per_round[0], 1u) << to_string(rule);
   }
 }
 
@@ -306,12 +313,12 @@ TEST(SparseEngine, TraceRecordsReachSets) {
   const auto factory = scripted_factory({{0, {1}}});
   const SimResult result =
       run_broadcast(net, factory, adversary, sync_config(CollisionRule::CR1, 1));
-  ASSERT_EQ(result.trace.rounds.size(), 1u);
-  const auto& senders = result.trace.rounds[0].senders;
-  ASSERT_EQ(senders.size(), 1u);
-  EXPECT_EQ(senders[0].node, 0);
+  ASSERT_EQ(result.trace.compressed_rounds(), 1u);
+  const SparseRound round = round_of(result, 1);
+  ASSERT_EQ(round.senders.size(), 1u);
+  EXPECT_EQ(round.senders[0].node, 0);
   // Reached node 1 (reliable) and node 2 (unreliable, fired).
-  EXPECT_EQ(senders[0].reached.size(), 2u);
+  EXPECT_EQ(round.reach(round.senders[0]).size(), 2u);
 }
 
 TEST(SparseEngine, StopsAtMaxRounds) {

@@ -28,10 +28,11 @@
 #include "graph/generators.hpp"
 #include "mac/bmmb.hpp"
 #include "obs/telemetry.hpp"
+#include "test_util.hpp"
 
 /// The sparse CSR engine (run_broadcast) must be *bit-identical* to the
 /// dense reference engine (run_broadcast_reference) — same SimResult down to
-/// trace vectors and process metrics — for every network, algorithm,
+/// trace bytes and process metrics — for every network, algorithm,
 /// adversary, collision rule, start rule, token count, AND thread count of
 /// the sharded parallel round kernel (SimConfig::threads). These tests sweep
 /// randomized small executions across the full model surface (each also
@@ -52,26 +53,12 @@ void expect_identical(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.total_sends, b.total_sends) << label;
   EXPECT_EQ(a.total_collision_events, b.total_collision_events) << label;
   EXPECT_EQ(a.forged_tokens, b.forged_tokens) << label;
+  // Equal blobs mean equal rounds: the senders, their messages and reach
+  // lists, and every reception — and so equal per-round sender and
+  // collision counts.
   EXPECT_EQ(a.trace.level, b.trace.level) << label;
-  EXPECT_EQ(a.trace.senders_per_round, b.trace.senders_per_round) << label;
-  EXPECT_EQ(a.trace.collisions_per_round, b.trace.collisions_per_round)
-      << label;
   EXPECT_EQ(a.trace.blob, b.trace.blob) << label;
   EXPECT_EQ(a.trace.blob_offsets, b.trace.blob_offsets) << label;
-  ASSERT_EQ(a.trace.rounds.size(), b.trace.rounds.size()) << label;
-  for (std::size_t r = 0; r < a.trace.rounds.size(); ++r) {
-    const RoundRecord& ra = a.trace.rounds[r];
-    const RoundRecord& rb = b.trace.rounds[r];
-    EXPECT_EQ(ra.round, rb.round) << label;
-    EXPECT_EQ(ra.receptions, rb.receptions) << label << " round " << ra.round;
-    ASSERT_EQ(ra.senders.size(), rb.senders.size())
-        << label << " round " << ra.round;
-    for (std::size_t s = 0; s < ra.senders.size(); ++s) {
-      EXPECT_EQ(ra.senders[s].node, rb.senders[s].node) << label;
-      EXPECT_EQ(ra.senders[s].message, rb.senders[s].message) << label;
-      EXPECT_EQ(ra.senders[s].reached, rb.senders[s].reached) << label;
-    }
-  }
   ASSERT_EQ(a.process_metrics.size(), b.process_metrics.size()) << label;
   for (std::size_t i = 0; i < a.process_metrics.size(); ++i) {
     EXPECT_EQ(a.process_metrics[i].node, b.process_metrics[i].node) << label;
@@ -140,8 +127,8 @@ ProcessFactory cms_algo(const DualGraph& net) {
 
 TEST(EngineEquivalence, RandomSmallScenarios) {
   // Sweep: every collision rule x start rule, cycling through algorithms,
-  // adversaries, and randomized small dual networks (n <= 64). Full traces,
-  // so divergence anywhere in delivery, reception, or accounting is caught.
+  // adversaries, and randomized small dual networks (n <= 64). Traced, so
+  // divergence anywhere in delivery, reception, or accounting is caught.
   const std::vector<std::pair<const char*, AlgorithmFactory>> algorithms = {
       {"decay", decay_algo},
       {"harmonic", harmonic_algo},
@@ -189,7 +176,7 @@ TEST(EngineEquivalence, RandomSmallScenarios) {
         config.start = start;
         config.max_rounds = 30'000;
         config.seed = mix_seed(1234, combo);
-        config.trace = TraceLevel::Full;
+        config.trace = TraceLevel::Compressed;
         run_both(net, algo(net), adversary, config,
                  std::string(algo_name) + "/" + net_name + "/" + adv_name +
                      "/" + to_string(rule) + "/" + to_string(start));
@@ -212,7 +199,7 @@ TEST(EngineEquivalence, MultiTokenExecutions) {
         config.start = start;
         config.max_rounds = 200'000;
         config.seed = mix_seed(77, static_cast<std::uint64_t>(k));
-        config.trace = TraceLevel::Counts;
+        config.trace = TraceLevel::Compressed;
         config.token_sources = mac::spread_token_sources(*net, k);
         run_both(*net, mac::make_bmmb_factory(net->node_count()),
                  campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.3),
@@ -249,7 +236,7 @@ TEST(EngineEquivalence, ProofRuleAndScriptedAdversaries) {
     config.start = StartRule::Synchronous;
     config.max_rounds = 5'000;
     config.seed = 31;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     run_both(net, make_harmonic_factory(n, {.eps = 0.2}),
              [n](std::uint64_t) { return std::make_unique<PinnedTheorem2>(n); },
              config, "theorem2/bridge");
@@ -275,7 +262,7 @@ TEST(EngineEquivalence, ProofRuleAndScriptedAdversaries) {
     config.start = StartRule::Asynchronous;
     config.max_rounds = 20'000;
     config.seed = 77;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     run_both(net, make_decay_factory(net.node_count()),
              [&script](std::uint64_t) {
                return std::make_unique<ScriptedAdversary>(script);
@@ -291,7 +278,7 @@ TEST(EngineEquivalence, StopOnCompletionOffMatchesToo) {
   config.max_rounds = 2'000;
   config.stop_on_completion = false;
   config.seed = 5;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   run_both(net, make_decay_factory(net.node_count()),
            campaign::make_adversary_factory<BenignAdversary>(), config,
            "decay/no-stop");
@@ -370,7 +357,7 @@ TEST(EngineEquivalence, ByzantineExecutionsAreBitIdentical) {
       config.start = StartRule::Asynchronous;
       config.max_rounds = 20'000;
       config.seed = mix_seed(4711, static_cast<std::uint64_t>(behavior));
-      config.trace = TraceLevel::Full;
+      config.trace = TraceLevel::Compressed;
       config.byzantine = &plan;
       const std::string tag = (net == &layered ? "layered" : "grayzone");
       const std::string mode =
@@ -417,7 +404,7 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
   // The telemetry layer is strictly out-of-band: attaching an
   // obs::RoundTelemetry must leave the SimResult bit-identical — serial and
   // sharded (threads in {1, 2, 4}), and equal to the reference engine (which
-  // has no telemetry), with a full trace so any perturbation anywhere in
+  // has no telemetry), with a trace so any perturbation anywhere in
   // delivery or accounting would surface.
   const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
   const ProcessFactory factory = make_decay_factory(net.node_count());
@@ -430,7 +417,7 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
       config.start = StartRule::Asynchronous;
       config.max_rounds = 30'000;
       config.seed = 4242;
-      config.trace = TraceLevel::Full;
+      config.trace = TraceLevel::Compressed;
       config.threads = threads;
       const auto adv_off = adversary(mix_seed(config.seed, 0xAD));
       const SimResult off = run_broadcast(net, factory, *adv_off, config);
@@ -454,15 +441,15 @@ TEST(EngineEquivalence, TelemetryDoesNotPerturbResults) {
   }
 }
 
-TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
-  // TraceLevel::Compressed must store the exact same per-round records as
-  // Full, only delta/varint-encoded: decoding round i yields the Full
-  // record's senders and reach lists and exactly its non-silence
-  // receptions, ascending, and the encoded blob is bit-identical across
-  // engines and thread counts (expect_identical covers the blob on the
-  // compressed runs).
+TEST(EngineEquivalence, TraceIsWellFormed) {
+  // Every traced round decodes: rounds numbered 1..R, senders, reach lists
+  // and receptions ascending and in range, silence never stored, and the
+  // senders summing to total_sends. Re-encoding the decoded rounds gives the
+  // blob back byte for byte, and the blob is bit-identical across engines
+  // and thread counts (run_both).
   const DualGraph net = duals::gray_zone({.n = 40, .seed = 9});
-  const ProcessFactory factory = make_decay_factory(net.node_count());
+  const NodeId n = net.node_count();
+  const ProcessFactory factory = make_decay_factory(n);
   const auto adversary =
       campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.4);
   for (const CollisionRule rule :
@@ -472,48 +459,42 @@ TEST(EngineEquivalence, CompressedTraceDecodesToFullTrace) {
     config.start = StartRule::Asynchronous;
     config.max_rounds = 30'000;
     config.seed = 99;
-    config.trace = TraceLevel::Full;
-    const auto adv_full = adversary(mix_seed(config.seed, 0xAD));
-    const SimResult full = run_broadcast(net, factory, *adv_full, config);
-
     config.trace = TraceLevel::Compressed;
-    const auto adv_comp = adversary(mix_seed(config.seed, 0xAD));
-    const SimResult compressed = run_broadcast(net, factory, *adv_comp, config);
-    const std::string label = "compressed/" + std::string(to_string(rule));
+    const auto adv = adversary(mix_seed(config.seed, 0xAD));
+    const SimResult result = run_broadcast(net, factory, *adv, config);
+    const std::string label = "trace/" + std::string(to_string(rule));
 
-    EXPECT_TRUE(compressed.trace.rounds.empty()) << label;
-    ASSERT_EQ(compressed.trace.compressed_rounds(), full.trace.rounds.size())
+    const std::vector<SparseRound> rounds =
+        testing::decode_rounds(result.trace, n);
+    ASSERT_EQ(rounds.size(), static_cast<std::size_t>(result.rounds_executed))
         << label;
-    SparseRound decoded;
-    for (std::size_t i = 0; i < full.trace.rounds.size(); ++i) {
-      compressed.trace.decode_round(i, net.node_count(), decoded);
-      const RoundRecord& want = full.trace.rounds[i];
-      EXPECT_EQ(decoded.round, want.round) << label;
-      std::vector<Reception> receptions(want.receptions.size());
+    std::uint64_t sends = 0;
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+      const SparseRound& round = rounds[i];
+      EXPECT_EQ(round.round, static_cast<Round>(i + 1)) << label;
       NodeId prev = -1;
-      for (const SparseRound::Heard& h : decoded.receptions) {
+      for (const SparseRound::Sender& s : round.senders) {
+        EXPECT_GT(s.node, prev) << label;
+        prev = s.node;
+        for (const NodeId v : round.reach(s)) {
+          EXPECT_TRUE(net.g_prime_csr().contains(s.node, v)) << label;
+        }
+      }
+      sends += round.senders.size();
+      prev = -1;
+      for (const SparseRound::Heard& h : round.receptions) {
         EXPECT_GT(h.node, prev) << label;
         EXPECT_FALSE(h.reception.is_silence()) << label;
         prev = h.node;
-        receptions[static_cast<std::size_t>(h.node)] = h.reception;
-      }
-      EXPECT_EQ(receptions, want.receptions) << label;
-      ASSERT_EQ(decoded.senders.size(), want.senders.size()) << label;
-      for (std::size_t s = 0; s < want.senders.size(); ++s) {
-        const SparseRound::Sender& got = decoded.senders[s];
-        EXPECT_EQ(got.node, want.senders[s].node) << label;
-        EXPECT_EQ(got.message, want.senders[s].message) << label;
-        const auto reach = decoded.reach(got);
-        EXPECT_EQ(std::vector<NodeId>(reach.begin(), reach.end()),
-                  want.senders[s].reached)
-            << label;
       }
     }
-    // Compressed counts mirror Full's per-round counters.
-    EXPECT_EQ(compressed.trace.senders_per_round, full.trace.senders_per_round)
-        << label;
+    EXPECT_EQ(sends, result.total_sends) << label;
 
-    // Cross-engine and cross-thread-count: blobs bit-identical.
+    Trace reencoded;
+    testing::encode_rounds(reencoded, rounds);
+    EXPECT_EQ(reencoded.blob, result.trace.blob) << label;
+    EXPECT_EQ(reencoded.blob_offsets, result.trace.blob_offsets) << label;
+
     run_both(net, factory, adversary, config, label);
   }
 }

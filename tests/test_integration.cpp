@@ -15,6 +15,7 @@
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
 #include "lowerbound/theorem11_network.hpp"
+#include "test_util.hpp"
 
 namespace dualrad {
 namespace {
@@ -51,17 +52,19 @@ class FuzzAdversary : public Adversary {
   StreamRng rng_;
 };
 
-/// Audit a full trace against the model's delivery rules.
+/// Audit a trace against the model's delivery rules.
 void audit_trace(const DualGraph& net, const SimResult& result) {
   std::vector<Round> token_seen(static_cast<std::size_t>(net.node_count()),
                                 kNever);
   token_seen[static_cast<std::size_t>(net.source())] = 0;
-  for (const auto& record : result.trace.rounds) {
+  for (const SparseRound& record :
+       testing::decode_rounds(result.trace, net.node_count())) {
     for (const auto& sender : record.senders) {
       // Every reached node is a G'-out-neighbor...
-      std::set<NodeId> reached(sender.reached.begin(), sender.reached.end());
-      EXPECT_EQ(reached.size(), sender.reached.size()) << "duplicate reach";
-      for (NodeId v : sender.reached) {
+      const auto reach = record.reach(sender);
+      std::set<NodeId> reached(reach.begin(), reach.end());
+      EXPECT_EQ(reached.size(), reach.size()) << "duplicate reach";
+      for (NodeId v : reach) {
         EXPECT_TRUE(net.g_prime_csr().contains(sender.node, v))
             << sender.node << "->" << v;
       }
@@ -78,15 +81,15 @@ void audit_trace(const DualGraph& net, const SimResult& result) {
     // Token causality: a token reception requires a token sender that
     // reached this node in this round.
     for (NodeId v = 0; v < net.node_count(); ++v) {
-      const auto& rec = record.receptions[static_cast<std::size_t>(v)];
+      const Reception rec = testing::reception_at(record, v);
       if (!rec.has_token()) continue;
       const bool justified = std::any_of(
           record.senders.begin(), record.senders.end(),
-          [&](const SenderRecord& s) {
+          [&](const SparseRound::Sender& s) {
+            const auto reach = record.reach(s);
             return s.message.token &&
                    (s.node == v ||
-                    std::find(s.reached.begin(), s.reached.end(), v) !=
-                        s.reached.end());
+                    std::find(reach.begin(), reach.end(), v) != reach.end());
           });
       EXPECT_TRUE(justified) << "round " << record.round << " node " << v;
       auto& seen = token_seen[static_cast<std::size_t>(v)];
@@ -115,7 +118,7 @@ TEST_P(FuzzSweep, TraceInvariantsHoldUnderErraticAdversary) {
     config.start = StartRule::Asynchronous;
     config.max_rounds = 500'000;
     config.seed = seed;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     const ProcessFactory factory =
         make_harmonic_factory(net.node_count(), {.T = 8});
     const SimResult result = run_broadcast(net, factory, adversary, config);
@@ -132,7 +135,7 @@ TEST(Integration, StrongSelectTraceAudit) {
   GreedyBlockerAdversary adversary;
   SimConfig config;
   config.max_rounds = 500'000;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   const SimResult result = run_broadcast(
       net, make_strong_select_factory(net.node_count()), adversary, config);
   ASSERT_TRUE(result.completed);
@@ -220,7 +223,7 @@ TEST(Integration, StrongSelectTerminationBound) {
   GreedyBlockerAdversary adversary;
   SimConfig config;
   config.max_rounds = schedule->done_round_bound(2'000) + 2'000;
-  config.trace = TraceLevel::Counts;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const SimResult result = run_broadcast(net, make_strong_select_factory(16),
                                          adversary, config);
@@ -228,9 +231,11 @@ TEST(Integration, StrongSelectTerminationBound) {
   Round last_token = 0;
   for (Round r : result.first_token) last_token = std::max(last_token, r);
   const Round horizon = schedule->done_round_bound(last_token);
+  SparseRound round;
   for (std::size_t r = static_cast<std::size_t>(horizon);
-       r < result.trace.senders_per_round.size(); ++r) {
-    EXPECT_EQ(result.trace.senders_per_round[r], 0u) << "round " << (r + 1);
+       r < result.trace.compressed_rounds(); ++r) {
+    result.trace.decode_round(r, net.node_count(), round);
+    EXPECT_TRUE(round.senders.empty()) << "round " << (r + 1);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
@@ -47,17 +48,6 @@ TEST(InterferenceNetwork, ValidatesInputs) {
                std::invalid_argument);
 }
 
-TEST(InterferenceModel, RejectsCompressedTrace) {
-  // The engine has no compressed encoder: a Compressed request must fail
-  // up front instead of reporting the level over an empty blob.
-  const InterferenceNetwork net = tiny_inet();
-  InterferenceConfig config;
-  config.trace = TraceLevel::Compressed;
-  EXPECT_THROW((void)run_interference_broadcast(
-                   net, make_round_robin_factory(net.node_count()), config),
-               std::invalid_argument);
-}
-
 TEST(InterferenceModel, MessagesOnlyConveyOverGt) {
   // Node 0 sends alone: node 1 (G_T neighbor) receives; node 2 (G_I-only
   // neighbor) hears silence even though the message "reached" it.
@@ -66,12 +56,16 @@ TEST(InterferenceModel, MessagesOnlyConveyOverGt) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR1;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  const auto& recs = result.trace.rounds[0].receptions;
-  EXPECT_TRUE(recs[1].has_token());
-  EXPECT_TRUE(recs[2].is_silence());
+  const SparseRound round = testing::decode_rounds(result.trace, 3)[0];
+  EXPECT_TRUE(testing::reception_at(round, 1).has_token());
+  EXPECT_TRUE(testing::reception_at(round, 2).is_silence());
+  // The trace records every node the message reached: node 0's G_T row,
+  // then its G_I-only row.
+  ASSERT_EQ(round.senders.size(), 1u);
+  EXPECT_EQ(testing::reach_of(round, 0), (std::vector<NodeId>{1, 2}));
 }
 
 TEST(InterferenceModel, GiOnlyEdgeStillCollides) {
@@ -82,10 +76,12 @@ TEST(InterferenceModel, GiOnlyEdgeStillCollides) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR1;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  EXPECT_TRUE(result.trace.rounds[0].receptions[2].is_collision());
+  EXPECT_TRUE(
+      testing::reception_at(testing::decode_rounds(result.trace, 3)[0], 2)
+          .is_collision());
 }
 
 TEST(InterferenceModel, CompletesWithClassicalGraphs) {
@@ -164,7 +160,7 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   iconfig.rule = param.rule;
   iconfig.start = param.start;
   iconfig.max_rounds = horizon;
-  iconfig.trace = TraceLevel::Full;
+  iconfig.trace = TraceLevel::Compressed;
   iconfig.seed = 11;
   const InterferenceResult iresult =
       run_interference_broadcast(inet, factory, iconfig);
@@ -175,7 +171,7 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   dconfig.rule = param.rule;
   dconfig.start = param.start;
   dconfig.max_rounds = horizon;
-  dconfig.trace = TraceLevel::Full;
+  dconfig.trace = TraceLevel::Compressed;
   dconfig.seed = 11;
   const SimResult dresult = run_broadcast(dual, factory, adversary, dconfig);
 
@@ -183,13 +179,15 @@ TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   // same completion round.
   EXPECT_EQ(iresult.completed, dresult.completed);
   EXPECT_EQ(iresult.completion_round, dresult.completion_round);
-  ASSERT_EQ(iresult.trace.rounds.size(), dresult.trace.rounds.size());
-  for (std::size_t r = 0; r < iresult.trace.rounds.size(); ++r) {
-    const auto& irecs = iresult.trace.rounds[r].receptions;
-    const auto& drecs = dresult.trace.rounds[r].receptions;
-    ASSERT_EQ(irecs.size(), drecs.size());
-    for (std::size_t v = 0; v < irecs.size(); ++v) {
-      EXPECT_EQ(irecs[v], drecs[v])
+  const std::vector<SparseRound> irounds =
+      testing::decode_rounds(iresult.trace, n);
+  const std::vector<SparseRound> drounds =
+      testing::decode_rounds(dresult.trace, n);
+  ASSERT_EQ(irounds.size(), drounds.size());
+  for (std::size_t r = 0; r < irounds.size(); ++r) {
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(testing::reception_at(irounds[r], v),
+                testing::reception_at(drounds[r], v))
           << "round " << (r + 1) << " node " << v;
     }
   }

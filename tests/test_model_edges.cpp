@@ -108,16 +108,18 @@ TEST(InterferenceEdges, Cr2SenderHearsOwnDespiteInterference) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR2;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  const auto& recs = result.trace.rounds[0].receptions;
-  ASSERT_TRUE(recs[0].is_message());
-  EXPECT_EQ(recs[0].message->origin, 0);
-  ASSERT_TRUE(recs[2].is_message());
-  EXPECT_EQ(recs[2].message->origin, 2);
+  const SparseRound round = testing::decode_rounds(result.trace, 3)[0];
+  const Reception own0 = testing::reception_at(round, 0);
+  ASSERT_TRUE(own0.is_message());
+  EXPECT_EQ(own0.message->origin, 0);
+  const Reception own2 = testing::reception_at(round, 2);
+  ASSERT_TRUE(own2.is_message());
+  EXPECT_EQ(own2.message->origin, 2);
   // Node 1 is reached by both (each over G_T): collision notification.
-  EXPECT_TRUE(recs[1].is_collision());
+  EXPECT_TRUE(testing::reception_at(round, 1).is_collision());
 }
 
 TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
@@ -129,10 +131,12 @@ TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
   InterferenceConfig config;
   config.rule = CollisionRule::CR3;
   config.max_rounds = 1;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
-  EXPECT_TRUE(result.trace.rounds[0].receptions[1].is_silence());
+  EXPECT_TRUE(
+      testing::reception_at(testing::decode_rounds(result.trace, 3)[0], 1)
+          .is_silence());
 }
 
 TEST(InterferenceEdges, AsyncStartWakesOnGtDeliveryOnly) {
@@ -147,11 +151,11 @@ TEST(InterferenceEdges, AsyncStartWakesOnGtDeliveryOnly) {
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Asynchronous;
   config.max_rounds = 3;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   const auto result = run_interference_broadcast(net, factory, config);
   // Round 2: node 2 is still asleep, so its scripted send cannot happen.
-  EXPECT_TRUE(result.trace.rounds[1].senders.empty());
+  EXPECT_TRUE(testing::decode_rounds(result.trace, 3)[1].senders.empty());
 }
 
 TEST(ModelEdges, StrongSelectSourceBroadcastsEventually) {

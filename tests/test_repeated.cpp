@@ -106,7 +106,7 @@ TEST(LinkEstimation, RecoversReliableGraphUnderBernoulli) {
     BernoulliAdversary adversary(0.25, 77 + seed);
     SimConfig config;
     config.max_rounds = 1'000'000;
-    config.trace = TraceLevel::Full;
+    config.trace = TraceLevel::Compressed;
     config.seed = seed;
     const SimResult result = run_broadcast(
         net, make_harmonic_factory(net.node_count()), adversary, config);
@@ -135,7 +135,7 @@ TEST(LinkEstimation, FullInterferenceMakesEverythingLookReliable) {
   // over the unreliable links.
   config.max_rounds = 50;
   config.stop_on_completion = false;
-  config.trace = TraceLevel::Full;
+  config.trace = TraceLevel::Compressed;
   const SimResult result = run_broadcast(
       net, make_harmonic_factory(net.node_count()), adversary, config);
   ASSERT_TRUE(result.completed);
@@ -150,11 +150,12 @@ TEST(LinkEstimation, RejectsTraceSenderOutOfRange) {
   const DualGraph net = duals::bridge_network(8);
   for (const NodeId bad : {NodeId{8}, NodeId{-1}, NodeId{100000}}) {
     Trace trace;
-    trace.level = TraceLevel::Full;
-    RoundRecord record;
-    record.round = 1;
-    record.senders.push_back({.node = bad});
-    trace.rounds.push_back(std::move(record));
+    trace.level = TraceLevel::Compressed;
+    {
+      CompressedRound round(trace, 1, 1);
+      round.sender(bad, Message{}, {}, {});
+      round.receptions({}, {});
+    }
     EXPECT_THROW((void)repeated::estimate_reliable_links(net, {trace}),
                  std::invalid_argument)
         << "sender " << bad;

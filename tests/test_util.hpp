@@ -1,13 +1,16 @@
 #pragma once
 
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "algorithms/broadcast_algorithm.hpp"
 #include "core/process.hpp"
+#include "core/trace.hpp"
 
-/// Test helpers: tiny controllable processes.
+/// Test helpers: tiny controllable processes, and decoding and re-encoding
+/// execution traces.
 
 namespace dualrad::testing {
 
@@ -70,6 +73,85 @@ inline ProcessFactory scripted_factory(
     return std::make_unique<Recorder>(
         id, id == recorded_id ? recorder_sink : nullptr);
   };
+}
+
+/// Every round of `trace`, decoded against an n-node network.
+inline std::vector<SparseRound> decode_rounds(const Trace& trace, NodeId n) {
+  std::vector<SparseRound> rounds(trace.compressed_rounds());
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    trace.decode_round(i, n, rounds[i]);
+  }
+  return rounds;
+}
+
+/// Node v's reception in a decoded round: silence unless listed.
+inline Reception reception_at(const SparseRound& round, NodeId v) {
+  for (const SparseRound::Heard& h : round.receptions) {
+    if (h.node == v) return h.reception;
+  }
+  return Reception::silence();
+}
+
+/// Set node v's reception, keeping the list ascending and silence unlisted.
+inline void set_reception(SparseRound& round, NodeId v,
+                          const Reception& reception) {
+  auto it = std::find_if(
+      round.receptions.begin(), round.receptions.end(),
+      [v](const SparseRound::Heard& h) { return h.node >= v; });
+  if (it != round.receptions.end() && it->node == v) {
+    it = round.receptions.erase(it);
+  }
+  if (!reception.is_silence()) round.receptions.insert(it, {v, reception});
+}
+
+/// Sender i's reach list, as a vector to edit and hand to set_reach.
+inline std::vector<NodeId> reach_of(const SparseRound& round, std::size_t i) {
+  const auto reach = round.reach(round.senders[i]);
+  return {reach.begin(), reach.end()};
+}
+
+/// Replace sender i's reach list, keeping every other sender's.
+inline void set_reach(SparseRound& round, std::size_t i,
+                      const std::vector<NodeId>& reach) {
+  std::vector<NodeId> reached;
+  for (std::size_t j = 0; j < round.senders.size(); ++j) {
+    SparseRound::Sender& s = round.senders[j];
+    const std::vector<NodeId> own = j == i ? reach : reach_of(round, j);
+    s.reach_begin = reached.size();
+    reached.insert(reached.end(), own.begin(), own.end());
+    s.reach_end = reached.size();
+  }
+  round.reached = std::move(reached);
+}
+
+/// Re-encode decoded (and possibly edited) rounds as the whole of `trace`,
+/// through CompressedRound — what the execution frame writes.
+inline void encode_rounds(Trace& trace,
+                          const std::vector<SparseRound>& rounds) {
+  trace.blob.clear();
+  trace.blob_offsets.clear();
+  for (const SparseRound& round : rounds) {
+    CompressedRound out(trace, round.round, round.senders.size());
+    for (const SparseRound::Sender& s : round.senders) {
+      out.sender(s.node, s.message, round.reach(s), {});
+    }
+    std::vector<NodeId> nodes;
+    std::vector<Reception> at;
+    for (const SparseRound::Heard& h : round.receptions) {
+      nodes.push_back(h.node);
+      at.resize(std::max(at.size(), static_cast<std::size_t>(h.node) + 1));
+      at[static_cast<std::size_t>(h.node)] = h.reception;
+    }
+    out.receptions(nodes, at);
+  }
+}
+
+/// Decode `trace`, let `edit` change its rounds, and re-encode them.
+template <class Edit>
+void edit_rounds(Trace& trace, NodeId n, Edit&& edit) {
+  std::vector<SparseRound> rounds = decode_rounds(trace, n);
+  edit(rounds);
+  encode_rounds(trace, rounds);
 }
 
 }  // namespace dualrad::testing
