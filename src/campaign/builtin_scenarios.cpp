@@ -1,6 +1,13 @@
 #include "campaign/builtin_scenarios.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/greedy_blocker.hpp"
@@ -13,6 +20,7 @@
 #include "algorithms/uniform_gossip.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
+#include "lowerbound/theorem11_network.hpp"
 #include "mac/mac_scenarios.hpp"
 
 namespace dualrad::campaign {
@@ -30,6 +38,22 @@ namespace {
 
 [[nodiscard]] NetworkBuilder classical_bridge(NodeId n) {
   return [n] { return duals::strip_unreliable(duals::bridge_network(n)); };
+}
+
+[[nodiscard]] NetworkBuilder bridge(NodeId n) {
+  return [n] { return duals::bridge_network(n); };
+}
+
+[[nodiscard]] NetworkBuilder clique(NodeId n) {
+  return [n] { return make_classical(gen::clique(n), 0); };
+}
+
+[[nodiscard]] NetworkBuilder theorem11(NodeId n) {
+  return [n] { return lowerbound::theorem11_network(n); };
+}
+
+[[nodiscard]] NetworkBuilder theorem12(NodeId n) {
+  return [n] { return duals::theorem12_network(n); };
 }
 
 [[nodiscard]] NetworkBuilder gray_zone(NodeId n, std::uint64_t seed) {
@@ -76,6 +100,15 @@ namespace {
 [[nodiscard]] AlgorithmBuilder strong_select() {
   return [](const DualGraph& net) {
     return make_strong_select_factory(net.node_count());
+  };
+}
+
+/// The ablation that joins every family iteration forever (Section 5's
+/// contrast with the paper's participate-once rule).
+[[nodiscard]] AlgorithmBuilder strong_select_forever() {
+  return [](const DualGraph& net) {
+    return make_strong_select_factory(net.node_count(),
+                                      {.participate_forever = true});
   };
 }
 
@@ -138,6 +171,123 @@ namespace {
   return make_seeded_adversary_factory<BernoulliAdversary>(p);
 }
 
+// Scenario specs (parse_spec): each field maps onto the helpers above.
+
+[[noreturn]] void bad_spec(std::string_view spec, const std::string& why) {
+  throw std::invalid_argument("dualrad: bad scenario spec '" +
+                              std::string(spec) + "': " + why);
+}
+
+[[nodiscard]] std::vector<std::string_view> split(std::string_view text,
+                                                  char sep) {
+  std::vector<std::string_view> parts;
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = text.find(sep, begin);
+    parts.push_back(text.substr(begin, end - begin));
+    if (end == std::string_view::npos) return parts;
+    begin = end + 1;
+  }
+}
+
+/// `text` as a non-negative T, if std::to_chars spells that value back as
+/// exactly `text` (fixed notation for doubles): no sign, no leading or
+/// trailing zero, no exponent, so every value has one spelling.
+template <class T>
+[[nodiscard]] std::optional<T> plain_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  if (text.starts_with('-') ||
+      std::from_chars(text.data(), end, value).ptr != end) {
+    return std::nullopt;
+  }
+  char buf[64];
+  std::to_chars_result spelled{};
+  if constexpr (std::is_floating_point_v<T>) {
+    spelled = std::to_chars(buf, buf + sizeof buf, value,
+                            std::chars_format::fixed);
+  } else {
+    spelled = std::to_chars(buf, buf + sizeof buf, value);
+  }
+  if (std::string_view(buf, spelled.ptr - buf) != text) return std::nullopt;
+  return value;
+}
+
+[[nodiscard]] NetworkBuilder spec_network(std::string_view spec,
+                                          std::string_view field) {
+  const std::vector<std::string_view> parts = split(field, ':');
+  const std::string family(parts.front());
+  // The family's builder arguments, every one required, in this order.
+  const auto args = [&](std::initializer_list<std::string_view> keys) {
+    std::string form = family;
+    for (const std::string_view key : keys) {
+      form += ":" + std::string(key) + (key == "seed" ? "=S" : "=N");
+    }
+    const auto bad = [&] {
+      bad_spec(spec, "network '" + std::string(field) + "' is not " + form +
+                         " with plain decimals");
+    };
+    if (parts.size() != keys.size() + 1) bad();
+    std::vector<std::uint64_t> values;
+    for (const std::string_view key : keys) {
+      const std::string_view part = parts[values.size() + 1];
+      const std::optional<std::uint64_t> value =
+          part.starts_with(std::string(key) + "=")
+              ? plain_number<std::uint64_t>(part.substr(key.size() + 1))
+              : std::nullopt;
+      const bool fits = value.has_value() &&
+                        (key == "seed" || std::in_range<NodeId>(*value));
+      if (!fits) bad();
+      values.push_back(*value);
+    }
+    return values;
+  };
+  const auto node = [](std::uint64_t v) { return static_cast<NodeId>(v); };
+  if (family == "bridge") return bridge(node(args({"n"})[0]));
+  if (family == "layered") {
+    const std::vector<std::uint64_t> a = args({"layers", "width"});
+    return layered(node(a[0]), node(a[1]));
+  }
+  if (family == "grayzone") {
+    const std::vector<std::uint64_t> a = args({"n", "seed"});
+    return gray_zone(node(a[0]), a[1]);
+  }
+  if (family == "backbone") {
+    const std::vector<std::uint64_t> a = args({"n", "seed"});
+    return backbone(node(a[0]), a[1]);
+  }
+  if (family == "theorem11") return theorem11(node(args({"n"})[0]));
+  if (family == "theorem12") return theorem12(node(args({"n"})[0]));
+  if (family == "clique") return clique(node(args({"n"})[0]));
+  bad_spec(spec, "unknown network family '" + family + "'");
+}
+
+[[nodiscard]] AlgorithmBuilder spec_algorithm(std::string_view spec,
+                                              std::string_view name) {
+  if (name == "round-robin") return round_robin();
+  if (name == "strong-select") return strong_select();
+  if (name == "strong-select-forever") return strong_select_forever();
+  if (name == "harmonic") return harmonic();
+  if (name == "decay") return decay();
+  if (name == "gossip") return gossip();
+  if (name == "cms") return cms();
+  bad_spec(spec, "unknown algorithm '" + std::string(name) + "'");
+}
+
+[[nodiscard]] AdversaryFactory spec_adversary(std::string_view spec,
+                                              std::string_view name) {
+  if (name == "benign") return benign();
+  if (name == "greedy") return greedy();
+  if (name == "full-interference") return full_interference();
+  constexpr std::string_view kBernoulli = "bernoulli:";
+  if (name.starts_with(kBernoulli)) {
+    const std::optional<double> p =
+        plain_number<double>(name.substr(kBernoulli.size()));
+    if (p.has_value() && *p <= 1.0) return bernoulli(*p);
+    bad_spec(spec, "bernoulli:P needs P in [0, 1] as a plain decimal");
+  }
+  bad_spec(spec, "unknown adversary '" + std::string(name) + "'");
+}
+
 }  // namespace
 
 void register_builtin_scenarios(ScenarioRegistry& registry) {
@@ -173,7 +323,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
                                "the ~e*n solo-isolation curve under the "
                                "Theorem 4 ceiling",
                 .tags = {"classical", "randomized", "theorem4", "quick"},
-                .network = [] { return make_classical(gen::clique(33), 0); },
+                .network = clique(33),
                 .algorithm = gossip(),
                 .adversary = benign(),
                 .rule = CollisionRule::CR3,
@@ -369,6 +519,49 @@ ScenarioRegistry builtin_registry() {
   ScenarioRegistry registry;
   register_builtin_scenarios(registry);
   return registry;
+}
+
+Scenario parse_spec(std::string_view spec) {
+  if (!spec.starts_with(kSpecPrefix)) bad_spec(spec, "no adhoc/ prefix");
+  const std::vector<std::string_view> fields =
+      split(spec.substr(kSpecPrefix.size()), '/');
+  if (fields.size() != 5) {
+    bad_spec(spec,
+             "want adhoc/<network>/<algorithm>/<adversary>/<rule>/<start>");
+  }
+  Scenario s;
+  s.name = std::string(spec);
+  s.network = spec_network(spec, fields[0]);
+  s.algorithm = spec_algorithm(spec, fields[1]);
+  s.adversary = spec_adversary(spec, fields[2]);
+  const std::string_view rule = fields[3];
+  if (rule == "cr1") {
+    s.rule = CollisionRule::CR1;
+  } else if (rule == "cr2") {
+    s.rule = CollisionRule::CR2;
+  } else if (rule == "cr3") {
+    s.rule = CollisionRule::CR3;
+  } else if (rule == "cr4") {
+    s.rule = CollisionRule::CR4;
+  } else {
+    bad_spec(spec, "unknown collision rule '" + std::string(rule) + "'");
+  }
+  const std::string_view start = fields[4];
+  if (start == "sync") {
+    s.start = StartRule::Synchronous;
+  } else if (start == "async") {
+    s.start = StartRule::Asynchronous;
+  } else {
+    bad_spec(spec, "unknown start rule '" + std::string(start) + "'");
+  }
+  s.trials = 1;
+  return s;
+}
+
+std::vector<Scenario> select_scenarios(const ScenarioRegistry& registry,
+                                       std::string_view filter) {
+  if (filter.starts_with(kSpecPrefix)) return {parse_spec(filter)};
+  return registry.match(filter);
 }
 
 }  // namespace dualrad::campaign

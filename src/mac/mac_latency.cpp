@@ -90,9 +90,12 @@ LatencyCollector::LatencyCollector(
 }
 
 void LatencyCollector::attach(campaign::CampaignConfig& config) {
-  config.observer = [state = state_](const campaign::Scenario& scenario,
-                                     const campaign::TrialRow& row,
-                                     const SimResult& result) {
+  auto previous = std::move(config.observer);
+  config.observer = [state = state_, previous = std::move(previous)](
+                        const campaign::Scenario& scenario,
+                        const campaign::TrialRow& row,
+                        const SimResult& result) {
+    if (previous) previous(scenario, row, result);
     state->rows.push_back(
         {scenario.name, row.trial,
          measure_mac_latency(state->nets.at(scenario.name), result)});

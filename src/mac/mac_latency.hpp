@@ -71,7 +71,7 @@ class LatencyCollector {
  public:
   explicit LatencyCollector(const std::vector<campaign::Scenario>& scenarios);
 
-  /// Install the collecting observer (overwrites any previous one).
+  /// Install the collecting observer, chained after any previous one.
   void attach(campaign::CampaignConfig& config);
 
   [[nodiscard]] std::vector<TrialLatencyRow> sorted_rows() const;

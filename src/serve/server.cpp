@@ -6,6 +6,7 @@
 #include <exception>
 #include <utility>
 
+#include "campaign/builtin_scenarios.hpp"
 #include "campaign/export.hpp"
 #include "campaign/jsonl.hpp"
 #include "serve/wire.hpp"
@@ -134,7 +135,7 @@ std::string Server::handle_message(const std::string& payload,
     }
     const std::string filter(jsonl::field_opt(payload, "filter").value_or(""));
     const std::vector<campaign::Scenario> scenarios =
-        options_.registry->match(filter);
+        campaign::select_scenarios(*options_.registry, filter);
     if (scenarios.empty()) {
       return error_reply("no scenarios match filter '" + filter + "'");
     }

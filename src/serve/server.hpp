@@ -31,11 +31,10 @@ namespace dualrad::serve {
 class Server {
  public:
   struct Options {
-    /// Scenario catalogue used by `submit` to resolve filters; nullptr
-    /// disables submit.
+    /// Scenario catalogue used by `submit` to resolve filters
+    /// (campaign::select_scenarios, so a spec filter needs no entry);
+    /// nullptr disables submit.
     const campaign::ScenarioRegistry* registry = nullptr;
-    /// Used as the trial override when submit passes trials=0.
-    bool verbose = false;
   };
 
   Server(Coordinator& coordinator, Options options);

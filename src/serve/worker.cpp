@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "campaign/builtin_scenarios.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
 #include "campaign/jsonl.hpp"
@@ -221,6 +223,7 @@ WorkerStats run_worker(const std::function<int()>& connect,
 
   std::map<std::string, const campaign::Scenario*, std::less<>> by_name;
   for (const campaign::Scenario& s : catalogue) by_name.emplace(s.name, &s);
+  std::deque<campaign::Scenario> parsed;  // specs missing from the catalogue
 
   // Executors are cached per (scenario, master seed): network construction
   // dominates short trials, and every trial of a unit — and usually many
@@ -271,10 +274,18 @@ WorkerStats run_worker(const std::function<int()>& connect,
     const bool telemetry =
         jsonl::field(*reply, "collect_telemetry") == "true";
 
-    const auto scenario_it = by_name.find(scenario_name);
-    DUALRAD_REQUIRE(scenario_it != by_name.end(),
-                    "coordinator dispatched a scenario this worker does not "
-                    "know: " + scenario_name);
+    auto scenario_it = by_name.find(scenario_name);
+    if (scenario_it == by_name.end()) {
+      // Not in the catalogue: a spec spells its own scenario, so selecting
+      // it from an empty registry parses it; any other name selects nothing.
+      std::vector<campaign::Scenario> spelled =
+          campaign::select_scenarios({}, scenario_name);
+      DUALRAD_REQUIRE(spelled.size() == 1,
+                      "coordinator dispatched a scenario this worker does not "
+                      "know: " + scenario_name);
+      parsed.push_back(std::move(spelled.front()));
+      scenario_it = by_name.emplace(scenario_name, &parsed.back()).first;
+    }
     const auto exec_it =
         executors.try_emplace(std::make_pair(scenario_name, master_seed),
                               *scenario_it->second, master_seed)

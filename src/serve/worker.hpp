@@ -86,8 +86,9 @@ struct InjectedCrash : std::runtime_error {
 /// Run the worker loop until the coordinator reports the campaign done (or
 /// `options.stop` is raised). `connect` must return a connected socket fd or
 /// -1; it is invoked for the initial connection and after every drop.
-/// `catalogue` must contain every scenario the coordinator may dispatch
-/// (unknown scenarios throw). Throws std::runtime_error when the
+/// `catalogue` must contain every scenario the coordinator may dispatch,
+/// except scenario specs, which the worker parses (campaign::parse_spec);
+/// any other unknown scenario throws. Throws std::runtime_error when the
 /// reconnection window is exhausted or a commit is rejected.
 WorkerStats run_worker(const std::function<int()>& connect,
                        const std::vector<campaign::Scenario>& catalogue,

@@ -10,13 +10,15 @@
 #   4. a coordinator kill -9 mid-campaign: a fresh coordinator resumes from
 #      the journal and the merged export is still byte-identical;
 #   5. batch-mode SIGINT: dualrad_campaign exits nonzero, leaves a durable
-#      journal (trial rows AND telemetry rows), and --resume reproduces the
-#      uninterrupted bytes plus a complete telemetry export;
+#      journal (trial rows AND telemetry rows), and --journal=... --resume
+#      reproduces the uninterrupted bytes plus a complete telemetry export;
 #   6. chaos soak: the same campaign under a deterministic --faults plan
 #      (drops, corruption, delays, resets, worker crashes, stalls) across
 #      worker pools of 1, 2, and 4 — the merged exports must STILL be
 #      byte-identical to the clean batch run, and nothing may quarantine
-#      under transient faults (the serve process exits 3 if anything did).
+#      under transient faults (the serve process exits 3 if anything did);
+#   7. a scenario spec (adhoc/...) as the filter: 2 forked workers, whose
+#      catalogue lacks the spec, must match the batch run of that spec.
 #
 # Timing tolerance: kill points are chosen so interruptions land
 # mid-campaign on any plausible machine, but every leg also passes if a
@@ -136,7 +138,7 @@ else
   echo "   SIGINT exit code $RC, $(wc -l <"$WORK/int.journal") row(s) journaled"
 fi
 "$CAMPAIGN" --filter=$FILTER --seed=$SEED --trials=1000 \
-  --resume="$WORK/int.journal" --jsonl="$WORK/int.jsonl" \
+  --journal="$WORK/int.journal" --resume --jsonl="$WORK/int.jsonl" \
   --telemetry-jsonl="$WORK/int.telem.jsonl" --quiet \
   2>>"$WORK/int.log"
 "$CAMPAIGN" --filter=$FILTER --seed=$SEED --trials=1000 \
@@ -170,5 +172,16 @@ for n in 1 2 4; do
   grep -q "faults" "$WORK/chaos$n.log"
   echo "   $n worker(s) under chaos: byte-identical"
 done
+
+echo "== scenario spec: serve --spawn=2 vs the batch run"
+SPEC=adhoc/grayzone:n=64:seed=7/harmonic/greedy/cr4/async
+"$CAMPAIGN" --filter=$SPEC --seed=$SEED --trials=$TRIALS \
+  --jsonl="$WORK/spec-batch.jsonl" --csv="$WORK/spec-batch.csv" --quiet
+"$SERVE" serve --listen="$WORK/spec.sock" --filter=$SPEC --seed=$SEED \
+  --trials=$TRIALS --unit-trials=8 --spawn=2 \
+  --jsonl="$WORK/spec.jsonl" --csv="$WORK/spec.csv" --quiet 2>"$WORK/spec.log"
+cmp "$WORK/spec-batch.jsonl" "$WORK/spec.jsonl"
+cmp "$WORK/spec-batch.csv" "$WORK/spec.csv"
+echo "   spec run by 2 workers: byte-identical"
 
 echo "serve smoke: all legs passed"

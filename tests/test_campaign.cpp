@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/greedy_blocker.hpp"
@@ -46,25 +47,40 @@ std::vector<Scenario> cheap_campaign() {
   return scenarios;
 }
 
+/// Ad-hoc runs spelled as scenario specs, three trials each.
+std::vector<Scenario> spec_campaign() {
+  std::vector<Scenario> scenarios;
+  for (const char* spec :
+       {"adhoc/grayzone:n=24:seed=7/harmonic/bernoulli:0.5/cr3/sync",
+        "adhoc/bridge:n=16/strong-select/greedy/cr4/async",
+        "adhoc/backbone:n=24:seed=11/decay/full-interference/cr1/async"}) {
+    scenarios.push_back(parse_spec(spec));
+    scenarios.back().trials = 3;
+  }
+  return scenarios;
+}
+
 // --- engine determinism ------------------------------------------------------
 
 TEST(CampaignEngine, JsonlByteIdenticalAcrossWorkerCounts) {
-  const std::vector<Scenario> scenarios = cheap_campaign();
-  std::string baseline_trials, baseline_summaries;
-  for (unsigned threads : {1u, 4u, 8u}) {
-    CampaignConfig config;
-    config.master_seed = 99;
-    config.threads = threads;
-    const CampaignResult result = run_campaign(scenarios, config);
-    const std::string trials = trials_to_jsonl(result.trials);
-    const std::string summaries = summaries_to_jsonl(result.summaries);
-    if (threads == 1) {
-      baseline_trials = trials;
-      baseline_summaries = summaries;
-      EXPECT_FALSE(trials.empty());
-    } else {
-      EXPECT_EQ(trials, baseline_trials) << "threads=" << threads;
-      EXPECT_EQ(summaries, baseline_summaries) << "threads=" << threads;
+  for (const std::vector<Scenario>& scenarios :
+       {cheap_campaign(), spec_campaign()}) {
+    std::string baseline_trials, baseline_summaries;
+    for (unsigned threads : {1u, 4u, 8u}) {
+      CampaignConfig config;
+      config.master_seed = 99;
+      config.threads = threads;
+      const CampaignResult result = run_campaign(scenarios, config);
+      const std::string trials = trials_to_jsonl(result.trials);
+      const std::string summaries = summaries_to_jsonl(result.summaries);
+      if (threads == 1) {
+        baseline_trials = trials;
+        baseline_summaries = summaries;
+        EXPECT_FALSE(trials.empty());
+      } else {
+        EXPECT_EQ(trials, baseline_trials) << "threads=" << threads;
+        EXPECT_EQ(summaries, baseline_summaries) << "threads=" << threads;
+      }
     }
   }
 }
@@ -74,26 +90,28 @@ TEST(CampaignEngine, JsonlByteIdenticalAcrossWorkerCounts) {
 // output either — its shard merge is deterministic and every observable is
 // per-node independent.
 TEST(CampaignEngine, JsonlByteIdenticalAcrossThreadsPerTrial) {
-  const std::vector<Scenario> scenarios = cheap_campaign();
-  std::string baseline_trials, baseline_summaries;
-  for (unsigned threads_per_trial : {1u, 4u}) {
-    CampaignConfig config;
-    config.master_seed = 123;
-    config.threads = 2;
-    config.threads_per_trial = threads_per_trial;
-    const CampaignResult result = run_campaign(scenarios, config);
-    const std::string trials = trials_to_jsonl(result.trials);
-    const std::string summaries = summaries_to_jsonl(result.summaries);
-    const std::string trials_csv = trials_to_csv(result.trials);
-    if (threads_per_trial == 1) {
-      baseline_trials = trials + trials_csv;
-      baseline_summaries = summaries;
-      EXPECT_FALSE(trials.empty());
-    } else {
-      EXPECT_EQ(trials + trials_csv, baseline_trials)
-          << "threads_per_trial=" << threads_per_trial;
-      EXPECT_EQ(summaries, baseline_summaries)
-          << "threads_per_trial=" << threads_per_trial;
+  for (const std::vector<Scenario>& scenarios :
+       {cheap_campaign(), spec_campaign()}) {
+    std::string baseline_trials, baseline_summaries;
+    for (unsigned threads_per_trial : {1u, 4u}) {
+      CampaignConfig config;
+      config.master_seed = 123;
+      config.threads = 2;
+      config.threads_per_trial = threads_per_trial;
+      const CampaignResult result = run_campaign(scenarios, config);
+      const std::string trials = trials_to_jsonl(result.trials);
+      const std::string summaries = summaries_to_jsonl(result.summaries);
+      const std::string trials_csv = trials_to_csv(result.trials);
+      if (threads_per_trial == 1) {
+        baseline_trials = trials + trials_csv;
+        baseline_summaries = summaries;
+        EXPECT_FALSE(trials.empty());
+      } else {
+        EXPECT_EQ(trials + trials_csv, baseline_trials)
+            << "threads_per_trial=" << threads_per_trial;
+        EXPECT_EQ(summaries, baseline_summaries)
+            << "threads_per_trial=" << threads_per_trial;
+      }
     }
   }
 }
@@ -272,6 +290,154 @@ TEST(BuiltinScenarios, QuickSubsetRunsToCompletion) {
   for (const ScenarioSummary& summary : result.summaries) {
     EXPECT_EQ(summary.failures, 0u) << summary.scenario;
   }
+}
+
+// --- scenario specs ----------------------------------------------------------
+
+// One spec per network family; together the rows use every algorithm,
+// adversary, collision rule and start rule the grammar accepts. Every spec
+// parses to a scenario named by the spec itself, builds the network it
+// names, and runs one trial to completion.
+TEST(ScenarioSpec, EverySingleRunValueParsesAndRuns) {
+  struct Row {
+    const char* spec;
+    NodeId nodes;
+    CollisionRule rule;
+    StartRule start;
+  };
+  const Row rows[] = {
+      {"adhoc/bridge:n=16/round-robin/benign/cr1/sync", 16, CollisionRule::CR1,
+       StartRule::Synchronous},
+      {"adhoc/layered:layers=4:width=3/strong-select/greedy/cr2/async", 10,
+       CollisionRule::CR2, StartRule::Asynchronous},
+      {"adhoc/grayzone:n=24:seed=7/harmonic/bernoulli:0.5/cr3/sync", 24,
+       CollisionRule::CR3, StartRule::Synchronous},
+      {"adhoc/backbone:n=24:seed=11/decay/full-interference/cr4/async", 24,
+       CollisionRule::CR4, StartRule::Asynchronous},
+      {"adhoc/theorem11:n=17/cms/benign/cr3/async", 17, CollisionRule::CR3,
+       StartRule::Asynchronous},
+      {"adhoc/theorem12:n=17/strong-select-forever/greedy/cr4/sync", 17,
+       CollisionRule::CR4, StartRule::Synchronous},
+      {"adhoc/clique:n=16/gossip/bernoulli:0.1/cr2/async", 16,
+       CollisionRule::CR2, StartRule::Asynchronous},
+  };
+  std::set<std::string> fields[5];
+  for (const Row& row : rows) {
+    const Scenario scenario = parse_spec(row.spec);
+    EXPECT_EQ(scenario.name, row.spec);
+    EXPECT_EQ(scenario.rule, row.rule) << row.spec;
+    EXPECT_EQ(scenario.start, row.start) << row.spec;
+    EXPECT_EQ(scenario.trials, 1u) << row.spec;
+    EXPECT_EQ(scenario.network().node_count(), row.nodes) << row.spec;
+    const TrialExecutor executor(scenario, 5);
+    EXPECT_TRUE(executor.run(0).row.completed) << row.spec;
+
+    std::string_view rest = row.spec;
+    rest.remove_prefix(kSpecPrefix.size());
+    for (std::set<std::string>& field : fields) {
+      const std::size_t slash = rest.find('/');
+      field.insert(std::string(rest.substr(0, rest.find_first_of(":/"))));
+      rest = slash == std::string_view::npos ? "" : rest.substr(slash + 1);
+    }
+  }
+  EXPECT_EQ(fields[0].size(), 7u);  // networks
+  EXPECT_EQ(fields[1].size(), 7u);  // algorithms
+  EXPECT_EQ(fields[2].size(), 4u);  // adversaries
+  EXPECT_EQ(fields[3].size(), 4u);  // collision rules
+  EXPECT_EQ(fields[4].size(), 2u);  // start rules
+}
+
+TEST(ScenarioSpec, MalformedSpecsThrow) {
+  for (const char* spec : {
+           "adhoc/ring:n=8/harmonic/greedy/cr4/async",       // unknown family
+           "adhoc/bridge:n=16/harmonic/greedy/cr4",          // missing field
+           "adhoc/bridge:n=16/harmonic/greedy/cr4/async/x",  // extra field
+           "adhoc/bridge:n=064/harmonic/greedy/cr4/async",
+           "adhoc/bridge:n=-5/harmonic/greedy/cr4/async",
+           "adhoc/bridge:n=+5/harmonic/greedy/cr4/async",
+           "adhoc/bridge:n=16abc/harmonic/greedy/cr4/async",
+           "adhoc/bridge:n=4294967296/harmonic/greedy/cr4/async",
+           "adhoc/bridge:n=/harmonic/greedy/cr4/async",
+           "adhoc/bridge/harmonic/greedy/cr4/async",              // no n
+           "adhoc/bridge:n=16:seed=1/harmonic/greedy/cr4/async",  // extra arg
+           "adhoc/grayzone:n=64/harmonic/greedy/cr4/async",       // no seed
+           "adhoc/grayzone:seed=7:n=64/harmonic/greedy/cr4/async",  // order
+           "adhoc/bridge:n=16/harmonic/bernoulli:1.5/cr4/async",
+           "adhoc/bridge:n=16/harmonic/bernoulli:0.50/cr4/async",
+           "adhoc/bridge:n=16/harmonic/bernoulli:.5/cr4/async",
+           "adhoc/bridge:n=16/harmonic/bernoulli:1.0/cr4/async",
+           "adhoc/bridge:n=16/harmonic/bernoulli:5e-1/cr4/async",
+           "adhoc/bridge:n=16/harmonic/bernoulli:-0/cr4/async",
+           "adhoc/bridge:n=16/harmonic/bernoulli:+0.5/cr4/async",
+           "adhoc/bridge:n=16/Harmonic/greedy/cr4/async",
+           "adhoc/bridge:n=16/harmonic/full/cr4/async",
+           "adhoc/bridge:n=16/harmonic/greedy/cr5/async",
+           "adhoc/bridge:n=16/harmonic/greedy/cr4/bogus",
+           "bridge:n=16/harmonic/greedy/cr4/async",  // no adhoc/ prefix
+       }) {
+    EXPECT_THROW((void)parse_spec(spec), std::invalid_argument) << spec;
+    if (std::string_view(spec).starts_with(kSpecPrefix)) {
+      EXPECT_THROW((void)select_scenarios(builtin_registry(), spec),
+                   std::invalid_argument)
+          << spec;
+    }
+  }
+}
+
+// A spec filter selects exactly its scenario; any other filter is the
+// registry's substring match, and no builtin name looks like a spec.
+TEST(ScenarioSpec, SelectionNamesExactlyTheSpec) {
+  const ScenarioRegistry registry = builtin_registry();
+  const std::string spec = "adhoc/clique:n=16/gossip/benign/cr3/sync";
+  const std::vector<Scenario> selected = select_scenarios(registry, spec);
+  ASSERT_EQ(selected.size(), 1u);
+  EXPECT_EQ(selected.front().name, spec);
+  for (const char* filter : {"", "quick", "dual/harmonic", "adhoc"}) {
+    std::vector<std::string> want, got;
+    for (const Scenario& s : registry.match(filter)) want.push_back(s.name);
+    for (const Scenario& s : select_scenarios(registry, filter)) {
+      got.push_back(s.name);
+    }
+    EXPECT_EQ(got, want) << filter;
+  }
+  for (const Scenario& s : registry.all()) {
+    EXPECT_FALSE(s.name.starts_with(kSpecPrefix)) << s.name;
+  }
+}
+
+// The spec of a builtin's tuple runs the builtin's execution exactly.
+TEST(ScenarioSpec, SpecRunsLikeTheBuiltinItSpells) {
+  const Scenario spec =
+      parse_spec("adhoc/layered:layers=8:width=4/harmonic/greedy/cr4/async");
+  const Scenario builtin =
+      builtin_registry().at("dual/harmonic/layered/greedy");
+  EXPECT_EQ(spec.rule, builtin.rule);
+  EXPECT_EQ(spec.start, builtin.start);
+
+  SimConfig config;
+  config.rule = CollisionRule::CR4;
+  config.start = StartRule::Asynchronous;
+  config.max_rounds = 20'000'000;
+  config.seed = 77;
+  config.trace = TraceLevel::Compressed;
+  const auto run = [&](const Scenario& s) {
+    const DualGraph net = s.network();
+    const std::unique_ptr<Adversary> adversary = s.adversary(config.seed);
+    return run_broadcast(net, s.algorithm(net), *adversary, config);
+  };
+  const SimResult a = run(spec);
+  const SimResult b = run(builtin);
+  EXPECT_TRUE(a.completed);
+  EXPECT_EQ(a.completion_round, b.completion_round);
+  EXPECT_EQ(a.rounds_executed, b.rounds_executed);
+  EXPECT_EQ(a.first_token, b.first_token);
+  EXPECT_EQ(a.token_first, b.token_first);
+  EXPECT_EQ(a.process_of_node, b.process_of_node);
+  EXPECT_EQ(a.total_sends, b.total_sends);
+  EXPECT_EQ(a.total_collision_events, b.total_collision_events);
+  EXPECT_FALSE(a.trace.blob.empty());
+  EXPECT_EQ(a.trace.blob, b.trace.blob);
+  EXPECT_EQ(a.trace.blob_offsets, b.trace.blob_offsets);
 }
 
 // --- export round trips ------------------------------------------------------

@@ -225,5 +225,23 @@ TEST(MacScenarios, MacCampaignByteIdenticalAcrossWorkerCounts) {
   }
 }
 
+// The collector chains after observers attached before it (the campaign
+// CLI's --audit and --fail-on-contract), so --mac-jsonl disables neither.
+TEST(MacScenarios, LatencyCollectorChainsEarlierObservers) {
+  const campaign::ScenarioRegistry registry = campaign::builtin_registry();
+  const std::vector<campaign::Scenario> scenarios = registry.match("mac");
+  campaign::CampaignConfig config;
+  config.trials_override = 1;
+  std::size_t observed = 0;
+  config.observer = [&](const campaign::Scenario&, const campaign::TrialRow&,
+                        const SimResult&) { ++observed; };
+  mac::LatencyCollector collector(scenarios);
+  collector.attach(config);
+  const campaign::CampaignResult result =
+      campaign::run_campaign(scenarios, config);
+  EXPECT_EQ(observed, result.trials.size());
+  EXPECT_EQ(collector.sorted_rows().size(), result.trials.size());
+}
+
 }  // namespace
 }  // namespace dualrad

@@ -18,6 +18,7 @@
 #include "adversary/greedy_blocker.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
+#include "campaign/builtin_scenarios.hpp"
 #include "campaign/contract.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
@@ -558,6 +559,58 @@ TEST(ServeSocket, SubmitAndStatusDriveAnIdleCoordinator) {
   const WorkerStats stats = run_worker(net.connector(), scenarios, options);
   EXPECT_EQ(stats.trials, 8u);  // the two harmonic scenarios, 4 trials each
   EXPECT_TRUE(coordinator.done());
+
+  // A spec needs no registry entry: the server parses it, and so does the
+  // worker, whose catalogue lacks it too.
+  const std::string bad_spec = "adhoc/bridge:n=016/harmonic/greedy/cr4/async";
+  EXPECT_NE(rpc("{\"type\":\"submit\",\"filter\":\"" + bad_spec + "\"}")
+                .find("bad scenario spec"),
+            std::string::npos);
+  const std::string spec = "adhoc/bridge:n=16/harmonic/greedy/cr4/async";
+  const std::string spec_submitted =
+      rpc("{\"type\":\"submit\",\"filter\":\"" + spec + "\",\"trials\":3}");
+  EXPECT_NE(spec_submitted.find("\"scenarios\":1"), std::string::npos)
+      << spec_submitted;
+  EXPECT_EQ(run_worker(net.connector(), scenarios, options).trials, 3u);
+  EXPECT_TRUE(coordinator.done());
+  const CampaignResult result = coordinator.finalize();
+  ASSERT_EQ(result.trials.size(), 3u);
+  EXPECT_EQ(result.trials.front().scenario, spec);
+}
+
+// Workers parse dispatched specs their catalogue lacks, and commit the rows
+// a batch run of the same specs writes.
+TEST(ServeSocket, WorkerParsesSpecsMissingFromItsCatalogue) {
+  std::vector<Scenario> specs;
+  for (const char* spec :
+       {"adhoc/grayzone:n=24:seed=7/harmonic/bernoulli:0.5/cr3/sync",
+        "adhoc/theorem11:n=17/cms/greedy/cr4/async"}) {
+    specs.push_back(campaign::parse_spec(spec));
+    specs.back().trials = 6;
+  }
+  const auto [ref_trials, ref_summaries] = batch_reference(specs, 31);
+
+  Coordinator::Config config;
+  config.master_seed = 31;
+  config.unit_trials = 2;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(specs);
+  Server server(coordinator, {});
+  LoopbackNet net(server);
+  const std::vector<Scenario> catalogue = cheap_campaign();
+  std::vector<std::thread> pool;
+  for (int w = 0; w < 2; ++w) {
+    pool.emplace_back([&] {
+      WorkerOptions options;
+      options.poll = std::chrono::milliseconds(10);
+      (void)run_worker(net.connector(), catalogue, options);
+    });
+  }
+  for (std::thread& t : pool) t.join();
+
+  const CampaignResult result = coordinator.finalize();
+  EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(result.summaries), ref_summaries);
 }
 
 // --- engine cancel + resume --------------------------------------------------

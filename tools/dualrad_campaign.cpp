@@ -6,6 +6,8 @@
 //   dualrad_campaign --list --filter=harmonic
 //   dualrad_campaign --filter=dual --threads=8 --seed=42
 //               --jsonl=trials.jsonl --summary-csv=summary.csv
+//   dualrad_campaign --filter=adhoc/bridge:n=32/strong-select/greedy/cr4/async
+//               --trials=5 --csv=bridge.csv
 //
 // Runs the cross product (scenario x trial) across worker threads with
 // deterministic per-trial seeding: for a fixed --seed, all output files are
@@ -32,6 +34,7 @@
 #include "mac/mac_latency.hpp"
 #include "obs/perfetto_writer.hpp"
 #include "obs/telemetry.hpp"
+#include "run_options.hpp"
 #include "serve/checkpoint.hpp"
 #include "stats/table.hpp"
 
@@ -39,29 +42,16 @@ namespace {
 
 using namespace dualrad;
 
+// Flags only the batch tool takes; the shared ones live in run_options.hpp.
 struct Options {
   bool list = false;
-  bool quiet = false;
-  bool help = false;
   bool timing = false;
   bool audit = false;
   bool fail_on_contract = false;
-  std::string filter;
-  std::uint64_t seed = 1;
   unsigned threads = 0;
-  unsigned threads_per_trial = 1;
-  std::size_t trials = 0;  // 0 = per-scenario default
-  std::string jsonl_path;
-  std::string csv_path;
-  std::string summary_jsonl_path;
-  std::string summary_csv_path;
   std::string mac_jsonl_path;
-  std::string telemetry_jsonl_path;
   std::string perfetto_path;
   std::string perfetto_scenario;
-  unsigned heartbeat_secs = 0;
-  std::string journal_path;
-  std::string resume_path;
 };
 
 // SIGINT/SIGTERM raise this; the engine checks it between trials, so a ^C
@@ -74,51 +64,22 @@ extern "C" void on_cancel_signal(int) {
 }
 
 void usage() {
-  std::puts(
+  std::fputs(
       "usage: dualrad_campaign [options]\n"
       "  --list              list matching scenarios instead of running\n"
-      "  --filter=SUBSTR     restrict to scenarios whose name or tags\n"
-      "                      contain SUBSTR (default: all)\n"
-      "  --seed=N            master seed (default 1)\n"
       "  --threads=N         worker threads (default: hardware concurrency;\n"
       "                      output is identical for any value)\n"
-      "  --threads-per-trial=N  sharded parallel round kernel inside each\n"
-      "                      trial (SimConfig::threads; default 1). Output\n"
-      "                      is identical for any value\n"
-      "  --trials=N          override every scenario's trial count\n"
-      "  --jsonl=PATH        write per-trial rows as JSONL\n"
-      "  --csv=PATH          write per-trial rows as CSV\n"
-      "  --summary-jsonl=PATH  write per-scenario summaries as JSONL\n"
-      "  --summary-csv=PATH    write per-scenario summaries as CSV\n"
       "  --mac-jsonl=PATH    write per-trial MAC ack/progress latencies as\n"
       "                      JSONL (measured f_ack / f_prog; rows sorted by\n"
       "                      scenario and trial, so output is deterministic)\n"
       "  --timing            measure per-trial wall time and include it in\n"
       "                      trial/summary exports (wall_us / mean_wall_ms;\n"
       "                      timed exports are NOT byte-reproducible)\n"
-      "  --telemetry-jsonl=PATH  attach the engine telemetry layer to every\n"
-      "                      trial and write per-trial phase times + counter\n"
-      "                      totals as JSONL. Opt-in; the default exports\n"
-      "                      above stay byte-identical either way\n"
-      "  --heartbeat=SECS    print a progress line to stderr every SECS\n"
-      "                      seconds (trials done/total, rounds/s, eta, rss)\n"
-      "  --journal=PATH      append every completed trial row to a crash-safe\n"
-      "                      checkpoint journal (whole-line writes + fsync).\n"
-      "                      With --telemetry-jsonl, telemetry rows are\n"
-      "                      journaled alongside their trial rows.\n"
-      "                      On SIGINT/SIGTERM the campaign stops cleanly,\n"
-      "                      exits nonzero, and can be continued later\n"
-      "  --resume=PATH       load a checkpoint journal and skip its trials;\n"
-      "                      continues appending to the same file unless\n"
-      "                      --journal names another. Journaled telemetry\n"
-      "                      rows are replayed into --telemetry-jsonl. The\n"
-      "                      merged output is byte-identical to an\n"
-      "                      uninterrupted run\n"
       "  --perfetto=PATH     after the campaign, deterministically re-run one\n"
       "                      trial (trial 0 of --perfetto-scenario, default\n"
       "                      the first matching scenario) with telemetry and\n"
       "                      write a Chrome/Perfetto trace (ui.perfetto.dev)\n"
-      "  --perfetto-scenario=NAME  scenario to trace (see --perfetto)\n"
+      "  --perfetto-scenario=NAME  exact name of the scenario to trace\n"
       "  --audit             record a compressed trace of every trial and\n"
       "                      re-verify it with the execution auditor\n"
       "                      (core/audit.hpp). Forged-token wins (Byzantine\n"
@@ -128,72 +89,9 @@ void usage() {
       "  --fail-on-contract  check the broadcast contract (validity /\n"
       "                      no-duplication / no-creation, including forged-\n"
       "                      token wins) on every trial; any violation is\n"
-      "                      printed to stderr and the run exits 3\n"
-      "  --quiet             suppress the summary table on stdout\n");
-}
-
-std::optional<Options> parse(int argc, char** argv) try {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> std::optional<std::string> {
-      const std::string p(prefix);
-      if (arg.rfind(p, 0) == 0) return arg.substr(p.size());
-      return std::nullopt;
-    };
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg == "--list") {
-      options.list = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg == "--timing") {
-      options.timing = true;
-    } else if (arg == "--audit") {
-      options.audit = true;
-    } else if (arg == "--fail-on-contract") {
-      options.fail_on_contract = true;
-    } else if (auto v = value("--mac-jsonl=")) {
-      options.mac_jsonl_path = *v;
-    } else if (auto v = value("--telemetry-jsonl=")) {
-      options.telemetry_jsonl_path = *v;
-    } else if (auto v = value("--heartbeat=")) {
-      options.heartbeat_secs = static_cast<unsigned>(std::stoul(*v));
-    } else if (auto v = value("--journal=")) {
-      options.journal_path = *v;
-    } else if (auto v = value("--resume=")) {
-      options.resume_path = *v;
-    } else if (auto v = value("--perfetto-scenario=")) {
-      options.perfetto_scenario = *v;
-    } else if (auto v = value("--perfetto=")) {
-      options.perfetto_path = *v;
-    } else if (auto v = value("--filter=")) {
-      options.filter = *v;
-    } else if (auto v = value("--seed=")) {
-      options.seed = std::stoull(*v);
-    } else if (auto v = value("--threads-per-trial=")) {
-      options.threads_per_trial = static_cast<unsigned>(std::stoul(*v));
-    } else if (auto v = value("--threads=")) {
-      options.threads = static_cast<unsigned>(std::stoul(*v));
-    } else if (auto v = value("--trials=")) {
-      options.trials = std::stoul(*v);
-    } else if (auto v = value("--jsonl=")) {
-      options.jsonl_path = *v;
-    } else if (auto v = value("--csv=")) {
-      options.csv_path = *v;
-    } else if (auto v = value("--summary-jsonl=")) {
-      options.summary_jsonl_path = *v;
-    } else if (auto v = value("--summary-csv=")) {
-      options.summary_csv_path = *v;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return std::nullopt;
-    }
-  }
-  return options;
-} catch (const std::exception&) {
-  std::fprintf(stderr, "malformed numeric argument\n");
-  return std::nullopt;
+      "                      printed to stderr and the run exits 3\n",
+      stdout);
+  std::fputs(cli::kRunUsage, stdout);
 }
 
 void list_scenarios(const std::vector<campaign::Scenario>& scenarios) {
@@ -209,26 +107,6 @@ void list_scenarios(const std::vector<campaign::Scenario>& scenarios) {
   }
   table.print(std::cout);
   std::cout << "\n" << scenarios.size() << " scenario(s)\n";
-}
-
-void print_summaries(const campaign::CampaignResult& result, bool timing) {
-  std::vector<std::string> header = {"scenario", "trials",     "failed",
-                                     "mean rounds", "median", "p90",
-                                     "mean sends"};
-  if (timing) header.push_back("mean ms");
-  stats::Table table(header);
-  for (const campaign::ScenarioSummary& s : result.summaries) {
-    const bool any = s.rounds.count > 0;
-    std::vector<std::string> row = {
-        s.scenario, std::to_string(s.trials), std::to_string(s.failures),
-        any ? stats::Table::num(s.rounds.mean, 1) : "-",
-        any ? stats::Table::num(s.rounds.median, 1) : "-",
-        any ? stats::Table::num(s.rounds.p90, 1) : "-",
-        stats::Table::num(s.mean_sends, 1)};
-    if (timing) row.push_back(stats::Table::num(s.mean_wall_ms, 2));
-    table.add_row(row);
-  }
-  table.print(std::cout);
 }
 
 std::string mac_rows_to_jsonl(const std::vector<mac::TrialLatencyRow>& rows) {
@@ -289,27 +167,32 @@ void write_perfetto_for(const campaign::Scenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
+  Options options;
+  cli::RunOptions run;
+  cli::Flags flags;
+  flags.on("--list", options.list)
+      .on("--timing", options.timing)
+      .on("--audit", options.audit)
+      .on("--fail-on-contract", options.fail_on_contract)
+      .number("--threads", options.threads)
+      .text("--mac-jsonl", options.mac_jsonl_path)
+      .text("--perfetto", options.perfetto_path)
+      .text("--perfetto-scenario", options.perfetto_scenario);
+  if (!cli::parse_command_line(argc, argv, 1, flags, run)) {
     usage();
     return 2;
   }
-  Options options = *parsed;
-  if (options.help) {
+  if (run.help) {
     usage();
     return 0;
-  }
-  // Resuming implies continuing the same journal unless told otherwise.
-  if (!options.resume_path.empty() && options.journal_path.empty()) {
-    options.journal_path = options.resume_path;
   }
   try {
     const campaign::ScenarioRegistry registry = campaign::builtin_registry();
     const std::vector<campaign::Scenario> scenarios =
-        registry.match(options.filter);
+        campaign::select_scenarios(registry, run.filter);
     if (scenarios.empty()) {
       std::fprintf(stderr, "no scenario matches filter '%s'\n",
-                   options.filter.c_str());
+                   run.filter.c_str());
       return 1;
     }
     if (options.list) {
@@ -318,13 +201,13 @@ int main(int argc, char** argv) {
     }
 
     campaign::CampaignConfig config;
-    config.master_seed = options.seed;
+    config.master_seed = run.seed;
     config.threads = options.threads;
-    config.threads_per_trial = options.threads_per_trial;
-    config.trials_override = options.trials;
+    config.threads_per_trial = std::max(1u, run.threads_per_trial);
+    config.trials_override = run.trials;
     config.measure_wall_time = options.timing;
-    config.collect_telemetry = !options.telemetry_jsonl_path.empty();
-    config.heartbeat_secs = options.heartbeat_secs;
+    config.collect_telemetry = !run.telemetry_jsonl_path.empty();
+    config.heartbeat_secs = run.heartbeat_secs;
 
     // Checkpoint/resume plumbing. The journal sees each row as it commits
     // (under the engine's serialization lock); resume rows fill their slots
@@ -332,20 +215,20 @@ int main(int argc, char** argv) {
     // --seed or grid fails loudly instead of merging foreign rows.
     std::vector<campaign::TrialRow> resume_rows;
     std::vector<campaign::TelemetryRow> journal_telemetry;
-    if (!options.resume_path.empty()) {
-      const serve::JournalLoad loaded = serve::load_journal(options.resume_path);
-      serve::truncate_torn_tail(options.resume_path, loaded);
+    if (run.resume) {
+      const serve::JournalLoad loaded = serve::load_journal(run.journal_path);
+      serve::truncate_torn_tail(run.journal_path, loaded);
       resume_rows = loaded.rows;
       journal_telemetry = loaded.telemetry;
       std::fprintf(stderr,
                    "[campaign] resume: %zu committed trial(s) from %s%s\n",
-                   resume_rows.size(), options.resume_path.c_str(),
+                   resume_rows.size(), run.journal_path.c_str(),
                    loaded.dropped_torn_tail ? " (dropped torn tail line)" : "");
       config.resume_rows = &resume_rows;
     }
     serve::JournalWriter journal;
-    if (!options.journal_path.empty()) {
-      journal.open(options.journal_path);
+    if (!run.journal_path.empty()) {
+      journal.open(run.journal_path);
       config.row_sink = [&journal](const campaign::TrialRow& row,
                                    const campaign::TelemetryRow* telemetry) {
         campaign::TrialRow untimed = row;
@@ -364,10 +247,12 @@ int main(int argc, char** argv) {
     // auditor needs a recorded trace, so trials run with compressed traces —
     // rows and exports stay byte-identical; the trace is dropped after the
     // observer fires. Installed by direct assignment, so it must come before
-    // the chaining attach() observers below.
+    // the chaining attach() observers below. Resumed trials never reach an
+    // observer, so the observer counts what it audited.
     std::map<std::string, DualGraph> audit_nets;
     std::vector<std::string> audit_failures;
     std::vector<std::string> audit_forged_wins;
+    std::size_t audited = 0;
     if (options.audit) {
       config.trial_trace = TraceLevel::Compressed;
       config.observer = [&](const campaign::Scenario& scenario,
@@ -382,6 +267,7 @@ int main(int argc, char** argv) {
         }
         const audit::AuditReport report = audit::audit_execution(
             it->second, result, scenario.rule, scenario.token_sources);
+        ++audited;
         const std::string tag = scenario.name + "#" + std::to_string(row.trial);
         for (const std::string& v : report.violations) {
           audit_failures.push_back(tag + " " + v);
@@ -409,16 +295,14 @@ int main(int argc, char** argv) {
       collector->attach(config);
     }
 
-    const campaign::CampaignResult result =
-        campaign::run_campaign(scenarios, config);
+    campaign::CampaignResult result = campaign::run_campaign(scenarios, config);
 
     if (result.cancelled) {
-      if (!options.journal_path.empty()) {
+      if (!run.journal_path.empty()) {
         std::fprintf(stderr,
                      "[campaign] interrupted — journal %s is durable; "
-                     "continue with --resume=%s\n",
-                     options.journal_path.c_str(),
-                     options.journal_path.c_str());
+                     "continue with --journal=%s --resume\n",
+                     run.journal_path.c_str(), run.journal_path.c_str());
       } else {
         std::fprintf(stderr,
                      "[campaign] interrupted — no --journal, partial results "
@@ -427,60 +311,35 @@ int main(int argc, char** argv) {
       return 130;
     }
 
-    if (!options.jsonl_path.empty()) {
-      campaign::write_file(
-          options.jsonl_path,
-          campaign::trials_to_jsonl(result.trials, options.timing));
-    }
-    if (!options.csv_path.empty()) {
-      campaign::write_file(
-          options.csv_path,
-          campaign::trials_to_csv(result.trials, options.timing));
-    }
-    if (!options.summary_jsonl_path.empty()) {
-      campaign::write_file(
-          options.summary_jsonl_path,
-          campaign::summaries_to_jsonl(result.summaries, options.timing));
-    }
-    if (!options.summary_csv_path.empty()) {
-      campaign::write_file(
-          options.summary_csv_path,
-          campaign::summaries_to_csv(result.summaries, options.timing));
-    }
     if (collector.has_value()) {
       campaign::write_file(options.mac_jsonl_path,
                            mac_rows_to_jsonl(collector->sorted_rows()));
     }
-    if (!options.telemetry_jsonl_path.empty()) {
+    if (!journal_telemetry.empty()) {
       // Resumed trials skip execution, so their telemetry slots are empty;
       // fill them from rows replayed out of the journal (keyed by scenario
-      // and trial), then drop any still-empty slot — a journal written
-      // without --telemetry-jsonl has trial rows but no telemetry.
-      std::vector<campaign::TelemetryRow> rows = result.telemetry;
-      if (!journal_telemetry.empty()) {
-        std::map<std::pair<std::string, std::uint32_t>,
-                 const campaign::TelemetryRow*>
-            replay;
-        for (const campaign::TelemetryRow& t : journal_telemetry) {
-          replay.emplace(std::make_pair(t.scenario, t.trial), &t);
-        }
-        for (std::size_t i = 0; i < rows.size() && i < result.trials.size();
-             ++i) {
-          if (!rows[i].scenario.empty()) continue;  // ran this session
-          const campaign::TrialRow& trial = result.trials[i];
-          const auto it =
-              replay.find(std::make_pair(trial.scenario, trial.trial));
-          if (it != replay.end()) rows[i] = *it->second;
-        }
+      // and trial).
+      std::map<std::pair<std::string, std::uint32_t>,
+               const campaign::TelemetryRow*>
+          replay;
+      for (const campaign::TelemetryRow& t : journal_telemetry) {
+        replay.emplace(std::make_pair(t.scenario, t.trial), &t);
       }
-      rows.erase(std::remove_if(rows.begin(), rows.end(),
-                                [](const campaign::TelemetryRow& t) {
-                                  return t.scenario.empty();
-                                }),
-                 rows.end());
-      campaign::write_file(options.telemetry_jsonl_path,
-                           campaign::telemetry_to_jsonl(rows));
+      for (std::size_t i = 0;
+           i < result.telemetry.size() && i < result.trials.size(); ++i) {
+        if (!result.telemetry[i].scenario.empty()) continue;  // ran now
+        const campaign::TrialRow& trial = result.trials[i];
+        const auto it =
+            replay.find(std::make_pair(trial.scenario, trial.trial));
+        if (it != replay.end()) result.telemetry[i] = *it->second;
+      }
     }
+    // Drop any still-empty slot: a journal written without
+    // --telemetry-jsonl has trial rows but no telemetry.
+    std::erase_if(result.telemetry, [](const campaign::TelemetryRow& t) {
+      return t.scenario.empty();
+    });
+    cli::write_exports(run, result, options.timing);
     if (!options.perfetto_path.empty()) {
       const campaign::Scenario* traced = &scenarios.front();
       if (!options.perfetto_scenario.empty()) {
@@ -494,10 +353,10 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      write_perfetto_for(*traced, options.seed, options.threads_per_trial,
+      write_perfetto_for(*traced, run.seed, config.threads_per_trial,
                          options.perfetto_path);
     }
-    if (!options.quiet) print_summaries(result, options.timing);
+    if (!run.quiet) cli::print_summary_table(result, options.timing);
 
     // Verification verdicts come last so exports above are written either
     // way (a failing campaign's rows are still evidence). Contract trumps
@@ -511,7 +370,7 @@ int main(int argc, char** argv) {
       }
       if (audit_failures.empty()) {
         std::fprintf(stderr, "[audit] %zu trial trace(s) verified clean\n",
-                     result.trials.size());
+                     audited);
       }
     }
     if (contract.has_value()) {

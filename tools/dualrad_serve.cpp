@@ -26,10 +26,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <iostream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -39,12 +39,12 @@
 #include "campaign/export.hpp"
 #include "campaign/jsonl.hpp"
 #include "obs/heartbeat.hpp"
+#include "run_options.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/faultline.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "serve/worker.hpp"
-#include "stats/table.hpp"
 
 namespace {
 
@@ -62,57 +62,33 @@ void install_signal_handlers() {
   std::signal(SIGTERM, on_stop_signal);
 }
 
+// Flags only the service tool takes; the shared ones live in run_options.hpp.
 struct Options {
   std::string command;
   std::string listen;
   std::string connect;
-  std::string filter;
-  std::uint64_t seed = 1;
-  std::size_t trials = 0;
   std::uint32_t unit_trials = 4;
   double lease_secs = 30.0;
-  std::string journal_path;
-  bool resume = false;
   bool idle = false;
-  unsigned threads_per_trial = 0;
   unsigned spawn = 0;
-  unsigned heartbeat_secs = 0;
   std::string worker_id;
-  std::string jsonl_path;
-  std::string csv_path;
-  std::string summary_jsonl_path;
-  std::string summary_csv_path;
-  std::string telemetry_jsonl_path;
   std::string quarantine_jsonl_path;
   std::string faults;  ///< fault-injection spec (faultline.hpp grammar)
-  bool telemetry_wanted = false;
-  bool quiet = false;
-  bool help = false;
 };
 
 void usage() {
-  std::puts(
+  std::fputs(
       "usage: dualrad_serve <serve|worker|submit|status> [options]\n"
       "\n"
-      "serve — run the coordinator\n"
+      "serve — run the coordinator on the shared options below\n"
       "  --listen=EP         endpoint: a path => Unix socket, host:port or\n"
       "                      :port => TCP (required)\n"
-      "  --filter=SUBSTR     scenarios to run (default: all); with --idle,\n"
-      "                      wait for a `submit` instead\n"
-      "  --seed=N            master seed (default 1)\n"
-      "  --trials=N          override every scenario's trial count\n"
+      "  --idle              load no campaign; wait for a `submit` instead\n"
       "  --unit-trials=N     trials per work unit / lease (default 4;\n"
       "                      0 = one unit per scenario)\n"
-      "  --lease-secs=S      requeue a unit not committed within S seconds\n"
-      "                      (default 30)\n"
-      "  --journal=PATH      crash-safe checkpoint journal (recommended)\n"
-      "  --resume            load --journal first and skip committed trials\n"
-      "  --threads-per-trial=N  dispatched to workers in every unit\n"
-      "  --telemetry         collect per-trial telemetry rows from workers\n"
+      "  --lease-secs=S      requeue a unit not committed within S > 0\n"
+      "                      seconds (default 30)\n"
       "  --spawn=N           fork N worker processes connected to --listen\n"
-      "  --heartbeat=SECS    print coordinator status every SECS seconds\n"
-      "  --jsonl/--csv/--summary-jsonl/--summary-csv/--telemetry-jsonl=PATH\n"
-      "                      exports, byte-identical to a batch run\n"
       "  --quarantine-jsonl=PATH  write the quarantined-unit manifest (one\n"
       "                      JSON object per quarantined unit)\n"
       "  --faults=SPEC       deterministic fault injection, e.g.\n"
@@ -120,7 +96,6 @@ void usage() {
       "                      crash=0.01;stall=0.01:300' — propagated to\n"
       "                      --spawn'ed workers; exit 3 if units were\n"
       "                      quarantined\n"
-      "  --quiet             suppress the summary table\n"
       "\n"
       "worker — run one worker process\n"
       "  --connect=EP        coordinator endpoint (required)\n"
@@ -129,86 +104,15 @@ void usage() {
       "  --faults=SPEC       inject wire/lifecycle faults in this worker\n"
       "\n"
       "submit — load a campaign into an --idle coordinator\n"
-      "  --connect=EP --filter=SUBSTR [--seed=N --trials=N]\n"
+      "  --connect=EP --filter=F [--seed=N --trials=N]\n"
       "\n"
       "status — print coordinator status\n"
-      "  --connect=EP\n");
-}
-
-std::optional<Options> parse(int argc, char** argv) try {
-  Options options;
-  if (argc < 2) return std::nullopt;
-  options.command = argv[1];
-  if (options.command == "--help" || options.command == "-h") {
-    options.help = true;
-    return options;
-  }
-  bool telemetry = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> std::optional<std::string> {
-      const std::string p(prefix);
-      if (arg.rfind(p, 0) == 0) return arg.substr(p.size());
-      return std::nullopt;
-    };
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--idle") {
-      options.idle = true;
-    } else if (arg == "--telemetry") {
-      telemetry = true;
-    } else if (auto v = value("--listen=")) {
-      options.listen = *v;
-    } else if (auto v = value("--connect=")) {
-      options.connect = *v;
-    } else if (auto v = value("--filter=")) {
-      options.filter = *v;
-    } else if (auto v = value("--seed=")) {
-      options.seed = std::stoull(*v);
-    } else if (auto v = value("--trials=")) {
-      options.trials = std::stoul(*v);
-    } else if (auto v = value("--unit-trials=")) {
-      options.unit_trials = static_cast<std::uint32_t>(std::stoul(*v));
-    } else if (auto v = value("--lease-secs=")) {
-      options.lease_secs = std::stod(*v);
-    } else if (auto v = value("--journal=")) {
-      options.journal_path = *v;
-    } else if (auto v = value("--threads-per-trial=")) {
-      options.threads_per_trial = static_cast<unsigned>(std::stoul(*v));
-    } else if (auto v = value("--spawn=")) {
-      options.spawn = static_cast<unsigned>(std::stoul(*v));
-    } else if (auto v = value("--heartbeat=")) {
-      options.heartbeat_secs = static_cast<unsigned>(std::stoul(*v));
-    } else if (auto v = value("--id=")) {
-      options.worker_id = *v;
-    } else if (auto v = value("--jsonl=")) {
-      options.jsonl_path = *v;
-    } else if (auto v = value("--csv=")) {
-      options.csv_path = *v;
-    } else if (auto v = value("--summary-jsonl=")) {
-      options.summary_jsonl_path = *v;
-    } else if (auto v = value("--summary-csv=")) {
-      options.summary_csv_path = *v;
-    } else if (auto v = value("--telemetry-jsonl=")) {
-      options.telemetry_jsonl_path = *v;
-    } else if (auto v = value("--quarantine-jsonl=")) {
-      options.quarantine_jsonl_path = *v;
-    } else if (auto v = value("--faults=")) {
-      options.faults = *v;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return std::nullopt;
-    }
-  }
-  options.telemetry_wanted = telemetry || !options.telemetry_jsonl_path.empty();
-  return options;
-} catch (const std::exception&) {
-  std::fprintf(stderr, "malformed numeric argument\n");
-  return std::nullopt;
+      "  --connect=EP\n"
+      "\n"
+      "shared options (as in dualrad_campaign; exports are byte-identical\n"
+      "to a batch run):\n",
+      stdout);
+  std::fputs(cli::kRunUsage, stdout);
 }
 
 /// One-shot request/response for the submit/status clients.
@@ -235,21 +139,6 @@ std::optional<std::string> rpc(const std::string& endpoint,
   return reply;
 }
 
-void print_summaries(const campaign::CampaignResult& result) {
-  stats::Table table({"scenario", "trials", "failed", "mean rounds", "median",
-                      "p90", "mean sends"});
-  for (const campaign::ScenarioSummary& s : result.summaries) {
-    const bool any = s.rounds.count > 0;
-    table.add_row({s.scenario, std::to_string(s.trials),
-                   std::to_string(s.failures),
-                   any ? stats::Table::num(s.rounds.mean, 1) : "-",
-                   any ? stats::Table::num(s.rounds.median, 1) : "-",
-                   any ? stats::Table::num(s.rounds.p90, 1) : "-",
-                   stats::Table::num(s.mean_sends, 1)});
-  }
-  table.print(std::cout);
-}
-
 /// JSONL manifest of quarantined units (explicit, machine-readable: the
 /// campaign "completed" but these trial ranges are missing from the export).
 std::string quarantine_to_jsonl(
@@ -266,7 +155,7 @@ std::string quarantine_to_jsonl(
   return out;
 }
 
-int run_serve(const Options& options) {
+int run_serve(const Options& options, const cli::RunOptions& run) {
   if (options.listen.empty()) {
     std::fprintf(stderr, "serve requires --listen=ENDPOINT\n");
     return 2;
@@ -286,23 +175,22 @@ int run_serve(const Options& options) {
   }
 
   serve::Coordinator::Config config;
-  config.master_seed = options.seed;
-  config.trials_override = options.trials;
+  config.master_seed = run.seed;
+  config.trials_override = run.trials;
   config.unit_trials = options.unit_trials;
   config.lease_secs = options.lease_secs;
-  config.journal_path = options.journal_path;
-  config.resume = options.resume;
-  config.threads_per_trial =
-      options.threads_per_trial != 0 ? options.threads_per_trial : 1;
-  config.collect_telemetry = options.telemetry_wanted;
+  config.journal_path = run.journal_path;
+  config.resume = run.resume;
+  config.threads_per_trial = std::max(1u, run.threads_per_trial);
+  config.collect_telemetry = !run.telemetry_jsonl_path.empty();
   serve::Coordinator coordinator(config);
 
   if (!options.idle) {
     const std::vector<campaign::Scenario> scenarios =
-        registry.match(options.filter);
+        campaign::select_scenarios(registry, run.filter);
     if (scenarios.empty()) {
       std::fprintf(stderr, "no scenario matches filter '%s'\n",
-                   options.filter.c_str());
+                   run.filter.c_str());
       return 1;
     }
     coordinator.load_campaign(scenarios);
@@ -359,8 +247,8 @@ int run_serve(const Options& options) {
   install_signal_handlers();
 
   obs::Heartbeat heartbeat;
-  if (options.heartbeat_secs > 0) {
-    heartbeat.start(std::chrono::seconds(options.heartbeat_secs), [&] {
+  if (run.heartbeat_secs > 0) {
+    heartbeat.start(std::chrono::seconds(run.heartbeat_secs), [&] {
       const serve::Coordinator::Status s = coordinator.status();
       std::string extra;
       if (s.lease_expiries != 0) {
@@ -458,11 +346,11 @@ int run_serve(const Options& options) {
   ::close(listen_fd);
 
   if (interrupted) {
-    if (!options.journal_path.empty()) {
+    if (!run.journal_path.empty()) {
       std::fprintf(stderr,
                    "[serve] interrupted — journal %s is durable; restart with "
                    "--resume to continue\n",
-                   options.journal_path.c_str());
+                   run.journal_path.c_str());
     } else {
       std::fprintf(stderr, "[serve] interrupted — no --journal, progress "
                            "discarded\n");
@@ -494,33 +382,14 @@ int run_serve(const Options& options) {
     campaign::write_file(options.quarantine_jsonl_path,
                          quarantine_to_jsonl(quarantined));
   }
-  if (!options.jsonl_path.empty()) {
-    campaign::write_file(options.jsonl_path,
-                         campaign::trials_to_jsonl(result.trials));
-  }
-  if (!options.csv_path.empty()) {
-    campaign::write_file(options.csv_path,
-                         campaign::trials_to_csv(result.trials));
-  }
-  if (!options.summary_jsonl_path.empty()) {
-    campaign::write_file(options.summary_jsonl_path,
-                         campaign::summaries_to_jsonl(result.summaries));
-  }
-  if (!options.summary_csv_path.empty()) {
-    campaign::write_file(options.summary_csv_path,
-                         campaign::summaries_to_csv(result.summaries));
-  }
-  if (!options.telemetry_jsonl_path.empty()) {
-    campaign::write_file(options.telemetry_jsonl_path,
-                         campaign::telemetry_to_jsonl(result.telemetry));
-  }
-  if (!options.quiet) print_summaries(result);
+  cli::write_exports(run, result, /*timed=*/false);
+  if (!run.quiet) cli::print_summary_table(result, /*timed=*/false);
   // Exit 3 distinguishes "completed with quarantined gaps" from clean
   // success — scripted callers must not treat a partial export as whole.
   return quarantined.empty() ? 0 : 3;
 }
 
-int run_worker_command(const Options& options) {
+int run_worker_command(const Options& options, const cli::RunOptions& run) {
   if (options.connect.empty()) {
     std::fprintf(stderr, "worker requires --connect=ENDPOINT\n");
     return 2;
@@ -537,9 +406,9 @@ int run_worker_command(const Options& options) {
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   serve::WorkerOptions worker_options;
   worker_options.worker_id = options.worker_id;
-  worker_options.threads_per_trial = options.threads_per_trial;
+  worker_options.threads_per_trial = run.threads_per_trial;
   worker_options.stop = &g_stop;
-  if (!options.quiet) {
+  if (!run.quiet) {
     worker_options.log = [](const std::string& line) {
       std::fprintf(stderr, "%s\n", line.c_str());
     };
@@ -564,15 +433,15 @@ int run_worker_command(const Options& options) {
   return stats.stopped ? 130 : 0;
 }
 
-int run_submit(const Options& options) {
+int run_submit(const Options& options, const cli::RunOptions& run) {
   if (options.connect.empty()) {
     std::fprintf(stderr, "submit requires --connect=ENDPOINT\n");
     return 2;
   }
   std::string payload = "{\"type\":\"submit\"";
-  payload += ",\"filter\":\"" + options.filter + "\"";
-  payload += ",\"seed\":" + std::to_string(options.seed);
-  payload += ",\"trials\":" + std::to_string(options.trials);
+  payload += ",\"filter\":\"" + run.filter + "\"";
+  payload += ",\"seed\":" + std::to_string(run.seed);
+  payload += ",\"trials\":" + std::to_string(run.trials);
   payload += "}";
   const std::optional<std::string> reply = rpc(options.connect, payload);
   if (!reply.has_value()) return 1;
@@ -625,20 +494,40 @@ int run_status(const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<Options> parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
+  Options options;
+  cli::RunOptions run;
+  cli::Flags flags;
+  flags.on("--idle", options.idle)
+      .text("--listen", options.listen)
+      .text("--connect", options.connect)
+      .text("--id", options.worker_id)
+      .text("--quarantine-jsonl", options.quarantine_jsonl_path)
+      .text("--faults", options.faults)
+      .number("--unit-trials", options.unit_trials)
+      .number("--lease-secs", options.lease_secs)
+      .number("--spawn", options.spawn);
+  if (argc >= 2) options.command = argv[1];
+  if (options.command == "--help" || options.command == "-h") {
+    usage();
+    return 0;
+  }
+  if (argc < 2 || !cli::parse_command_line(argc, argv, 2, flags, run)) {
     usage();
     return 2;
   }
-  const Options& options = *parsed;
-  if (options.help) {
+  if (!(options.lease_secs > 0)) {
+    std::fprintf(stderr, "--lease-secs must be > 0\n");
+    usage();
+    return 2;
+  }
+  if (run.help) {
     usage();
     return 0;
   }
   try {
-    if (options.command == "serve") return run_serve(options);
-    if (options.command == "worker") return run_worker_command(options);
-    if (options.command == "submit") return run_submit(options);
+    if (options.command == "serve") return run_serve(options, run);
+    if (options.command == "worker") return run_worker_command(options, run);
+    if (options.command == "submit") return run_submit(options, run);
     if (options.command == "status") return run_status(options);
     std::fprintf(stderr, "unknown command: %s\n", options.command.c_str());
     usage();
