@@ -16,7 +16,8 @@ using namespace dualrad;
 
 namespace {
 
-InterferenceNetwork make_network(NodeId n, std::uint64_t seed) {
+/// Lemma 1's reading of (G_T, G_I): the dual graph G = G_T, G' = G_I.
+DualGraph make_network(NodeId n, std::uint64_t seed) {
   // G_T: connected random backbone; G_I: G_T plus longer-range interference.
   Graph gt = gen::gnp_connected(n, 0.04, seed);
   Graph gi(n);
@@ -31,7 +32,7 @@ InterferenceNetwork make_network(NodeId n, std::uint64_t seed) {
       }
     }
   }
-  return InterferenceNetwork(std::move(gt), std::move(gi), 0);
+  return DualGraph(gt, gi, 0);
 }
 
 }  // namespace
@@ -46,8 +47,7 @@ int main() {
                       "dual-sim rounds", "equal"});
   bool all_equal = true;
   for (const NodeId n : {32, 64, 128}) {
-    const InterferenceNetwork inet = make_network(n, 7);
-    const DualGraph dual = inet.to_dual();
+    const DualGraph net = make_network(n, 7);
     struct AlgoSpec {
       const char* name;
       ProcessFactory factory;
@@ -58,22 +58,16 @@ int main() {
     };
     for (const auto& algo : algorithms) {
       for (CollisionRule rule : {CollisionRule::CR1, CollisionRule::CR4}) {
-        InterferenceConfig iconfig;
-        iconfig.rule = rule;
-        iconfig.start = StartRule::Synchronous;
-        iconfig.max_rounds = 10'000'000;
-        iconfig.seed = 3;
-        const auto iresult =
-            run_interference_broadcast(inet, algo.factory, iconfig);
-
-        InterferenceSimAdversary adversary(inet, rule);
-        SimConfig dconfig;
-        dconfig.rule = rule;
-        dconfig.start = StartRule::Synchronous;
-        dconfig.max_rounds = 10'000'000;
-        dconfig.seed = 3;
+        SimConfig config;
+        config.rule = rule;
+        config.start = StartRule::Synchronous;
+        config.max_rounds = 10'000'000;
+        config.seed = 3;
+        const SimResult iresult =
+            run_interference_broadcast(net, algo.factory, config);
+        InterferenceSimAdversary adversary(rule);
         const SimResult dresult =
-            run_broadcast(dual, algo.factory, adversary, dconfig);
+            run_broadcast(net, algo.factory, adversary, config);
 
         const bool equal = iresult.completion_round == dresult.completion_round;
         all_equal = all_equal && equal;

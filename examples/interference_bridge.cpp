@@ -49,27 +49,23 @@ int main() {
   using namespace dualrad;
 
   // Ring with chordal interference from the hub.
-  Graph gt = gen::cycle(10);
+  const Graph gt = gen::cycle(10);
   Graph gi = gen::cycle(10);
   for (NodeId v = 2; v < 10; v += 2) gi.add_undirected_edge(0, v);
-  const InterferenceNetwork inet(std::move(gt), std::move(gi), 0);
-  const NodeId n = inet.node_count();
+  // Lemma 1 reads (G_T, G_I) as the dual graph G = G_T, G' = G_I.
+  const DualGraph net(gt, gi, 0);
+  const NodeId n = net.node_count();
   const ProcessFactory factory = make_strong_select_factory(n);
 
-  InterferenceConfig iconfig;
-  iconfig.rule = CollisionRule::CR1;
-  iconfig.max_rounds = 100'000;
-  iconfig.trace = TraceLevel::Compressed;
-  const auto interference = run_interference_broadcast(inet, factory, iconfig);
-
-  const DualGraph dual = inet.to_dual();
-  InterferenceSimAdversary adversary(inet, CollisionRule::CR1);
-  SimConfig dconfig;
-  dconfig.rule = CollisionRule::CR1;
-  dconfig.start = StartRule::Synchronous;
-  dconfig.max_rounds = 100'000;
-  dconfig.trace = TraceLevel::Compressed;
-  const auto dual_run = run_broadcast(dual, factory, adversary, dconfig);
+  SimConfig config;
+  config.rule = CollisionRule::CR1;
+  config.start = StartRule::Synchronous;
+  config.max_rounds = 100'000;
+  config.trace = TraceLevel::Compressed;
+  const SimResult interference =
+      run_interference_broadcast(net, factory, config);
+  InterferenceSimAdversary adversary(CollisionRule::CR1);
+  const SimResult dual_run = run_broadcast(net, factory, adversary, config);
 
   std::printf("interference model completed in %lld rounds;"
               " dual simulation in %lld rounds\n\n",

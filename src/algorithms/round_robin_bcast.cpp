@@ -1,54 +1,17 @@
 #include "algorithms/round_robin_bcast.hpp"
 
-#include <algorithm>
-
-#include "algorithms/broadcast_algorithm.hpp"
+#include "algorithms/scheduled.hpp"
 
 namespace dualrad {
-namespace {
-
-class RoundRobinProcess final : public TokenProcess {
- public:
-  RoundRobinProcess(ProcessId id, NodeId n) : TokenProcess(id), n_(n) {}
-  RoundRobinProcess(const RoundRobinProcess&) = default;
-
-  [[nodiscard]] Action next_action(Round round) const override {
-    if (!has_token() || round <= token_round()) return Action::silent();
-    if (round % n_ != id() % n_) return Action::silent();
-    return Action::transmit(Message{/*token=*/true, /*origin=*/id(),
-                                    /*round_tag=*/round, /*payload=*/0});
-  }
-
-  /// The schedule is closed-form — the next round >= `from` congruent to
-  /// id (mod n) once the token is held — so the sparse engine's calendar
-  /// elides the n - 1 silent rounds of every cycle exactly.
-  [[nodiscard]] Round next_send_round(Round from) const override {
-    if (!has_token()) return kNever;
-    from = std::max(from, token_round() + 1);
-    Round delta = (id() % n_) - (from % n_);
-    if (delta < 0) delta += n_;
-    return from + delta;
-  }
-
-  /// State is the token round only; silence receptions are no-ops.
-  [[nodiscard]] bool silence_transparent() const override { return true; }
-
-  [[nodiscard]] std::unique_ptr<Process> clone() const override {
-    return std::make_unique<RoundRobinProcess>(*this);
-  }
-
- private:
-  NodeId n_;
-};
-
-}  // namespace
 
 ProcessFactory make_round_robin_factory(NodeId n) {
   DUALRAD_REQUIRE(n >= 1, "round robin needs n >= 1");
-  return [n](ProcessId id, NodeId n_arg, std::uint64_t /*seed*/) {
-    DUALRAD_REQUIRE(n_arg == n, "factory built for a different n");
-    return std::make_unique<RoundRobinProcess>(id, n);
-  };
+  // Slot s covers rounds s + 1 (mod n), so id (s + 1) mod n sends exactly in
+  // the rounds congruent to its id.
+  std::vector<ProcessId> slots;
+  slots.reserve(static_cast<std::size_t>(n));
+  for (NodeId s = 0; s < n; ++s) slots.push_back((s + 1) % n);
+  return make_scheduled_factory(n, std::move(slots));
 }
 
 }  // namespace dualrad

@@ -14,6 +14,8 @@
 
 namespace dualrad {
 
+/// The identity TDMA schedule (algorithms/scheduled.hpp): slot s goes to
+/// process (s + 1) mod n.
 [[nodiscard]] ProcessFactory make_round_robin_factory(NodeId n);
 
 }  // namespace dualrad

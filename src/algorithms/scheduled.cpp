@@ -2,26 +2,40 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
+#include <span>
 
 #include "algorithms/broadcast_algorithm.hpp"
 
 namespace dualrad {
 namespace {
 
+/// One schedule, shared by every process it drives: the slots, and each
+/// process id's slot offsets within a period, ascending and laid out
+/// CSR-style (id i's are offsets[first[i] .. first[i+1])), so building a
+/// process costs O(its own slots), not O(period).
+struct Schedule {
+  std::vector<ProcessId> slots;
+  std::vector<std::size_t> first;
+  std::vector<Round> offsets;
+};
+
 class ScheduledProcess final : public TokenProcess {
  public:
-  ScheduledProcess(ProcessId id, std::shared_ptr<const std::vector<ProcessId>> slots)
-      : TokenProcess(id), slots_(std::move(slots)) {
-    for (std::size_t s = 0; s < slots_->size(); ++s) {
-      if ((*slots_)[s] == id) my_slots_.push_back(static_cast<Round>(s));
-    }
+  ScheduledProcess(ProcessId id, std::shared_ptr<const Schedule> schedule)
+      : TokenProcess(id), schedule_(std::move(schedule)) {
+    const auto i = static_cast<std::size_t>(id);
+    my_slots_ = std::span<const Round>(schedule_->offsets)
+                    .subspan(schedule_->first[i],
+                             schedule_->first[i + 1] - schedule_->first[i]);
   }
   ScheduledProcess(const ScheduledProcess&) = default;
 
   [[nodiscard]] Action next_action(Round round) const override {
     if (!has_token() || round <= token_round()) return Action::silent();
-    const auto period = static_cast<Round>(slots_->size());
-    if ((*slots_)[static_cast<std::size_t>((round - 1) % period)] != id()) {
+    const std::vector<ProcessId>& slots = schedule_->slots;
+    const auto period = static_cast<Round>(slots.size());
+    if (slots[static_cast<std::size_t>((round - 1) % period)] != id()) {
       return Action::silent();
     }
     return Action::transmit(Message{/*token=*/true, /*origin=*/id(),
@@ -34,7 +48,7 @@ class ScheduledProcess final : public TokenProcess {
   [[nodiscard]] Round next_send_round(Round from) const override {
     if (!has_token() || my_slots_.empty()) return kNever;
     from = std::max(from, token_round() + 1);
-    const auto period = static_cast<Round>(slots_->size());
+    const auto period = static_cast<Round>(schedule_->slots.size());
     const Round offset = (from - 1) % period;
     Round cycle_start = from - 1 - offset;  // round before this period began
     auto it = std::lower_bound(my_slots_.begin(), my_slots_.end(), offset);
@@ -53,20 +67,35 @@ class ScheduledProcess final : public TokenProcess {
   }
 
  private:
-  std::shared_ptr<const std::vector<ProcessId>> slots_;
-  std::vector<Round> my_slots_;  ///< slot indices within a period, ascending
+  std::shared_ptr<const Schedule> schedule_;
+  std::span<const Round> my_slots_;  ///< into schedule_->offsets
 };
 
 }  // namespace
 
 ProcessFactory make_scheduled_factory(NodeId n, std::vector<ProcessId> slots) {
   DUALRAD_REQUIRE(!slots.empty(), "schedule must be non-empty");
+  // Counting sort of the slot offsets by id: count, sum each id's bucket
+  // end, then fill backwards so every bucket ascends and first[i] ends up
+  // at its start.
+  auto schedule = std::make_shared<Schedule>();
+  std::vector<std::size_t>& first = schedule->first;
+  first.assign(static_cast<std::size_t>(n) + 1, 0);
   for (ProcessId p : slots) {
     DUALRAD_REQUIRE(p >= 0 && p < n, "schedule entry out of range");
+    ++first[static_cast<std::size_t>(p)];
   }
-  auto shared = std::make_shared<const std::vector<ProcessId>>(std::move(slots));
-  return [shared, n](ProcessId id, NodeId n_arg, std::uint64_t /*seed*/) {
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  schedule->offsets.resize(slots.size());
+  for (std::size_t s = slots.size(); s-- > 0;) {
+    schedule->offsets[--first[static_cast<std::size_t>(slots[s])]] =
+        static_cast<Round>(s);
+  }
+  schedule->slots = std::move(slots);
+  return [shared = std::shared_ptr<const Schedule>(std::move(schedule)), n](
+             ProcessId id, NodeId n_arg, std::uint64_t /*seed*/) {
     DUALRAD_REQUIRE(n_arg == n, "factory built for a different n");
+    DUALRAD_REQUIRE(id >= 0 && id < n, "process id out of range");
     return std::make_unique<ScheduledProcess>(id, shared);
   };
 }

@@ -8,9 +8,9 @@
 #include "byz/adaptive.hpp"
 #include "byz/cpa.hpp"
 #include "byz/plan.hpp"
+#include "campaign/builtin_scenarios.hpp"
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
-#include "graph/dual_builders.hpp"
 
 namespace dualrad::byz {
 
@@ -20,26 +20,10 @@ using campaign::AdversaryFactory;
 using campaign::AlgorithmBuilder;
 using campaign::NetworkBuilder;
 using campaign::Scenario;
-
-// The same sparse scale topologies as the scale/* grid, so byz/* numbers are
-// directly comparable to the fault-free engine-scaling rows.
-
-[[nodiscard]] NetworkBuilder scale_layered(NodeId layers, NodeId width) {
-  return [layers, width] {
-    return duals::layered_sparse({.layers = layers,
-                                  .width = width,
-                                  .fwd_degree = 3,
-                                  .unreliable_degree = 2,
-                                  .seed = 17});
-  };
-}
-
-[[nodiscard]] NetworkBuilder scale_grayzone(NodeId n) {
-  return [n] {
-    return duals::gray_zone_grid(
-        {.n = n, .mean_degree = 12.0, .gray_factor = 1.5, .seed = 17});
-  };
-}
+// The scale/* grid's topologies, so byz/* numbers are directly comparable to
+// the fault-free engine-scaling rows.
+using campaign::scale_grayzone;
+using campaign::scale_layered;
 
 // Relay schedules mirror the scale grid's duty-cycled decay: a bounded
 // active window after first acceptance/adoption, then sparse beacons, so

@@ -25,16 +25,40 @@
 
 namespace dualrad::campaign {
 
-namespace {
-
 // Network builders. Sizes are chosen so the full catalogue runs in seconds
 // to low minutes; the campaign CLI's --trials flag scales sampling up.
 
-[[nodiscard]] NetworkBuilder layered(NodeId layers, NodeId width) {
+NetworkBuilder layered(NodeId layers, NodeId width) {
   return [layers, width] {
     return duals::layered_complete_gprime(layers, width);
   };
 }
+
+NetworkBuilder gray_zone(NodeId n, std::uint64_t seed) {
+  return [n, seed] {
+    return duals::gray_zone(
+        {.n = n, .r_reliable = 0.22, .r_gray = 0.55, .seed = seed});
+  };
+}
+
+NetworkBuilder scale_layered(NodeId layers, NodeId width) {
+  return [layers, width] {
+    return duals::layered_sparse({.layers = layers,
+                                  .width = width,
+                                  .fwd_degree = 3,
+                                  .unreliable_degree = 2,
+                                  .seed = 17});
+  };
+}
+
+NetworkBuilder scale_grayzone(NodeId n) {
+  return [n] {
+    return duals::gray_zone_grid(
+        {.n = n, .mean_degree = 12.0, .gray_factor = 1.5, .seed = 17});
+  };
+}
+
+namespace {
 
 [[nodiscard]] NetworkBuilder classical_bridge(NodeId n) {
   return [n] { return duals::strip_unreliable(duals::bridge_network(n)); };
@@ -56,36 +80,10 @@ namespace {
   return [n] { return duals::theorem12_network(n); };
 }
 
-[[nodiscard]] NetworkBuilder gray_zone(NodeId n, std::uint64_t seed) {
-  return [n, seed] {
-    return duals::gray_zone(
-        {.n = n, .r_reliable = 0.22, .r_gray = 0.55, .seed = seed});
-  };
-}
-
 [[nodiscard]] NetworkBuilder backbone(NodeId n, std::uint64_t seed) {
   return [n, seed] {
     return duals::backbone_plus_unreliable(
         {.n = n, .p_reliable = 0.05, .p_unreliable = 0.2, .seed = seed});
-  };
-}
-
-// Large-n families for the scale/* grid: bounded degree, O(n) memory.
-
-[[nodiscard]] NetworkBuilder scale_layered(NodeId layers, NodeId width) {
-  return [layers, width] {
-    return duals::layered_sparse({.layers = layers,
-                                  .width = width,
-                                  .fwd_degree = 3,
-                                  .unreliable_degree = 2,
-                                  .seed = 17});
-  };
-}
-
-[[nodiscard]] NetworkBuilder scale_grayzone(NodeId n) {
-  return [n] {
-    return duals::gray_zone_grid(
-        {.n = n, .mean_degree = 12.0, .gray_factor = 1.5, .seed = 17});
   };
 }
 

@@ -27,6 +27,19 @@ void register_builtin_scenarios(ScenarioRegistry& registry);
 /// A fresh registry holding exactly the built-in catalogue.
 [[nodiscard]] ScenarioRegistry builtin_registry();
 
+/// Network builders shared by the catalogue's registrars (this one, the MAC
+/// suite and the Byzantine suite), so equal names mean equal networks.
+/// layered: duals::layered_complete_gprime. gray_zone: duals::gray_zone with
+/// r_reliable 0.22 and r_gray 0.55.
+[[nodiscard]] NetworkBuilder layered(NodeId layers, NodeId width);
+[[nodiscard]] NetworkBuilder gray_zone(NodeId n, std::uint64_t seed);
+/// The large-n families of the scale/* and byz/* grids: bounded degree, O(n)
+/// memory, topology seed 17 (duals::layered_sparse with forward degree 3 and
+/// unreliable degree 2; duals::gray_zone_grid with mean degree 12 and gray
+/// factor 1.5).
+[[nodiscard]] NetworkBuilder scale_layered(NodeId layers, NodeId width);
+[[nodiscard]] NetworkBuilder scale_grayzone(NodeId n);
+
 /// Every scenario spec starts with this; no builtin name does.
 inline constexpr std::string_view kSpecPrefix = "adhoc/";
 

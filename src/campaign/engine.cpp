@@ -20,15 +20,6 @@ namespace dualrad::campaign {
 
 namespace {
 
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 [[nodiscard]] DualGraph build_network(const Scenario& s) {
   DUALRAD_REQUIRE(static_cast<bool>(s.network) &&
                       static_cast<bool>(s.algorithm) &&
@@ -80,10 +71,7 @@ TrialExecutor::Outcome TrialExecutor::run(std::uint32_t trial,
   sim.token_sources = spec_.token_sources;
   sim.threads = options.threads_per_trial;
   sim.trace = options.trace;
-  // One telemetry registry per trial, attached out-of-band. Window 1: only
-  // whole-execution totals are kept, so the per-round ring can be minimal.
-  obs::RoundTelemetry telemetry(1);
-  if (options.collect_telemetry) sim.telemetry = &telemetry;
+  sim.telemetry = options.telemetry;
   const auto started = std::chrono::steady_clock::now();
   SimResult run = spec_.runner ? spec_.runner(net_, factory_, *adversary, sim)
                                : run_broadcast(net_, factory_, *adversary, sim);
@@ -105,7 +93,8 @@ TrialExecutor::Outcome TrialExecutor::run(std::uint32_t trial,
         std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
   }
 
-  if (options.collect_telemetry) {
+  if (options.telemetry != nullptr) {
+    const obs::RoundTelemetry& telemetry = *options.telemetry;
     TelemetryRow& t = out.telemetry;
     t.scenario = spec_.name;
     t.trial = trial;
@@ -148,6 +137,7 @@ std::vector<ScenarioSummary> summarize_trials(
     summary.trials = trials;
     std::vector<double> rounds;
     double sends = 0.0, collisions = 0.0, wall_us = 0.0;
+    std::size_t timed_rows = 0;
     for (std::size_t t = 0; t < trials; ++t) {
       const TrialRow& row = rows[first + t];
       if (row.completed) {
@@ -157,13 +147,17 @@ std::vector<ScenarioSummary> summarize_trials(
       }
       sends += static_cast<double>(row.sends);
       collisions += static_cast<double>(row.collisions);
-      wall_us += static_cast<double>(row.wall_us);
+      // Rows replayed from a journal carry no wall time (-1).
+      if (row.wall_us >= 0) {
+        wall_us += static_cast<double>(row.wall_us);
+        ++timed_rows;
+      }
     }
     summary.rounds = stats::summarize(std::move(rounds));
     summary.mean_sends = sends / static_cast<double>(trials);
     summary.mean_collisions = collisions / static_cast<double>(trials);
-    if (timed) {
-      summary.mean_wall_ms = wall_us / 1000.0 / static_cast<double>(trials);
+    if (timed && timed_rows > 0) {
+      summary.mean_wall_ms = wall_us / 1000.0 / static_cast<double>(timed_rows);
     }
     summaries.push_back(std::move(summary));
     first += trials;
@@ -247,16 +241,17 @@ CampaignResult run_campaign(const std::vector<Scenario>& scenarios,
   std::mutex error_mutex;
   std::mutex observer_mutex;
 
-  TrialOptions options;
-  options.threads_per_trial = config.threads_per_trial;
-  options.measure_wall_time = config.measure_wall_time;
-  options.collect_telemetry = config.collect_telemetry;
-  options.trace = config.trial_trace;
-
   const auto run_one = [&](std::size_t job) {
     const PreparedScenario& p = prepared[scenario_of_job[job]];
     const std::uint32_t trial = static_cast<std::uint32_t>(job - p.first_job);
-    TrialExecutor::Outcome outcome = p.executor.run(trial, options);
+    // One telemetry registry per trial, attached out-of-band. Window 1: only
+    // whole-execution totals are kept, so the per-round ring can be minimal.
+    obs::RoundTelemetry telemetry(1);
+    TrialExecutor::Outcome outcome = p.executor.run(
+        trial, {.threads_per_trial = config.threads_per_trial,
+                .measure_wall_time = config.measure_wall_time,
+                .telemetry = config.collect_telemetry ? &telemetry : nullptr,
+                .trace = config.trial_trace});
 
     result.trials[job] = outcome.row;
     if (config.collect_telemetry) result.telemetry[job] = outcome.telemetry;

@@ -87,7 +87,8 @@ struct ScenarioSummary {
   stats::Summary rounds{};        ///< count == trials - failures
   double mean_sends = 0.0;        ///< over all trials
   double mean_collisions = 0.0;   ///< over all trials
-  /// Mean trial wall time in milliseconds; -1 unless measured.
+  /// Mean wall time in milliseconds of the trials that were timed; -1 when
+  /// none was (timing off, or every trial replayed from a journal).
   double mean_wall_ms = -1.0;
 };
 
@@ -172,7 +173,9 @@ struct CampaignConfig {
 struct TrialOptions {
   unsigned threads_per_trial = 1;
   bool measure_wall_time = false;
-  bool collect_telemetry = false;
+  /// SimConfig::telemetry of the trial: nullptr, or a fresh registry that
+  /// outlives run(). When set, Outcome::telemetry digests it.
+  obs::RoundTelemetry* telemetry = nullptr;
   /// SimConfig::trace of the trial (see CampaignConfig::trial_trace).
   TraceLevel trace = TraceLevel::None;
 };
@@ -193,7 +196,7 @@ class TrialExecutor {
 
   struct Outcome {
     TrialRow row;
-    /// Filled only when TrialOptions::collect_telemetry was set.
+    /// Filled only when TrialOptions::telemetry was set.
     TelemetryRow telemetry;
     /// The full simulation result (for observers / audits).
     SimResult sim;
@@ -221,8 +224,9 @@ using CampaignGrid = std::vector<std::pair<std::string, std::size_t>>;
 /// Per-scenario summaries of a flat, grid-ordered row vector — the summary
 /// half of run_campaign, shared with the serve-mode coordinator so a
 /// distributed campaign summarizes byte-identically to a batch run. `timed`
-/// fills mean_wall_ms (from TrialRow::wall_us). Throws std::invalid_argument
-/// if rows.size() differs from the grid total.
+/// fills mean_wall_ms from the rows with TrialRow::wall_us >= 0 (journaled
+/// rows carry -1). Throws std::invalid_argument if rows.size() differs from
+/// the grid total.
 [[nodiscard]] std::vector<ScenarioSummary> summarize_trials(
     const std::vector<TrialRow>& rows, const CampaignGrid& grid, bool timed);
 

@@ -33,15 +33,6 @@ void require_exportable(const std::string& name) {
                   "scenario name not exportable: " + name);
 }
 
-[[nodiscard]] std::vector<std::string> split(const std::string& line,
-                                             char sep) {
-  std::vector<std::string> out;
-  std::string cell;
-  std::istringstream in(line);
-  while (std::getline(in, cell, sep)) out.push_back(cell);
-  return out;
-}
-
 }  // namespace
 
 std::string trials_to_jsonl(const std::vector<TrialRow>& rows,
@@ -164,49 +155,6 @@ std::vector<TrialRow> trials_from_jsonl(const std::string& text) {
     r.tokens = tokens.has_value() ? static_cast<std::int32_t>(to_ll(*tokens)) : 1;
     const std::optional<std::string_view> wall = field_opt(line, "wall_us");
     r.wall_us = wall.has_value() ? to_ll(*wall) : -1;
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
-std::vector<TrialRow> trials_from_csv(const std::string& text) {
-  std::vector<TrialRow> rows;
-  std::istringstream in(text);
-  std::string line;
-  bool header = true;
-  // Column count announced by the header: 8 (legacy), 9 (+tokens), or
-  // 10 (+wall_us). Every row must match it exactly.
-  std::size_t columns = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (header) {
-      DUALRAD_REQUIRE(
-          line.rfind("scenario,trial,seed,completed,rounds,rounds_executed,"
-                     "sends,collisions",
-                     0) == 0,
-          "unexpected trial CSV header: " + line);
-      columns = split(line, ',').size();
-      DUALRAD_REQUIRE(columns >= 8 && columns <= 10,
-                      "unexpected trial CSV column count: " + line);
-      header = false;
-      continue;
-    }
-    const std::vector<std::string> cells = split(line, ',');
-    DUALRAD_REQUIRE(cells.size() == columns,
-                    "trial CSV row does not match the header: " + line);
-    TrialRow r;
-    r.scenario = cells[0];
-    r.trial = static_cast<std::uint32_t>(to_u64(cells[1]));
-    r.seed = to_u64(cells[2]);
-    DUALRAD_REQUIRE(cells[3] == "0" || cells[3] == "1",
-                    "completed must be 0/1");
-    r.completed = cells[3] == "1";
-    r.rounds = to_ll(cells[4]);
-    r.rounds_executed = to_ll(cells[5]);
-    r.sends = to_u64(cells[6]);
-    r.collisions = to_u64(cells[7]);
-    if (columns >= 9) r.tokens = static_cast<std::int32_t>(to_ll(cells[8]));
-    if (columns >= 10) r.wall_us = to_ll(cells[9]);
     rows.push_back(std::move(r));
   }
   return rows;

@@ -7,8 +7,9 @@
 
 /// \file export.hpp
 /// Serialization of campaign results: JSONL (one object per line) and CSV,
-/// for per-trial rows and per-scenario summaries, plus parsers for the trial
-/// formats (used by round-trip tests and downstream tooling).
+/// for per-trial rows and per-scenario summaries, plus parsers for the JSONL
+/// trial and telemetry streams (the checkpoint journal and the serve wire
+/// carry them).
 ///
 /// Output is a pure function of the rows: fixed key order, fixed number
 /// formatting ("%.*g" for doubles, decimal for integers), "\n" line endings.
@@ -46,10 +47,6 @@ namespace dualrad::campaign {
 /// wall_us keys are optional on input (defaults 1 and -1) so pre-multi-token
 /// and untimed exports keep parsing.
 [[nodiscard]] std::vector<TrialRow> trials_from_jsonl(const std::string& text);
-
-/// Inverse of trials_to_csv (expects the header line; accepts the legacy
-/// 8-column, the 9-column, and the timed 10-column layouts).
-[[nodiscard]] std::vector<TrialRow> trials_from_csv(const std::string& text);
 
 /// Per-trial telemetry JSONL (CampaignResult::telemetry). Keys per line:
 /// scenario, trial, wall_us, poll_ns, adversary_ns, propagate_ns,

@@ -45,10 +45,7 @@ using NodeFlags = std::vector<std::uint8_t>;
 /// order bit-identical to the dense reference engine).
 ///
 /// Rows are two flat arrays (offsets + nodes) with capacity retained across
-/// rounds, so steady-state appends are branch + store. Sinks over the same
-/// slot space are shard-mergeable: `merge_from` concatenates rows slot-wise
-/// (shard order = append order within a slot), which is what a future
-/// sharded adversary callback would reduce with.
+/// rounds, so steady-state appends are branch + store.
 class ReachSink {
  public:
   /// Engine-side: reset for a round with `sender_count` slots. Keeps
@@ -99,32 +96,6 @@ class ReachSink {
     DUALRAD_CHECK(slot < slot_count_, "ReachSink: sender slot out of range");
     return {nodes_.data() + offsets_[slot],
             offsets_[slot + 1] - offsets_[slot]};
-  }
-
-  /// Slot-wise concatenation of another sealed sink over the same slot
-  /// space: row(slot) becomes this->extras(slot) ++ other.extras(slot).
-  /// This is the deterministic shard merge (merge in shard order).
-  /// Rebuilds the flat arrays, so spans previously returned by extras()
-  /// are invalidated.
-  void merge_from(const ReachSink& other) {
-    DUALRAD_CHECK(&other != this, "ReachSink: cannot merge a sink into itself");
-    DUALRAD_CHECK(sealed_ && other.sealed_,
-                  "ReachSink: merge requires sealed sinks");
-    DUALRAD_CHECK(slot_count_ == other.slot_count_,
-                  "ReachSink: merge requires equal slot counts");
-    if (other.nodes_.empty()) return;
-    std::vector<NodeId> merged;
-    merged.reserve(nodes_.size() + other.nodes_.size());
-    std::vector<std::size_t> offsets(slot_count_ + 1, 0);
-    for (std::size_t s = 0; s < slot_count_; ++s) {
-      const auto a = extras(s);
-      const auto b = other.extras(s);
-      merged.insert(merged.end(), a.begin(), a.end());
-      merged.insert(merged.end(), b.begin(), b.end());
-      offsets[s + 1] = merged.size();
-    }
-    nodes_ = std::move(merged);
-    offsets_ = std::move(offsets);
   }
 
  private:

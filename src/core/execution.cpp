@@ -176,6 +176,25 @@ void ExecutionFrame::notify_round_end() {
   adversary_.on_round_end(view);
 }
 
+void ExecutionFrame::deliver_all(Round round,
+                                 std::span<const Reception> receptions) {
+  for (NodeId v = 0; v < n; ++v) {
+    const auto uv = static_cast<std::size_t>(v);
+    const Reception& rec = receptions[uv];
+    if (awake[uv]) {
+      procs[uv]->on_receive(round, rec);
+    } else if (rec.is_message()) {
+      procs[uv]->on_activate(round, rec.message);
+      awake[uv] = 1;
+    }
+    const Delta d = account(v, rec, round);
+    if (d.covered) next_delta_.push_back(v);
+    if (d.held) ++held_count_;
+  }
+  publish_coverage();
+  notify_round_end();
+}
+
 bool ExecutionFrame::end_round(Round round, std::uint32_t collision_events) {
   result_.total_collision_events += collision_events;
   if (record_trace) record_round(round);

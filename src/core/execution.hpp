@@ -11,10 +11,12 @@
 #include "core/simulator.hpp"
 
 /// \file execution.hpp
-/// The execution frame both round engines run on (private to core/): the
-/// sparse CSR kernel (simulator.cpp) and the dense reference kernel
-/// (reference_engine.cpp) differ only in how a round polls, propagates,
-/// and delivers; everything else about an execution lives here once:
+/// The execution frame every round kernel runs on: the sparse CSR kernel
+/// (simulator.cpp), the dense reference kernel (reference_engine.cpp) and
+/// the explicit-interference kernel (interference/interference.cpp) differ
+/// only in how a round polls, propagates and computes receptions, and the
+/// sparse kernel also in how it delivers; everything else about an
+/// execution lives here once:
 ///
 ///  * validation of the config and the token sources, before anything is
 ///    built; the adversary's execution-start hooks and the proc-mapping
@@ -31,12 +33,13 @@
 ///
 /// A round, in kernel order: begin_round; the kernel's poll, calling
 /// add_sender per send; end_poll; choose_reach; the kernel's propagation,
-/// calling check_reach per adversary extra; the kernel's receptions and
-/// delivery, calling account per delivery (and, when recording a trace,
-/// storing each touched node's reception and then naming the node to
-/// trace_touched); add_coverage + publish_coverage; notify_round_end;
-/// end_round, which records the round from the senders, their G rows, the
-/// sink's extras and the touched nodes' receptions.
+/// calling check_reach per adversary extra; the kernel's receptions (when
+/// recording a trace, storing each touched node's reception and then
+/// naming the node to trace_touched) and delivery, calling account per
+/// delivery; add_coverage + publish_coverage; notify_round_end — the dense
+/// kernels deliver through deliver_all, which does all three; end_round,
+/// which records the round from the senders, their G rows, the sink's
+/// extras and the touched nodes' receptions.
 ///
 /// add_sender runs once per send and account once per delivery, so both are
 /// inline. account writes only node-v state and returns its deltas, so
@@ -150,6 +153,12 @@ class ExecutionFrame {
 
   /// The adversary's round epilogue, with the round's coverage delta.
   void notify_round_end();
+
+  /// Delivery for the dense kernels, in node order: each process gets
+  /// receptions[v] (an asleep one wakes on a message, asynchronous start),
+  /// its tokens are accounted, and the round's coverage is published to the
+  /// adversary's round epilogue.
+  void deliver_all(Round round, std::span<const Reception> receptions);
 
   /// Trace the round, reset sender flags, and test completion. Returns true
   /// when the execution should stop.

@@ -17,7 +17,6 @@ SimResult run_broadcast_reference(const DualGraph& net,
   const CsrGraph& g = net.g_csr();
   std::vector<std::vector<Message>> arrivals(f.un);
   std::vector<Reception> receptions(f.un);
-  std::vector<NodeId> newly_covered;
 
   for (Round round = 1; round <= config.max_rounds; ++round) {
     f.begin_round(round);
@@ -90,25 +89,7 @@ SimResult run_broadcast_reference(const DualGraph& net,
       }
     }
 
-    // Deliver; wake sleeping processes on message reception (async start).
-    std::size_t held = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      const auto uv = static_cast<std::size_t>(v);
-      const Reception& rec = receptions[uv];
-      if (f.awake[uv]) {
-        f.procs[uv]->on_receive(round, rec);
-      } else if (rec.is_message()) {
-        f.procs[uv]->on_activate(round, rec.message);
-        f.awake[uv] = 1;
-      }
-      const ExecutionFrame::Delta d = f.account(v, rec, round);
-      if (d.covered) newly_covered.push_back(v);
-      if (d.held) ++held;
-    }
-    f.add_coverage(newly_covered, held);
-    newly_covered.clear();
-    f.publish_coverage();
-    f.notify_round_end();
+    f.deliver_all(round, receptions);
 
     if (f.end_round(round, collision_events)) break;
   }

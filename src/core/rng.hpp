@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "core/types.hpp"
 
@@ -31,6 +32,17 @@ __extension__ typedef unsigned __int128 uint128_t;
 [[nodiscard]] constexpr std::uint64_t mix_seed(std::uint64_t a,
                                                std::uint64_t b) {
   return splitmix64(a ^ (0x9E3779B97F4A7C15ULL + (b << 6) + (b >> 2)));
+}
+
+/// FNV-1a of a name, for keying a seed stream by name (a scenario, a serve
+/// worker): stable across platforms and releases, unlike std::hash.
+[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
 }
 
 /// Stateless counter-based RNG. All draws are pure functions of

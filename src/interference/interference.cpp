@@ -1,181 +1,97 @@
 #include "interference/interference.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "core/rng.hpp"
+#include "adversary/basic_adversaries.hpp"
+#include "core/execution.hpp"
 
 namespace dualrad {
 
-InterferenceNetwork::InterferenceNetwork(const Graph& transmission,
-                                         const Graph& interference,
-                                         NodeId source)
-    : dual_(transmission, interference, source) {}
+SimResult run_interference_broadcast(const DualGraph& net,
+                                     const ProcessFactory& factory,
+                                     const SimConfig& config) {
+  DUALRAD_REQUIRE(config.telemetry == nullptr,
+                  "the interference engine has no telemetry");
+  // Every G_I-only edge fires, so the sink holds each sender's G_I-only row.
+  FullInterferenceAdversary interference;
+  ExecutionFrame f(net, factory, interference, config);
+  f.start({});
 
-InterferenceResult run_interference_broadcast(const InterferenceNetwork& net,
-                                              const ProcessFactory& factory,
-                                              const InterferenceConfig& config) {
-  const DualGraph& dual = net.to_dual();
-  const NodeId n = net.node_count();
-  const auto un = static_cast<std::size_t>(n);
-
-  InterferenceResult result;
-  result.first_token.assign(un, kNever);
-  result.trace.level = config.trace;
-  // A traced round lists every node's reception; the writer drops silence.
-  std::vector<NodeId> all_nodes(un);
-  std::iota(all_nodes.begin(), all_nodes.end(), NodeId{0});
-
-  std::vector<std::unique_ptr<Process>> proc_at(un);
-  for (NodeId v = 0; v < n; ++v) {
-    proc_at[static_cast<std::size_t>(v)] = factory(
-        v, n, mix_seed(config.seed, static_cast<std::uint64_t>(v)));
-  }
-
-  std::vector<bool> awake(un, false);
-  std::vector<bool> covered(un, false);
-
-  const NodeId src = net.source();
-  const Message env_msg{/*token=*/true, /*origin=*/kInvalidProcess,
-                        /*round_tag=*/0, /*payload=*/0};
-  covered[static_cast<std::size_t>(src)] = true;
-  result.first_token[static_cast<std::size_t>(src)] = 0;
-  proc_at[static_cast<std::size_t>(src)]->on_activate(0, env_msg);
-  awake[static_cast<std::size_t>(src)] = true;
-  if (config.start == StartRule::Synchronous) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == src) continue;
-      proc_at[static_cast<std::size_t>(v)]->on_activate(0, std::nullopt);
-      awake[static_cast<std::size_t>(v)] = true;
-    }
-  }
-
-  std::vector<NodeId> senders;
-  std::vector<Message> sent_msg(un);
-  std::vector<bool> is_sender(un, false);
-  // Arrivals: all messages from G_I-senders; receivable: subset over G_T.
-  std::vector<int> arrival_count(un, 0);
-  std::vector<int> receivable_count(un, 0);
-  std::vector<Message> sole_receivable(un);
-  std::vector<Reception> receptions(un);
-
-  NodeId covered_count = 1;
+  const NodeId n = f.n;
+  const CsrGraph& gt = net.g_csr();
+  // Per node: every message that reached it, the receivable ones among them
+  // (over a G_T edge, or its own), and the last receivable one.
+  std::vector<int> arrivals(f.un);
+  std::vector<int> receivable(f.un);
+  std::vector<Message> sole(f.un);
+  std::vector<Reception> receptions(f.un);
 
   for (Round round = 1; round <= config.max_rounds; ++round) {
-    result.rounds_executed = round;
-    senders.clear();
+    f.begin_round(round);
     for (NodeId v = 0; v < n; ++v) {
       const auto uv = static_cast<std::size_t>(v);
-      is_sender[uv] = false;
-      arrival_count[uv] = 0;
-      receivable_count[uv] = 0;
-      if (!awake[uv]) continue;
-      const Action action = proc_at[uv]->next_action(round);
-      if (!action.send) continue;
-      DUALRAD_CHECK(!action.message.token || covered[uv],
-                    "process sent the broadcast token without holding it");
-      is_sender[uv] = true;
-      sent_msg[uv] = action.message;
-      senders.push_back(v);
+      arrivals[uv] = 0;
+      receivable[uv] = 0;
+      if (!f.awake[uv]) continue;
+      const Action action = f.procs[uv]->next_action(round);
+      if (action.send) f.add_sender(v, action.message);
     }
-    result.total_sends += senders.size();
+    f.end_poll(round);
+    f.choose_reach(round);
 
-    for (NodeId u : senders) {
-      const auto uu = static_cast<std::size_t>(u);
-      ++arrival_count[uu];
-      ++receivable_count[uu];
-      sole_receivable[uu] = sent_msg[uu];
-      for (NodeId v : dual.g_csr().row(u)) {
+    for (std::size_t i = 0; i < f.senders.size(); ++i) {
+      const NodeId u = f.senders[i];
+      const Message& m = f.sent_msg[static_cast<std::size_t>(u)];
+      const auto receive = [&](NodeId v) {
         const auto uv = static_cast<std::size_t>(v);
-        ++arrival_count[uv];
-        ++receivable_count[uv];
-        sole_receivable[uv] = sent_msg[uu];
-      }
-      for (NodeId v : dual.unreliable_out(u)) {
-        ++arrival_count[static_cast<std::size_t>(v)];
+        ++arrivals[uv];
+        ++receivable[uv];
+        sole[uv] = m;
+      };
+      receive(u);
+      for (const NodeId v : gt.row(u)) receive(v);
+      for (const NodeId v : f.sink.extras(i)) {
+        ++arrivals[static_cast<std::size_t>(v)];
       }
     }
 
+    // CR1 reports every collision, senders included; under CR2-CR4 a sender
+    // hears its own message, and only CR2 reports collisions elsewhere.
+    std::uint32_t collision_events = 0;
     for (NodeId v = 0; v < n; ++v) {
       const auto uv = static_cast<std::size_t>(v);
-      const int arrivals = arrival_count[uv];
+      const int arr = arrivals[uv];
+      const bool own = config.rule != CollisionRule::CR1 && f.is_sender[uv];
       Reception rec = Reception::silence();
-      const auto single = [&]() -> Reception {
-        // Exactly one message reached v; deliverable only if it came over a
-        // G_T edge (or is v's own).
-        if (receivable_count[uv] == 1) return Reception::of(sole_receivable[uv]);
-        return Reception::silence();
-      };
-      switch (config.rule) {
-        case CollisionRule::CR1:
-          if (arrivals == 1) {
-            rec = single();
-          } else if (arrivals >= 2) {
-            rec = Reception::collision();
-          }
-          break;
-        case CollisionRule::CR2:
-        case CollisionRule::CR3:
-        case CollisionRule::CR4:
-          if (is_sender[uv]) {
-            rec = Reception::of(sent_msg[uv]);
-          } else if (arrivals == 1) {
-            rec = single();
-          } else if (arrivals >= 2) {
-            // CR2: top; CR3: silence; CR4: canonical silence resolution.
-            rec = config.rule == CollisionRule::CR2 ? Reception::collision()
-                                                    : Reception::silence();
-          }
-          break;
+      if (own) {
+        rec = Reception::of(f.sent_msg[uv]);
+      } else if (arr == 1) {
+        if (receivable[uv] == 1) rec = Reception::of(sole[uv]);
+      } else if (arr >= 2) {
+        ++collision_events;
+        if (config.rule == CollisionRule::CR1 ||
+            config.rule == CollisionRule::CR2) {
+          rec = Reception::collision();
+        }
       }
       receptions[uv] = rec;
-    }
-
-    for (NodeId v = 0; v < n; ++v) {
-      const auto uv = static_cast<std::size_t>(v);
-      const Reception& rec = receptions[uv];
-      if (awake[uv]) {
-        proc_at[uv]->on_receive(round, rec);
-      } else if (rec.is_message()) {
-        proc_at[uv]->on_activate(round, rec.message);
-        awake[uv] = true;
-      }
-      if (rec.has_token() && !covered[uv]) {
-        covered[uv] = true;
-        result.first_token[uv] = round;
-        ++covered_count;
+      if (f.record_trace && arr > 0) {
+        f.trace_receptions[uv] = rec;
+        f.trace_touched(v);
       }
     }
 
-    if (config.trace == TraceLevel::Compressed) {
-      CompressedRound out(result.trace, round, senders.size());
-      for (NodeId u : senders) {
-        out.sender(u, sent_msg[static_cast<std::size_t>(u)],
-                   dual.g_csr().row(u), dual.unreliable_out(u));
-      }
-      out.receptions(all_nodes, receptions);
-    }
+    f.deliver_all(round, receptions);
 
-    if (covered_count == n && !result.completed) {
-      result.completed = true;
-      result.completion_round = round;
-      if (config.stop_on_completion) break;
-    }
+    if (f.end_round(round, collision_events)) break;
   }
-  return result;
+  return f.finish();
 }
-
-InterferenceSimAdversary::InterferenceSimAdversary(
-    const InterferenceNetwork& net, CollisionRule rule)
-    : inet_(net), rule_(rule) {}
 
 void InterferenceSimAdversary::choose_unreliable_reach(
     const AdversaryView& view, std::span<const NodeId> senders,
     ReachSink& sink) {
-  (void)view;
-  const DualGraph& dual = inet_.to_dual();
-  const NodeId n = inet_.node_count();
-  const auto un = static_cast<std::size_t>(n);
+  const CsrGraph& gt = *view.g;
+  const CsrGraph& gi_only = *view.unreliable;
+  const auto un = static_cast<std::size_t>(gt.node_count());
 
   // Recompute the interference-model outcome for this round.
   std::vector<int> arrival_count(un, 0);
@@ -185,21 +101,20 @@ void InterferenceSimAdversary::choose_unreliable_reach(
     is_sender[static_cast<std::size_t>(u)] = true;
     ++arrival_count[static_cast<std::size_t>(u)];
     ++receivable_count[static_cast<std::size_t>(u)];
-    for (NodeId v : dual.g_csr().row(u)) {
+    for (NodeId v : gt.row(u)) {
       ++arrival_count[static_cast<std::size_t>(v)];
       ++receivable_count[static_cast<std::size_t>(v)];
     }
-    for (NodeId v : dual.unreliable_out(u)) {
+    for (NodeId v : gi_only.row(u)) {
       ++arrival_count[static_cast<std::size_t>(v)];
     }
   }
   // R: nodes that receive an actual message in the interference execution.
   std::vector<bool> receives(un, false);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto uv = static_cast<std::size_t>(v);
+  for (std::size_t v = 0; v < un; ++v) {
     switch (rule_) {
       case CollisionRule::CR1:
-        receives[uv] = arrival_count[uv] == 1 && receivable_count[uv] == 1;
+        receives[v] = arrival_count[v] == 1 && receivable_count[v] == 1;
         break;
       case CollisionRule::CR2:
       case CollisionRule::CR3:
@@ -207,8 +122,8 @@ void InterferenceSimAdversary::choose_unreliable_reach(
         // Senders receive their own message; non-senders receive iff exactly
         // one message reached them and it is receivable (CR4 resolves
         // collisions to silence by convention here).
-        receives[uv] = is_sender[uv] ||
-                       (arrival_count[uv] == 1 && receivable_count[uv] == 1);
+        receives[v] = is_sender[v] ||
+                      (arrival_count[v] == 1 && receivable_count[v] == 1);
         break;
     }
   }
@@ -224,7 +139,7 @@ void InterferenceSimAdversary::choose_unreliable_reach(
   // round-by-round by the Lemma1Equivalence tests.
   for (std::size_t i = 0; i < senders.size(); ++i) {
     const NodeId v = senders[i];  // condition (3): v sends
-    for (NodeId u : dual.unreliable_out(v)) {  // only G_I-only edges
+    for (NodeId u : gi_only.row(v)) {  // only G_I-only edges
       const auto uu = static_cast<std::size_t>(u);
       if (arrival_count[uu] < 2) continue;  // condition (1), see above
       if (receives[uu]) continue;           // condition (2)

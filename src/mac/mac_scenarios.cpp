@@ -4,7 +4,7 @@
 
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/greedy_blocker.hpp"
-#include "graph/dual_builders.hpp"
+#include "campaign/builtin_scenarios.hpp"
 #include "mac/bmmb.hpp"
 
 namespace dualrad::mac {
@@ -38,33 +38,24 @@ using campaign::Scenario;
   return s;
 }
 
-[[nodiscard]] campaign::NetworkBuilder layered() {
-  return [] { return duals::layered_complete_gprime(8, 4); };
-}
-
-[[nodiscard]] campaign::NetworkBuilder grayzone() {
-  return [] {
-    return duals::gray_zone(
-        {.n = 48, .r_reliable = 0.22, .r_gray = 0.55, .seed = 7});
-  };
-}
-
 }  // namespace
 
 void register_mac_scenarios(campaign::ScenarioRegistry& registry) {
   {
-    Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=1/benign", layered(), 1);
+    Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=1/benign",
+                               campaign::layered(8, 4), 1);
     s.adversary = campaign::make_adversary_factory<BenignAdversary>();
     registry.add(std::move(s));
   }
   {
-    Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=4/benign", layered(), 4);
+    Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=4/benign",
+                               campaign::layered(8, 4), 4);
     s.adversary = campaign::make_adversary_factory<BenignAdversary>();
     registry.add(std::move(s));
   }
   {
     Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=16/bernoulli:0.5",
-                               layered(), 16);
+                               campaign::layered(8, 4), 16);
     s.adversary = campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.5);
     registry.add(std::move(s));
   }
@@ -72,7 +63,8 @@ void register_mac_scenarios(campaign::ScenarioRegistry& registry) {
     // Decay carries no dual-graph guarantee, so the greedy blocker can
     // starve the MAC layer; trials may hit the round cap (Table 2's
     // contrast, now at the MAC layer).
-    Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=4/greedy", layered(), 4);
+    Scenario s = bmmb_scenario("mac/bmmb-decay/layered/k=4/greedy",
+                               campaign::layered(8, 4), 4);
     s.adversary = campaign::make_adversary_factory<GreedyBlockerAdversary>();
     s.tags.push_back("negative");
     s.max_rounds = 100'000;
@@ -81,13 +73,13 @@ void register_mac_scenarios(campaign::ScenarioRegistry& registry) {
   }
   {
     Scenario s = bmmb_scenario("mac/bmmb-decay/grayzone/k=4/bernoulli:0.3",
-                               grayzone(), 4);
+                               campaign::gray_zone(48, 7), 4);
     s.adversary = campaign::make_seeded_adversary_factory<BernoulliAdversary>(0.3);
     registry.add(std::move(s));
   }
   {
     Scenario s = bmmb_scenario("mac/bmmb-decay/grayzone/k=16/benign",
-                               grayzone(), 16);
+                               campaign::gray_zone(48, 7), 16);
     s.adversary = campaign::make_adversary_factory<BenignAdversary>();
     registry.add(std::move(s));
   }

@@ -161,14 +161,13 @@ void truncate_torn_tail(const std::string& path, const JournalLoad& load) {
   }
 }
 
-void JournalWriter::open(const std::string& path, bool fsync_each) {
+void JournalWriter::open(const std::string& path) {
   close();
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     throw std::runtime_error("dualrad: cannot open journal " + path + ": " +
                              errno_message());
   }
-  fsync_each_ = fsync_each;
 }
 
 void JournalWriter::append(const campaign::TrialRow& row) {
@@ -222,7 +221,7 @@ void JournalWriter::append_line(const std::string& line) {
   }
 
   write_all(line.data(), line.size());
-  if (fsync_each_ && ::fsync(fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     // An fsync error means the kernel may have dropped this (or an earlier)
     // write: the only honest outcome is a loud failure. The on-disk prefix
     // is still a valid journal — whole-line appends tear at most the tail.

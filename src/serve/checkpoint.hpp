@@ -90,9 +90,9 @@ class JournalWriter {
   ~JournalWriter() { close(); }
 
   /// Open (creating or appending). Throws std::runtime_error on failure.
-  /// `fsync_each` trades one fsync per trial for crash-durability; trials
-  /// are orders of magnitude more expensive than an fsync, so default on.
-  void open(const std::string& path, bool fsync_each = true);
+  /// Every append is fsynced: trials cost orders of magnitude more than an
+  /// fsync, so each committed row is made crash-durable.
+  void open(const std::string& path);
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
 
@@ -108,7 +108,6 @@ class JournalWriter {
   void append_line(const std::string& line);
 
   int fd_ = -1;
-  bool fsync_each_ = true;
 };
 
 }  // namespace dualrad::serve

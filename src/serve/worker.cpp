@@ -16,6 +16,7 @@
 #include "campaign/export.hpp"
 #include "campaign/jsonl.hpp"
 #include "core/rng.hpp"
+#include "obs/telemetry.hpp"
 #include "serve/faultline.hpp"
 #include "serve/wire.hpp"
 
@@ -54,16 +55,6 @@ void sleep_checking_stop(std::chrono::milliseconds total,
     std::this_thread::sleep_for(chunk);
     remaining -= chunk;
   }
-}
-
-/// FNV-1a over the worker id, to key its private jitter stream.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
 }
 
 constexpr std::uint64_t kBackoffDomain = 0xB0FF0E55ull;
@@ -295,9 +286,6 @@ WorkerStats run_worker(const std::function<int()>& connect,
     log("unit " + std::to_string(unit) + ": " + scenario_name + " trials [" +
         std::to_string(trial_begin) + "," + std::to_string(trial_end) + ")");
 
-    campaign::TrialOptions trial_options;
-    trial_options.threads_per_trial = threads;
-    trial_options.collect_telemetry = telemetry;
     bool unit_complete = true;
     for (std::uint32_t trial = trial_begin; trial < trial_end; ++trial) {
       if (session.stop_requested()) {
@@ -305,8 +293,11 @@ WorkerStats run_worker(const std::function<int()>& connect,
         unit_complete = false;
         break;
       }
-      const campaign::TrialExecutor::Outcome outcome =
-          executor.run(trial, trial_options);
+      // A fresh window-1 registry per trial, as run_campaign attaches.
+      obs::RoundTelemetry registry(1);
+      const campaign::TrialExecutor::Outcome outcome = executor.run(
+          trial, {.threads_per_trial = threads,
+                  .telemetry = telemetry ? &registry : nullptr});
       // Lifecycle fault point: crash or stall BEFORE the commit, so the
       // injected failure exercises the at-least-once window (the trial ran
       // but its row never reached the coordinator).

@@ -93,31 +93,6 @@ TEST(ReachSink, ReusedAcrossRoundsWithoutStaleRows) {
             (std::vector<NodeId>{4}));
 }
 
-TEST(ReachSink, MergeFromConcatenatesSlotWise) {
-  ReachSink a, b;
-  a.begin_round(3);
-  a.add(0, 1);
-  a.add(2, 2);
-  a.seal();
-  b.begin_round(3);
-  b.add(0, 3);
-  b.add(1, 4);
-  b.seal();
-  a.merge_from(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(std::vector<NodeId>(a.extras(0).begin(), a.extras(0).end()),
-            (std::vector<NodeId>{1, 3}));
-  EXPECT_EQ(std::vector<NodeId>(a.extras(1).begin(), a.extras(1).end()),
-            (std::vector<NodeId>{4}));
-  EXPECT_EQ(std::vector<NodeId>(a.extras(2).begin(), a.extras(2).end()),
-            (std::vector<NodeId>{2}));
-  ReachSink wrong;
-  wrong.begin_round(2);
-  wrong.seal();
-  EXPECT_THROW(a.merge_from(wrong), std::logic_error);
-  EXPECT_THROW(a.merge_from(a), std::logic_error);  // self-merge
-}
-
 // --------------------------------------------------- legality conformance
 
 /// Every row written through the sink must be legal for the model: parallel

@@ -250,6 +250,17 @@ TEST(DualGraph, RejectsEdgeNotInGPrime) {
   EXPECT_THROW(DualGraph(g, gp, 0), std::invalid_argument);
 }
 
+TEST(DualGraph, RejectsMismatchedVertexSetsBadSourceAndSingleNode) {
+  EXPECT_THROW(DualGraph(gen::path(3), gen::path(4), 0),
+               std::invalid_argument);
+  EXPECT_THROW(DualGraph(gen::path(3), gen::path(3), 3),
+               std::invalid_argument);
+  EXPECT_THROW(DualGraph(gen::path(3), gen::path(3), -1),
+               std::invalid_argument);
+  // The model fixes n >= 2.
+  EXPECT_THROW(DualGraph(Graph(1), Graph(1), 0), std::invalid_argument);
+}
+
 TEST(DualGraph, UnreliableOutIsGPrimeMinusG) {
   const DualGraph net = duals::bridge_network(6);
   const auto layout = duals::bridge_layout(6);

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <set>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
 #include "algorithms/strong_select.hpp"
+#include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/generators.hpp"
 #include "interference/interference.hpp"
+#include "obs/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace dualrad {
@@ -17,48 +22,44 @@ namespace {
 
 using testing::scripted_factory;
 
-/// Path 0-1-2 where G_I adds the 0-2 interference edge.
-InterferenceNetwork tiny_inet() {
-  Graph gt = gen::path(3);
+/// Path 0-1-2 where G_I adds the 0-2 interference edge, read as the dual
+/// graph G = G_T, G' = G_I.
+DualGraph tiny_net() {
   Graph gi = gen::path(3);
   gi.add_undirected_edge(0, 2);
-  return InterferenceNetwork(std::move(gt), std::move(gi), 0);
+  return DualGraph(gen::path(3), gi, 0);
 }
 
-TEST(InterferenceNetwork, ValidatesInputs) {
-  Graph gt(3), gi(3);
-  gt.add_undirected_edge(0, 1);
-  gt.add_undirected_edge(1, 2);
-  gi.add_undirected_edge(0, 1);
-  // G_T not a subgraph of G_I:
-  EXPECT_THROW(InterferenceNetwork(gt, gi, 0), std::invalid_argument);
-  // Different vertex sets:
-  EXPECT_THROW(InterferenceNetwork(gen::path(3), gen::path(4), 0),
-               std::invalid_argument);
-  // Source out of range:
-  EXPECT_THROW(InterferenceNetwork(gen::path(3), gen::path(3), 3),
-               std::invalid_argument);
-  // Node 2 unreachable from the source in G_T:
-  Graph gt_cut(3);
-  gt_cut.add_undirected_edge(0, 1);
-  EXPECT_THROW(InterferenceNetwork(gt_cut, gen::path(3), 0),
-               std::invalid_argument);
-  // The model fixes n >= 2: a 1-node network is refused when it is built.
-  EXPECT_THROW(InterferenceNetwork(Graph(1), Graph(1), 0),
-               std::invalid_argument);
+/// A single-round run on tiny_net, recording the trace.
+SimConfig one_round(CollisionRule rule) {
+  SimConfig config;
+  config.rule = rule;
+  config.start = StartRule::Synchronous;
+  config.max_rounds = 1;
+  config.trace = TraceLevel::Compressed;
+  config.stop_on_completion = false;
+  return config;
+}
+
+/// An execution's digest: the FNV-1a of its trace blob, then its completion
+/// round and total_sends. A drift in the reception rule changes the blob.
+std::string digest(const SimResult& result) {
+  const std::vector<std::uint8_t>& blob = result.trace.blob;
+  const std::uint64_t h = fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(blob.data()), blob.size()));
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%016llx/%lld/%llu",
+                static_cast<unsigned long long>(h),
+                static_cast<long long>(result.completion_round),
+                static_cast<unsigned long long>(result.total_sends));
+  return buf;
 }
 
 TEST(InterferenceModel, MessagesOnlyConveyOverGt) {
   // Node 0 sends alone: node 1 (G_T neighbor) receives; node 2 (G_I-only
   // neighbor) hears silence even though the message "reached" it.
-  const InterferenceNetwork net = tiny_inet();
-  const auto factory = scripted_factory({{0, {1}}});
-  InterferenceConfig config;
-  config.rule = CollisionRule::CR1;
-  config.max_rounds = 1;
-  config.trace = TraceLevel::Compressed;
-  config.stop_on_completion = false;
-  const auto result = run_interference_broadcast(net, factory, config);
+  const auto result = run_interference_broadcast(
+      tiny_net(), scripted_factory({{0, {1}}}), one_round(CollisionRule::CR1));
   const SparseRound round = testing::decode_rounds(result.trace, 3)[0];
   EXPECT_TRUE(testing::reception_at(round, 1).has_token());
   EXPECT_TRUE(testing::reception_at(round, 2).is_silence());
@@ -71,30 +72,65 @@ TEST(InterferenceModel, MessagesOnlyConveyOverGt) {
 TEST(InterferenceModel, GiOnlyEdgeStillCollides) {
   // Nodes 0 and 1 send: node 2 is reached by 1 (G_T) and 0 (G_I-only):
   // two messages reach it, so CR1 reports a collision.
-  const InterferenceNetwork net = tiny_inet();
-  const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
-  InterferenceConfig config;
-  config.rule = CollisionRule::CR1;
-  config.max_rounds = 1;
-  config.trace = TraceLevel::Compressed;
-  config.stop_on_completion = false;
-  const auto result = run_interference_broadcast(net, factory, config);
+  const auto result = run_interference_broadcast(
+      tiny_net(), scripted_factory({{0, {1}}, {1, {1}}}),
+      one_round(CollisionRule::CR1));
   EXPECT_TRUE(
       testing::reception_at(testing::decode_rounds(result.trace, 3)[0], 2)
           .is_collision());
+  // Under CR1 both senders collide too (each is reached by the other).
+  EXPECT_EQ(result.total_collision_events, 3u);
 }
 
 TEST(InterferenceModel, CompletesWithClassicalGraphs) {
   // With G_T == G_I the model degenerates to the classical radio model.
-  Graph gt = gen::path(6);
-  Graph gi = gen::path(6);
-  const InterferenceNetwork net(std::move(gt), std::move(gi), 0);
-  const auto factory = make_round_robin_factory(6);
-  InterferenceConfig config;
+  const DualGraph net(gen::path(6), gen::path(6), 0);
+  SimConfig config;
   config.rule = CollisionRule::CR3;
+  config.start = StartRule::Synchronous;
   config.max_rounds = 10'000;
-  const auto result = run_interference_broadcast(net, factory, config);
+  const auto result =
+      run_interference_broadcast(net, make_round_robin_factory(6), config);
   EXPECT_TRUE(result.completed);
+}
+
+TEST(InterferenceModel, RejectsTelemetry) {
+  obs::RoundTelemetry telemetry;
+  SimConfig config;
+  config.telemetry = &telemetry;
+  EXPECT_THROW((void)run_interference_broadcast(
+                   tiny_net(), make_round_robin_factory(3), config),
+               std::invalid_argument);
+}
+
+TEST(InterferenceModel, ModelEdgeCaseDigestsArePinned) {
+  // The executions of test_model_edges.cpp's InterferenceEdges cases; the
+  // digests were recorded from the engine before it ran on the execution
+  // frame.
+  struct Case {
+    std::vector<std::pair<ProcessId, std::set<Round>>> scripts;
+    CollisionRule rule;
+    StartRule start;
+    Round rounds;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {{{0, {1}}, {2, {1}}}, CollisionRule::CR2, StartRule::Synchronous, 1,
+       "124c5c7019392d15/-1/2"},
+      {{{0, {1}}, {2, {1}}}, CollisionRule::CR3, StartRule::Synchronous, 1,
+       "f3148a3fe4fcc473/-1/2"},
+      {{{0, {1}}, {2, {2}}}, CollisionRule::CR1, StartRule::Asynchronous, 3,
+       "582b5ee274cb46f7/-1/1"},
+  };
+  for (const Case& c : cases) {
+    SimConfig config = one_round(c.rule);
+    config.start = c.start;
+    config.max_rounds = c.rounds;
+    EXPECT_EQ(digest(run_interference_broadcast(
+                  tiny_net(), scripted_factory(c.scripts), config)),
+              c.digest)
+        << to_string(c.rule);
+  }
 }
 
 // ------------------------------------------------- Lemma 1 equivalence
@@ -106,36 +142,89 @@ struct Lemma1Param {
   StartRule start;
 };
 
-std::string lemma1_name(const ::testing::TestParamInfo<Lemma1Param>& info) {
-  return info.param.algorithm + "_" + info.param.topology + "_" +
-         to_string(info.param.rule) + "_" +
-         (info.param.start == StartRule::Synchronous ? "sync" : "async");
+std::string case_name(const Lemma1Param& param) {
+  return param.algorithm + "_" + param.topology + "_" + to_string(param.rule) +
+         "_" + (param.start == StartRule::Synchronous ? "sync" : "async");
 }
 
-InterferenceNetwork make_inet(const std::string& topology) {
+std::string lemma1_name(const ::testing::TestParamInfo<Lemma1Param>& info) {
+  return case_name(info.param);
+}
+
+/// Each case's interference execution, by test name: digest() as recorded
+/// from the engine before it ran on the execution frame.
+const std::map<std::string, std::string>& lemma1_digests() {
+  static const std::map<std::string, std::string> digests = {
+      {"strongSelect_pathPlus_CR1_sync", "8dc31eb639e808e5/55/7"},
+      {"strongSelect_pathPlus_CR2_sync", "8dc31eb639e808e5/55/7"},
+      {"strongSelect_pathPlus_CR3_sync", "8dc31eb639e808e5/55/7"},
+      {"strongSelect_pathPlus_CR4_sync", "8dc31eb639e808e5/55/7"},
+      {"strongSelect_pathPlus_CR4_async", "8dc31eb639e808e5/55/7"},
+      {"strongSelect_starOverRing_CR1_sync", "af645f11d2d540a2/34/7"},
+      {"strongSelect_starOverRing_CR2_sync", "af645f11d2d540a2/34/7"},
+      {"strongSelect_starOverRing_CR3_sync", "af645f11d2d540a2/34/7"},
+      {"strongSelect_starOverRing_CR4_sync", "af645f11d2d540a2/34/7"},
+      {"strongSelect_starOverRing_CR4_async", "af645f11d2d540a2/34/7"},
+      {"strongSelect_bridgeLike_CR1_sync", "8daba040dc2e0b0d/10/2"},
+      {"strongSelect_bridgeLike_CR2_sync", "8daba040dc2e0b0d/10/2"},
+      {"strongSelect_bridgeLike_CR3_sync", "8daba040dc2e0b0d/10/2"},
+      {"strongSelect_bridgeLike_CR4_sync", "8daba040dc2e0b0d/10/2"},
+      {"strongSelect_bridgeLike_CR4_async", "8daba040dc2e0b0d/10/2"},
+      {"harmonic_pathPlus_CR1_sync", "22bb9c85639169dd/34/72"},
+      {"harmonic_pathPlus_CR2_sync", "2bddc29555cb4924/34/72"},
+      {"harmonic_pathPlus_CR3_sync", "9262a090f6362d2e/34/72"},
+      {"harmonic_pathPlus_CR4_sync", "9262a090f6362d2e/34/72"},
+      {"harmonic_pathPlus_CR4_async", "9262a090f6362d2e/34/72"},
+      {"harmonic_starOverRing_CR1_sync", "fe18d4e32b1395c5/21/79"},
+      {"harmonic_starOverRing_CR2_sync", "f339ced4d1d90e3c/21/79"},
+      {"harmonic_starOverRing_CR3_sync", "5ed535755118c384/21/79"},
+      {"harmonic_starOverRing_CR4_sync", "5ed535755118c384/21/79"},
+      {"harmonic_starOverRing_CR4_async", "5ed535755118c384/21/79"},
+      {"harmonic_bridgeLike_CR1_sync", "91b6281dc6b39b37/15/72"},
+      {"harmonic_bridgeLike_CR2_sync", "97d6c1b8822b518f/15/72"},
+      {"harmonic_bridgeLike_CR3_sync", "4d17c53410e6aaac/15/72"},
+      {"harmonic_bridgeLike_CR4_sync", "4d17c53410e6aaac/15/72"},
+      {"harmonic_bridgeLike_CR4_async", "4d17c53410e6aaac/15/72"},
+      {"roundRobin_pathPlus_CR1_sync", "842bae13d4139f7e/14/7"},
+      {"roundRobin_pathPlus_CR2_sync", "842bae13d4139f7e/14/7"},
+      {"roundRobin_pathPlus_CR3_sync", "842bae13d4139f7e/14/7"},
+      {"roundRobin_pathPlus_CR4_sync", "842bae13d4139f7e/14/7"},
+      {"roundRobin_pathPlus_CR4_async", "842bae13d4139f7e/14/7"},
+      {"roundRobin_starOverRing_CR1_sync", "5ff52f8af287dab3/15/7"},
+      {"roundRobin_starOverRing_CR2_sync", "5ff52f8af287dab3/15/7"},
+      {"roundRobin_starOverRing_CR3_sync", "5ff52f8af287dab3/15/7"},
+      {"roundRobin_starOverRing_CR4_sync", "5ff52f8af287dab3/15/7"},
+      {"roundRobin_starOverRing_CR4_async", "5ff52f8af287dab3/15/7"},
+      {"roundRobin_bridgeLike_CR1_sync", "1171922d9cec5d4b/9/2"},
+      {"roundRobin_bridgeLike_CR2_sync", "1171922d9cec5d4b/9/2"},
+      {"roundRobin_bridgeLike_CR3_sync", "1171922d9cec5d4b/9/2"},
+      {"roundRobin_bridgeLike_CR4_sync", "1171922d9cec5d4b/9/2"},
+      {"roundRobin_bridgeLike_CR4_async", "1171922d9cec5d4b/9/2"},
+  };
+  return digests;
+}
+
+DualGraph make_net(const std::string& topology) {
   if (topology == "pathPlus") {
-    Graph gt = gen::path(8);
     Graph gi = gen::path(8);
     for (NodeId u = 0; u < 8; ++u) {
       for (NodeId v = u + 2; v < std::min<NodeId>(8, u + 4); ++v) {
         gi.add_undirected_edge(u, v);
       }
     }
-    return InterferenceNetwork(std::move(gt), std::move(gi), 0);
+    return DualGraph(gen::path(8), gi, 0);
   }
   if (topology == "starOverRing") {
-    Graph gt = gen::cycle(9);
     Graph gi = gen::cycle(9);
     for (NodeId v = 2; v < 9; v += 2) gi.add_undirected_edge(0, v);
-    return InterferenceNetwork(std::move(gt), std::move(gi), 0);
+    return DualGraph(gen::cycle(9), gi, 0);
   }
   if (topology == "bridgeLike") {
-    Graph gt = gen::clique(7);
-    Graph gi = gen::clique(8);
+    const Graph k7 = gen::clique(7);
     Graph gt8(8);
-    for (const auto& [u, v] : gt.edges()) gt8.add_edge(u, v);
+    for (const auto& [u, v] : k7.edges()) gt8.add_edge(u, v);
     gt8.add_undirected_edge(1, 7);
-    return InterferenceNetwork(std::move(gt8), std::move(gi), 0);
+    return DualGraph(gt8, gen::clique(8), 0);
   }
   throw std::invalid_argument("unknown topology " + topology);
 }
@@ -151,29 +240,21 @@ class Lemma1Equivalence : public ::testing::TestWithParam<Lemma1Param> {};
 
 TEST_P(Lemma1Equivalence, DualSimulationMatchesRoundByRound) {
   const auto& param = GetParam();
-  const InterferenceNetwork inet = make_inet(param.topology);
-  const NodeId n = inet.node_count();
+  const DualGraph net = make_net(param.topology);
+  const NodeId n = net.node_count();
   const ProcessFactory factory = lemma1_factory(param.algorithm, n);
-  const Round horizon = 4096;
 
-  InterferenceConfig iconfig;
-  iconfig.rule = param.rule;
-  iconfig.start = param.start;
-  iconfig.max_rounds = horizon;
-  iconfig.trace = TraceLevel::Compressed;
-  iconfig.seed = 11;
-  const InterferenceResult iresult =
-      run_interference_broadcast(inet, factory, iconfig);
+  SimConfig config;
+  config.rule = param.rule;
+  config.start = param.start;
+  config.max_rounds = 4096;
+  config.trace = TraceLevel::Compressed;
+  config.seed = 11;
+  const SimResult iresult = run_interference_broadcast(net, factory, config);
+  EXPECT_EQ(digest(iresult), lemma1_digests().at(case_name(param)));
 
-  const DualGraph dual = inet.to_dual();
-  InterferenceSimAdversary adversary(inet, param.rule);
-  SimConfig dconfig;
-  dconfig.rule = param.rule;
-  dconfig.start = param.start;
-  dconfig.max_rounds = horizon;
-  dconfig.trace = TraceLevel::Compressed;
-  dconfig.seed = 11;
-  const SimResult dresult = run_broadcast(dual, factory, adversary, dconfig);
+  InterferenceSimAdversary adversary(param.rule);
+  const SimResult dresult = run_broadcast(net, factory, adversary, config);
 
   // Lemma 1: identical feedback at every node in every round, hence the
   // same completion round.

@@ -100,13 +100,13 @@ TEST(ModelEdges, LayerOffsetsRejectEmptyLayers) {
 TEST(InterferenceEdges, Cr2SenderHearsOwnDespiteInterference) {
   // Sender u with an interfering G_I neighbor still hears its own message
   // under CR2 (cannot sense the medium while sending).
-  Graph gt = gen::path(3);
   Graph gi = gen::path(3);
   gi.add_undirected_edge(0, 2);
-  const InterferenceNetwork net(std::move(gt), std::move(gi), 0);
+  const DualGraph net(gen::path(3), gi, 0);  // (G_T, G_I)
   const auto factory = scripted_factory({{0, {1}}, {2, {1}}});
-  InterferenceConfig config;
+  SimConfig config;
   config.rule = CollisionRule::CR2;
+  config.start = StartRule::Synchronous;
   config.max_rounds = 1;
   config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
@@ -123,13 +123,13 @@ TEST(InterferenceEdges, Cr2SenderHearsOwnDespiteInterference) {
 }
 
 TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
-  Graph gt = gen::path(3);
   Graph gi = gen::path(3);
   gi.add_undirected_edge(0, 2);
-  const InterferenceNetwork net(std::move(gt), std::move(gi), 0);
+  const DualGraph net(gen::path(3), gi, 0);  // (G_T, G_I)
   const auto factory = scripted_factory({{0, {1}}, {2, {1}}});
-  InterferenceConfig config;
+  SimConfig config;
   config.rule = CollisionRule::CR3;
+  config.start = StartRule::Synchronous;
   config.max_rounds = 1;
   config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
@@ -142,12 +142,11 @@ TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
 TEST(InterferenceEdges, AsyncStartWakesOnGtDeliveryOnly) {
   // Node 2's only incoming message travels a G_I-only edge: it must not
   // wake (the message cannot be received).
-  Graph gt = gen::path(3);
   Graph gi = gen::path(3);
   gi.add_undirected_edge(0, 2);
-  const InterferenceNetwork net(std::move(gt), std::move(gi), 0);
+  const DualGraph net(gen::path(3), gi, 0);  // (G_T, G_I)
   const auto factory = scripted_factory({{0, {1}}, {2, {2}}});
-  InterferenceConfig config;
+  SimConfig config;
   config.rule = CollisionRule::CR1;
   config.start = StartRule::Asynchronous;
   config.max_rounds = 3;

@@ -35,6 +35,10 @@ TEST(Scheduled, OracleScheduleCompletesInOnePeriod) {
 TEST(Scheduled, RejectsBadSlots) {
   EXPECT_THROW(make_scheduled_factory(4, {}), std::invalid_argument);
   EXPECT_THROW(make_scheduled_factory(4, {0, 7}), std::invalid_argument);
+  // Processes index the schedule by id, so the factory refuses ids >= n.
+  const ProcessFactory factory = make_scheduled_factory(4, {0, 1});
+  EXPECT_THROW((void)factory(4, 4, 0), std::invalid_argument);
+  EXPECT_THROW((void)factory(-1, 4, 0), std::invalid_argument);
 }
 
 TEST(Scheduled, UninformedSlotOwnerStaysSilent) {

@@ -29,7 +29,6 @@
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
 #include "core/audit.hpp"
-#include "core/rng.hpp"
 #include "graph/dual_graph.hpp"
 #include "mac/mac_latency.hpp"
 #include "obs/perfetto_writer.hpp"
@@ -132,33 +131,15 @@ std::string mac_rows_to_jsonl(const std::vector<mac::TrialLatencyRow>& rows) {
   return out;
 }
 
-// Deterministically re-run one trial with telemetry attached and write a
-// Chrome/Perfetto trace. Mirrors the engine's per-trial setup exactly
-// (trial_seed, mix_seed(seed, 0xAD) adversary), so the traced execution is
-// the same one the campaign ran.
+// Deterministically re-run trial 0 through the engine's own trial body with
+// a telemetry registry attached, and write a Chrome/Perfetto trace of it.
 void write_perfetto_for(const campaign::Scenario& scenario,
                         std::uint64_t master_seed, unsigned threads_per_trial,
                         const std::string& path) {
-  const DualGraph net = scenario.network();
-  const ProcessFactory factory = scenario.algorithm(net);
-  const std::uint64_t seed = campaign::trial_seed(master_seed, scenario.name, 0);
-  const std::unique_ptr<Adversary> adversary =
-      scenario.adversary(mix_seed(seed, 0xAD));
-
-  SimConfig sim;
-  sim.rule = scenario.rule;
-  sim.start = scenario.start;
-  sim.max_rounds = scenario.max_rounds;
-  sim.seed = seed;
-  sim.token_sources = scenario.token_sources;
-  sim.threads = threads_per_trial;
   obs::RoundTelemetry telemetry;  // default window: last 4096 rounds
-  sim.telemetry = &telemetry;
-  if (scenario.runner) {
-    (void)scenario.runner(net, factory, *adversary, sim);
-  } else {
-    (void)run_broadcast(net, factory, *adversary, sim);
-  }
+  (void)campaign::TrialExecutor(scenario, master_seed)
+      .run(0, {.threads_per_trial = threads_per_trial,
+               .telemetry = &telemetry});
   obs::write_perfetto_trace(telemetry, path, scenario.name);
   std::fprintf(stderr, "[campaign] perfetto trace of %s trial 0 -> %s\n",
                scenario.name.c_str(), path.c_str());

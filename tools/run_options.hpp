@@ -196,7 +196,8 @@ inline void write_exports(const RunOptions& run,
         [&] { return campaign::telemetry_to_jsonl(result.telemetry); });
 }
 
-/// The stdout summary table, one row per scenario; `timed` adds mean ms.
+/// The stdout summary table, one row per scenario; `timed` adds mean ms
+/// ("-" when no trial of the scenario was timed).
 inline void print_summary_table(const campaign::CampaignResult& result,
                                 bool timed) {
   std::vector<std::string> header = {"scenario",    "trials", "failed",
@@ -212,7 +213,10 @@ inline void print_summary_table(const campaign::CampaignResult& result,
         any ? stats::Table::num(s.rounds.median, 1) : "-",
         any ? stats::Table::num(s.rounds.p90, 1) : "-",
         stats::Table::num(s.mean_sends, 1)};
-    if (timed) row.push_back(stats::Table::num(s.mean_wall_ms, 2));
+    if (timed) {
+      row.push_back(s.mean_wall_ms < 0 ? "-"
+                                       : stats::Table::num(s.mean_wall_ms, 2));
+    }
     table.add_row(row);
   }
   table.print(std::cout);
