@@ -1,12 +1,18 @@
 // M1: micro benchmarks — network construction at 10^5 nodes, simulator
-// round throughput, the Compressed trace and its audit on a verified
-// Byzantine trial, and SSF construction cost (google-benchmark).
+// round throughput, the counter-coin poll, the Compressed trace and its
+// audit on a verified Byzantine trial, and SSF construction cost
+// (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "adversary/basic_adversaries.hpp"
+#include "algorithms/decay.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/strong_select.hpp"
+#include "byz/cpa.hpp"
 #include "campaign/builtin_scenarios.hpp"
 #include "campaign/engine.hpp"
 #include "core/audit.hpp"
@@ -56,6 +62,58 @@ void BM_EngineRounds(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
 }
 BENCHMARK(BM_EngineRounds)->Arg(32)->Arg(128);
+
+/// The sparse engine's poll of a counter-coin process at its hinted round:
+/// next_action, then next_send_round(r + 1). 10^5 informed processes with
+/// token rounds staggered over 64 rounds are each polled once per
+/// iteration. Arg 0 is windowed Decay as in scale/* (2 active phases,
+/// period 32), arg 1 the CPA relay as in byz/* (p 0.5, 64 active rounds,
+/// period 16). s_per_poll is the time per poll.
+void BM_CoinPoll(benchmark::State& state) {
+  constexpr NodeId n = 100'000;
+  const ProcessFactory factory =
+      state.range(0) == 0
+          ? make_decay_factory(n,
+                               {.active_phases = 2, .rebroadcast_period = 32})
+          : byz::make_cpa_factory(n, {.f = 1,
+                                      .trusted_origins = {0},
+                                      .relay_p = 0.5,
+                                      .active_rounds = 64,
+                                      .rebroadcast_period = 16});
+  std::vector<std::unique_ptr<Process>> procs;
+  std::vector<Round> next;
+  for (ProcessId id = 0; id < n; ++id) {
+    procs.push_back(
+        factory(id, n, mix_seed(1, static_cast<std::uint64_t>(id))));
+    const Round t = id % 64;
+    const Message token{/*token=*/true, /*origin=*/0, /*round_tag=*/t,
+                        /*payload=*/0};
+    if (t == 0) {
+      procs.back()->on_activate(0, token);
+    } else {
+      procs.back()->on_activate(0, std::nullopt);
+      procs.back()->on_receive(t, Reception::of(token));
+    }
+    next.push_back(procs.back()->next_send_round(t + 1));
+  }
+  std::uint64_t polls = 0;
+  for (auto _ : state) {
+    std::uint64_t sends = 0;
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      const Round r = next[i];
+      if (r == kNever) continue;
+      sends += procs[i]->next_action(r).send ? 1 : 0;
+      next[i] = procs[i]->next_send_round(r + 1);
+      ++polls;
+    }
+    benchmark::DoNotOptimize(sends);
+  }
+  state.counters["s_per_poll"] = benchmark::Counter(
+      static_cast<double>(polls),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(state.range(0) == 0 ? "decay" : "cpa");
+}
+BENCHMARK(BM_CoinPoll)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One fixed verified-run trial: trial 0 of byz/grayzone-1k/cpa/f=1-forge
 // under master seed 1. Its forged token never lets the broadcast complete,

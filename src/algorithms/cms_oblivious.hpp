@@ -9,6 +9,10 @@
 /// (n, min(n, Delta+1))-strongly-selective family, where Delta is a known
 /// upper bound on the in-degree of G'.
 ///
+/// The family is run as a TDMA schedule with a set of senders per slot
+/// (scheduled.hpp): set i sends in rounds i+1, i+1+|F|, ... The provider
+/// must return a family over exactly the n process ids.
+///
 /// Rationale: an uncovered node v has at most Delta informed G'-in-neighbors
 /// whose transmissions can reach (or jam) it; once the informed set is
 /// stable for a full iteration, the family isolates the reliable neighbor

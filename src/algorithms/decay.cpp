@@ -1,11 +1,9 @@
 #include "algorithms/decay.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
-#include "algorithms/broadcast_algorithm.hpp"
-#include "core/rng.hpp"
+#include "algorithms/coin_schedule.hpp"
 
 namespace dualrad {
 
@@ -16,132 +14,26 @@ Round decay_phase_length(NodeId n, const DecayOptions& options) {
              std::ceil(std::log2(static_cast<double>(n)))) + 1;
 }
 
-namespace {
-
-/// Exactly 2^{-offset} (the same double std::ldexp(1.0, -offset) yields)
-/// without the libm call — this sits on the per-round hot path of every
-/// informed node.
-[[nodiscard]] inline double pow2_neg(int offset) {
-  if (offset > 1022) return std::ldexp(1.0, -offset);  // denormal range
-  return std::bit_cast<double>((1023ULL - static_cast<unsigned>(offset))
+double decay_probability(Round round, Round phase) {
+  const Round offset = (round - 1) % phase;
+  // Exactly std::ldexp(1.0, -offset), built from the exponent bits without
+  // the libm call: this sits on the per-round hot path of every informed
+  // node. Offsets past 1022 fall in the denormal range.
+  if (offset > 1022) return std::ldexp(1.0, -static_cast<int>(offset));
+  return std::bit_cast<double>(static_cast<std::uint64_t>(1023 - offset)
                                << 52);
 }
 
-class DecayProcess final : public TokenProcess {
- public:
-  DecayProcess(ProcessId id, Round phase, Round active_phases,
-               Round rebroadcast_period, std::uint64_t seed)
-      : TokenProcess(id),
-        phase_(phase),
-        active_phases_(active_phases),
-        rebroadcast_period_(rebroadcast_period),
-        rng_(seed) {}
-  DecayProcess(const DecayProcess&) = default;
-
-  [[nodiscard]] Action next_action(Round round) const override {
-    if (!on_air(round)) return Action::silent();
-    const auto offset = static_cast<int>((round - 1) % phase_);
-    if (!rng_.bernoulli(pow2_neg(offset), round)) return Action::silent();
-    return Action::transmit(Message{/*token=*/true, /*origin=*/id(),
-                                    /*round_tag=*/round, /*payload=*/0});
-  }
-
-  void on_receive(Round round, const Reception& reception) override {
-    const Round before = token_round();
-    TokenProcess::on_receive(round, reception);
-    if (token_round() != before) memo_next_ = kUnplanned;
-  }
-
-  /// Counter-based coins make the send schedule a pure function of the
-  /// round, so the process can tell the engine its next transmission round
-  /// exactly; quiet duty-cycle stretches are skipped arithmetically. The
-  /// answer is memoized: the engine re-asks after every reception, but it
-  /// only changes when the token state does (see on_receive).
-  [[nodiscard]] Round next_send_round(Round from) const override {
-    if (!has_token()) return kNever;
-    from = std::max(from, token_round() + 1);
-    if (memo_next_ != kUnplanned && from >= memo_from_ &&
-        (memo_next_ == kNever || from <= memo_next_)) {
-      return memo_next_;
-    }
-    memo_from_ = from;
-    memo_next_ = scan_for_send(from);
-    return memo_next_;
-  }
-
-  /// State is has_token()/token_round() only; silence receptions are no-ops.
-  [[nodiscard]] bool silence_transparent() const override { return true; }
-
-  [[nodiscard]] std::unique_ptr<Process> clone() const override {
-    return std::make_unique<DecayProcess>(*this);
-  }
-
- private:
-  static constexpr Round kUnplanned = -2;
-
-  /// Phase index since token receipt: 0 during the first phase-length
-  /// stretch after the token arrived. Duty windows are counted relative to
-  /// the token round, so nodes beacon staggered, while transmission
-  /// probabilities stay globally aligned ((round - 1) % phase).
-  [[nodiscard]] Round phase_index(Round round) const {
-    return (round - token_round() - 1) / phase_;
-  }
-
-  /// True iff the decay schedule is live at `round`: always, in the
-  /// historical unbounded mode; during the initial window, or every
-  /// rebroadcast_period-th phase when maintenance is on, otherwise.
-  [[nodiscard]] bool on_air(Round round) const {
-    if (!has_token() || round <= token_round()) return false;
-    if (active_phases_ <= 0) return true;
-    const Round index = phase_index(round);
-    if (index < active_phases_) return true;
-    return rebroadcast_period_ > 0 && index % rebroadcast_period_ == 0;
-  }
-
-  /// First live round at or after `round`; kNever if the schedule is
-  /// permanently over.
-  [[nodiscard]] Round next_on_air(Round round) const {
-    if (on_air(round)) return round;
-    if (rebroadcast_period_ <= 0) return kNever;  // window over, no beacons
-    const Round next_index =
-        ((phase_index(round) + rebroadcast_period_ - 1) /
-         rebroadcast_period_) *
-        rebroadcast_period_;
-    return token_round() + next_index * phase_ + 1;
-  }
-
-  /// Every live stretch spans a full phase and therefore contains an
-  /// offset-0 round (p = 1), so the scan terminates quickly.
-  [[nodiscard]] Round scan_for_send(Round from) const {
-    for (Round r = next_on_air(from); r != kNever; r = next_on_air(r + 1)) {
-      const auto offset = static_cast<int>((r - 1) % phase_);
-      if (rng_.bernoulli(pow2_neg(offset), r)) return r;
-    }
-    return kNever;
-  }
-
-  Round phase_;
-  Round active_phases_;
-  Round rebroadcast_period_;
-  CounterRng rng_;
-  /// Memoized scan_for_send result: the next send >= memo_from_, valid
-  /// while the token state is unchanged (on_receive invalidates).
-  mutable Round memo_from_ = 0;
-  mutable Round memo_next_ = kUnplanned;
-};
-
-}  // namespace
-
 ProcessFactory make_decay_factory(NodeId n, const DecayOptions& options) {
   const Round phase = decay_phase_length(n, options);
-  const Round active_phases = options.active_phases;
-  const Round rebroadcast_period = options.rebroadcast_period;
-  return [phase, active_phases, rebroadcast_period, n](
-             ProcessId id, NodeId n_arg, std::uint64_t seed) {
-    DUALRAD_REQUIRE(n_arg == n, "factory built for a different n");
-    return std::make_unique<DecayProcess>(id, phase, active_phases,
-                                          rebroadcast_period, seed);
-  };
+  // Duty windows are whole phases counted from the token round, so nodes
+  // beacon staggered while the probabilities stay globally aligned.
+  const DutyCycle duty{.active_rounds = options.active_phases * phase,
+                       .beacon_rounds = phase,
+                       .beacon_period = options.rebroadcast_period * phase};
+  return make_coin_factory(n, duty, [phase](Round round, Round /*start*/) {
+    return decay_probability(round, phase);
+  });
 }
 
 }  // namespace dualrad

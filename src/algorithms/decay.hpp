@@ -39,6 +39,10 @@ struct DecayOptions {
 
 [[nodiscard]] Round decay_phase_length(NodeId n, const DecayOptions& options = {});
 
+/// Decay's send probability in `round`: 2^{-((round - 1) mod phase)}, so
+/// offsets are globally aligned and every phase opens with a sure send.
+[[nodiscard]] double decay_probability(Round round, Round phase);
+
 [[nodiscard]] ProcessFactory make_decay_factory(NodeId n,
                                                 const DecayOptions& options = {});
 

@@ -5,58 +5,12 @@
 #include <optional>
 #include <utility>
 
+#include "algorithms/coin_schedule.hpp"
 #include "byz/plan.hpp"
-#include "core/rng.hpp"
 
 namespace dualrad::byz {
 
 namespace {
-
-/// The shared relay schedule: a relay_p coin per on-air round, on air from
-/// the round after `start` through an initial window of `active_rounds`,
-/// then one beacon round per `rebroadcast_period` (counted from `start`, so
-/// nodes beacon staggered). Pure in (rng, start, round) — the scan below is
-/// what makes next_send_round exact.
-struct RelaySchedule {
-  double relay_p = 0.5;
-  Round active_rounds = 0;
-  Round rebroadcast_period = 0;
-
-  [[nodiscard]] bool on_air(Round start, Round round) const {
-    if (start == kNever || round <= start) return false;
-    if (active_rounds <= 0) return true;
-    const Round index = round - start - 1;
-    if (index < active_rounds) return true;
-    return rebroadcast_period > 0 && index % rebroadcast_period == 0;
-  }
-
-  /// First on-air round at or after `round`; kNever if permanently quiet.
-  [[nodiscard]] Round next_on_air(Round start, Round round) const {
-    round = std::max(round, start + 1);
-    if (on_air(start, round)) return round;
-    if (rebroadcast_period <= 0) return kNever;
-    const Round index = round - start - 1;
-    const Round next_index =
-        ((index + rebroadcast_period - 1) / rebroadcast_period) *
-        rebroadcast_period;
-    return start + next_index + 1;
-  }
-
-  [[nodiscard]] bool coin(const CounterRng& rng, Round round) const {
-    return rng.bernoulli(relay_p, round, /*salt=*/0);
-  }
-
-  /// First round >= `from` whose coin fires while on air. Terminates in
-  /// O(1/relay_p) expected probes (relay_p > 0 is required by the factory).
-  [[nodiscard]] Round scan_for_send(const CounterRng& rng, Round start,
-                                    Round from) const {
-    for (Round r = next_on_air(start, from); r != kNever;
-         r = next_on_air(start, r + 1)) {
-      if (coin(rng, r)) return r;
-    }
-    return kNever;
-  }
-};
 
 class CpaProcess final : public Process {
  public:
@@ -64,9 +18,9 @@ class CpaProcess final : public Process {
       : Process(id),
         f_(options.f),
         trusted_(options.trusted_origins),
-        schedule_{options.relay_p, options.active_rounds,
-                  options.rebroadcast_period},
-        rng_(seed) {
+        schedule_({.active_rounds = options.active_rounds,
+                   .beacon_period = options.rebroadcast_period},
+                  {options.relay_p}, seed) {
     std::sort(trusted_.begin(), trusted_.end());
   }
   CpaProcess(const CpaProcess&) = default;
@@ -76,14 +30,11 @@ class CpaProcess final : public Process {
   }
 
   [[nodiscard]] Action next_action(Round round) const override {
-    if (accepted_.empty() || !schedule_.on_air(accept_start_, round)) {
-      return Action::silent();
-    }
-    if (!schedule_.coin(rng_, round)) return Action::silent();
+    if (!schedule_.sends(accept_start_, round)) return Action::silent();
     // Which accepted token to relay is drawn independently of the send coin
     // (salt 1), so growing the accepted set never shifts the send schedule.
     const auto pick = static_cast<std::size_t>(
-        rng_.below(accepted_.size(), round, /*salt=*/1));
+        schedule_.rng().below(accepted_.size(), round, /*salt=*/1));
     return Action::transmit(Message{accepted_[pick], /*origin=*/id(),
                                     /*round_tag=*/round, /*payload=*/0});
   }
@@ -93,15 +44,7 @@ class CpaProcess final : public Process {
   }
 
   [[nodiscard]] Round next_send_round(Round from) const override {
-    if (accepted_.empty()) return kNever;
-    from = std::max(from, accept_start_ + 1);
-    if (memo_next_ != kUnplanned && from >= memo_from_ &&
-        (memo_next_ == kNever || from <= memo_next_)) {
-      return memo_next_;
-    }
-    memo_from_ = from;
-    memo_next_ = schedule_.scan_for_send(rng_, accept_start_, from);
-    return memo_next_;
+    return schedule_.next_send(accept_start_, from);
   }
 
   /// State changes only on message receptions; metrics count acceptances.
@@ -117,8 +60,6 @@ class CpaProcess final : public Process {
   }
 
  private:
-  static constexpr Round kUnplanned = -2;
-
   [[nodiscard]] bool has_accepted(TokenId tok) const {
     return std::binary_search(accepted_.begin(), accepted_.end(), tok);
   }
@@ -151,10 +92,7 @@ class CpaProcess final : public Process {
   }
 
   void accept(Round round, TokenId tok) {
-    if (accepted_.empty()) {
-      accept_start_ = round;
-      memo_next_ = kUnplanned;  // the schedule's origin is now fixed
-    }
+    if (accepted_.empty()) accept_start_ = round;
     accepted_.insert(
         std::lower_bound(accepted_.begin(), accepted_.end(), tok), tok);
     if (tok >= kForgedTokenBase) ++forged_accepts_;
@@ -166,15 +104,12 @@ class CpaProcess final : public Process {
 
   std::int32_t f_;
   std::vector<ProcessId> trusted_;  ///< sorted
-  RelaySchedule schedule_;
-  CounterRng rng_;
+  CoinSchedule<FlatProbability> schedule_;
   std::vector<TokenId> accepted_;  ///< sorted
   /// Per unaccepted token: the distinct origins heard so far (sorted).
   std::vector<std::pair<TokenId, std::vector<ProcessId>>> pending_;
   Round accept_start_ = kNever;  ///< round of the first acceptance
   std::uint64_t forged_accepts_ = 0;
-  mutable Round memo_from_ = 0;
-  mutable Round memo_next_ = kUnplanned;
 };
 
 class UncertifiedRelayProcess final : public Process {
@@ -182,9 +117,9 @@ class UncertifiedRelayProcess final : public Process {
   UncertifiedRelayProcess(ProcessId id, const UncertifiedRelayOptions& options,
                           std::uint64_t seed)
       : Process(id),
-        schedule_{options.relay_p, options.active_rounds,
-                  options.rebroadcast_period},
-        rng_(seed) {}
+        schedule_({.active_rounds = options.active_rounds,
+                   .beacon_period = options.rebroadcast_period},
+                  {options.relay_p}, seed) {}
   UncertifiedRelayProcess(const UncertifiedRelayProcess&) = default;
 
   void on_activate(Round round, const std::optional<Message>& initial) override {
@@ -192,10 +127,7 @@ class UncertifiedRelayProcess final : public Process {
   }
 
   [[nodiscard]] Action next_action(Round round) const override {
-    if (token_ == kNoToken || !schedule_.on_air(adopt_round_, round) ||
-        !schedule_.coin(rng_, round)) {
-      return Action::silent();
-    }
+    if (!schedule_.sends(adopt_round_, round)) return Action::silent();
     return Action::transmit(
         Message{token_, /*origin=*/id(), /*round_tag=*/round, /*payload=*/0});
   }
@@ -205,15 +137,7 @@ class UncertifiedRelayProcess final : public Process {
   }
 
   [[nodiscard]] Round next_send_round(Round from) const override {
-    if (token_ == kNoToken) return kNever;
-    from = std::max(from, adopt_round_ + 1);
-    if (memo_next_ != kUnplanned && from >= memo_from_ &&
-        (memo_next_ == kNever || from <= memo_next_)) {
-      return memo_next_;
-    }
-    memo_from_ = from;
-    memo_next_ = schedule_.scan_for_send(rng_, adopt_round_, from);
-    return memo_next_;
+    return schedule_.next_send(adopt_round_, from);
   }
 
   [[nodiscard]] bool silence_transparent() const override { return true; }
@@ -227,23 +151,17 @@ class UncertifiedRelayProcess final : public Process {
   }
 
  private:
-  static constexpr Round kUnplanned = -2;
-
   /// Adopt the first token heard, no questions asked — the vulnerability
   /// CPA exists to close.
   void learn(Round round, const Message& m) {
     if (token_ != kNoToken || m.token == kNoToken) return;
     token_ = m.token;
     adopt_round_ = round;
-    memo_next_ = kUnplanned;
   }
 
-  RelaySchedule schedule_;
-  CounterRng rng_;
+  CoinSchedule<FlatProbability> schedule_;
   TokenId token_ = kNoToken;
-  Round adopt_round_ = kNever;
-  mutable Round memo_from_ = 0;
-  mutable Round memo_next_ = kUnplanned;
+  Round adopt_round_ = kNever;  ///< kNever iff token_ == kNoToken
 };
 
 }  // namespace

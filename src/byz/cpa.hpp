@@ -22,14 +22,13 @@
 /// Only accepted tokens are ever relayed, which is what makes acceptance
 /// inductive: a correct node's confirmation is itself certified.
 ///
-/// The relay schedule is randomized and duty-cycled exactly like the decay
-/// baseline's maintenance mode (algorithms/decay.hpp): a coin with
-/// probability relay_p per on-air round, an initial active window counted
-/// from the process's first acceptance, then periodic beacon rounds. The
-/// coin and the duty window depend only on (seed, round, first-acceptance
-/// round) — NOT on which tokens are accepted — so next_send_round can be
-/// answered exactly and memoized, and later acceptances never perturb the
-/// schedule.
+/// CPA and the uncertified relay below send on the counter-coin schedule
+/// Decay runs (algorithms/coin_schedule.hpp), started at the first
+/// acceptance: a coin with probability relay_p per on-air round, an initial
+/// active window of rounds, then periodic beacon rounds. The coin and the duty cycle depend
+/// only on (seed, round, first-acceptance round) — NOT on which tokens are
+/// accepted — so next_send_round is exact, and later acceptances never
+/// perturb the schedule.
 ///
 /// UncertifiedRelayProcess is the foil: it adopts the first token it hears
 /// — whatever the origin — and relays it on the same schedule. Under a

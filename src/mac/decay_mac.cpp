@@ -1,7 +1,6 @@
 #include "mac/decay_mac.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <utility>
 
@@ -62,12 +61,11 @@ class DecayMacProcess final : public Process, public AbstractMac {
         round >= run_start_ + run_length_) {
       return Action::silent();
     }
-    // Decay schedule, identical to algorithms/decay.cpp: probability
-    // 2^{-offset} at global-round offset (round-1) mod phase, coin drawn
-    // from the same counter stream.
-    const auto offset = static_cast<int>((round - 1) % phase_);
-    const double p = std::ldexp(1.0, -offset);
-    if (!rng_.bernoulli(p, round)) return Action::silent();
+    // Decay's coin, drawn from the same counter stream as
+    // algorithms/decay.cpp.
+    if (!rng_.bernoulli(decay_probability(round, phase_), round)) {
+      return Action::silent();
+    }
     return Action::transmit(*active_);
   }
 

@@ -10,9 +10,9 @@
 /// graph round engine.
 ///
 /// The layer broadcasts one client message at a time. While a message is on
-/// the air, the hosting process transmits it in round r with probability
-/// 2^{-((r-1) mod phase)} — byte-for-byte the schedule of
-/// algorithms/decay.cpp, including the randomness stream, so that
+/// the air, the hosting process transmits it in round r with Decay's
+/// probability, decay_probability(r, phase) = 2^{-((r-1) mod phase)}, drawn
+/// from the same randomness stream as algorithms/decay.cpp, so that
 /// single-token BMMB-over-DecayMac reproduces plain Decay transmissions
 /// exactly until a run expires (the regression cross-check in
 /// tests/test_mac.cpp relies on this). A run lasts `phases_per_run` phases;

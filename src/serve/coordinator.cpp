@@ -8,13 +8,20 @@
 #include "campaign/export.hpp"
 
 namespace dualrad::serve {
+namespace {
+
+/// The adaptive lease window: p90 of the observed unit wall times times
+/// kLeaseSlack, once kLeaseObservations units have completed, clamped to
+/// [kLeaseFloorSecs, kLeaseCeilSecs].
+constexpr double kLeaseSlack = 4.0;
+constexpr std::size_t kLeaseObservations = 8;
+constexpr double kLeaseFloorSecs = 0.05;
+constexpr double kLeaseCeilSecs = 3600.0;
+
+}  // namespace
 
 Coordinator::Coordinator(Config config) : config_(std::move(config)) {
   DUALRAD_REQUIRE(config_.lease_secs > 0.0, "lease_secs must be positive");
-  DUALRAD_REQUIRE(config_.lease_slack >= 1.0, "lease_slack must be >= 1");
-  DUALRAD_REQUIRE(config_.lease_floor_secs > 0.0 &&
-                      config_.lease_floor_secs <= config_.lease_ceil_secs,
-                  "lease floor/ceil must satisfy 0 < floor <= ceil");
 }
 
 void Coordinator::configure_campaign(std::uint64_t master_seed,
@@ -148,7 +155,7 @@ bool Coordinator::settled_locked() const {
 }
 
 double Coordinator::lease_window_secs_locked() const {
-  if (!config_.adaptive_lease || unit_secs_.size() < config_.lease_observations) {
+  if (!config_.adaptive_lease || unit_secs_.size() < kLeaseObservations) {
     return config_.lease_secs;
   }
   // p90 of observed unit wall times, times slack: long enough that an honest
@@ -160,8 +167,7 @@ double Coordinator::lease_window_secs_locked() const {
   std::nth_element(secs.begin(),
                    secs.begin() + static_cast<std::ptrdiff_t>(idx), secs.end());
   const double p90 = secs[idx];
-  return std::clamp(p90 * config_.lease_slack, config_.lease_floor_secs,
-                    config_.lease_ceil_secs);
+  return std::clamp(p90 * kLeaseSlack, kLeaseFloorSecs, kLeaseCeilSecs);
 }
 
 void Coordinator::sweep_expired_leases_locked() {
@@ -218,7 +224,6 @@ std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
     unit.state = UnitState::Leased;
     return make_job(ui, unit);
   }
-  if (!config_.speculative_redispatch) return std::nullopt;
   // Straggler speculation: nothing is pending but the campaign isn't done,
   // so this worker would otherwise idle-poll while the tail unit finishes
   // (or times out). Hand it a second copy of the leased unit that has been

@@ -38,7 +38,8 @@
 ///    quarantined unit is still accepted and can heal it back to Done.
 ///  - Speculative re-dispatch: when every unit is leased out, an idle worker
 ///    is handed a second copy of the unit closest to lease expiry (commit
-///    dedup makes duplicate execution safe), cutting the straggler tail.
+///    dedup makes duplicate execution safe), cutting the straggler tail. At
+///    most one speculative copy goes out per lease term.
 ///  - Journal degradation: a journal write failure disables checkpointing
 ///    (counted and reported in status) but never fails the commit —
 ///    availability over durability; the on-disk prefix stays recoverable.
@@ -73,21 +74,13 @@ class Coordinator {
     /// Lease timeout: a unit not fully committed within this window is
     /// requeued. Sweeps run on every lease request, so expiry needs no
     /// dedicated thread. With `adaptive_lease`, this is only the STARTING
-    /// window — once `lease_observations` units have completed, the window
-    /// becomes p90(observed unit seconds) x lease_slack, clamped to
-    /// [lease_floor_secs, lease_ceil_secs].
+    /// window — once 8 units have completed, the window becomes p90(observed
+    /// unit seconds) x 4, clamped to [0.05 s, 1 h].
     double lease_secs = 30.0;
     bool adaptive_lease = true;
-    double lease_slack = 4.0;
-    std::size_t lease_observations = 8;
-    double lease_floor_secs = 0.05;
-    double lease_ceil_secs = 3600.0;
     /// Quarantine threshold: a unit whose lease expires this many times is
     /// quarantined (reported, not requeued). 0 disables quarantine.
     std::uint32_t max_unit_expiries = 5;
-    /// Hand stragglers to idle workers before their lease expires (safe:
-    /// commit is exactly-once). At most one speculative copy per lease term.
-    bool speculative_redispatch = true;
     /// Append-only journal path; empty disables checkpointing.
     std::string journal_path;
     /// Load the journal before dispatching and skip committed trials.

@@ -14,10 +14,14 @@
 #include "algorithms/scheduled.hpp"
 #include "algorithms/strong_select.hpp"
 #include "algorithms/uniform_gossip.hpp"
+#include "byz/cpa.hpp"
+#include "byz/plan.hpp"
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/generators.hpp"
+#include "selectors/kautz_singleton.hpp"
+#include "test_util.hpp"
 
 namespace dualrad {
 namespace {
@@ -273,6 +277,22 @@ TEST(RoundRobin, UninformedNeverSends) {
   }
 }
 
+TEST(CmsOblivious, RejectsFamilyOverAnotherUniverse) {
+  // A provider's family must cover exactly the n process ids: over 7 ids,
+  // process 7 would have no slots; over 9, slots would name a process that
+  // does not exist. Both are rejected when the factory is built, not
+  // mid-execution.
+  for (const NodeId universe : {7, 9}) {
+    const CmsObliviousOptions options{
+        .delta = 2, .provider = [universe](NodeId, NodeId k) {
+          return kautz_singleton_ssf(universe, k);
+        }};
+    EXPECT_THROW((void)make_cms_oblivious_factory(8, options),
+                 std::invalid_argument)
+        << "universe " << universe;
+  }
+}
+
 // -------------------------------------------- completion sweeps (TEST_P)
 
 struct SweepParam {
@@ -515,6 +535,14 @@ TEST(SchedulingHints, SoundForEveryAlgorithmOverRandomHistories) {
        make_strong_select_factory(n, {.participate_forever = true})},
       {"gossip", make_uniform_gossip_factory(n)},
       {"gossip-dense", make_uniform_gossip_factory(n, {.p = 0.35})},
+      {"cpa-windowed",
+       byz::make_cpa_factory(n, {.trusted_origins = {0},
+                                 .active_rounds = 12,
+                                 .rebroadcast_period = 8})},
+      {"cpa-forever", byz::make_cpa_factory(n, {.trusted_origins = {0}})},
+      {"relay-windowed",
+       byz::make_uncertified_relay_factory(
+           n, {.active_rounds = 12, .rebroadcast_period = 8})},
   };
   std::uint64_t seed = 0x9E55;
   for (const auto& [name, factory] : factories) {
@@ -592,6 +620,140 @@ TEST(SchedulingHints, StrongSelectEpochWalkIsExact) {
             << label;
       }
     }
+  }
+}
+
+TEST(SchedulingHints, CoinScheduleHintsAreExact) {
+  // Every counter-coin hint is an exact scan of the coins the poll draws
+  // (coin_schedule.hpp), so beyond soundness each hinted round is a real
+  // send, through duty-cycle gaps and beacons. Gossip is dense here: a
+  // small p would hit its scan cap, which over-promises by design.
+  constexpr NodeId n = 24;
+  constexpr Round kWindow = 3000;
+  const std::vector<std::pair<std::string, ProcessFactory>> factories = {
+      {"decay", make_decay_factory(n)},
+      {"decay-windowed",
+       make_decay_factory(n, {.active_phases = 2, .rebroadcast_period = 8})},
+      {"harmonic", make_harmonic_factory(n, {.eps = 0.2})},
+      {"gossip-dense", make_uniform_gossip_factory(n, {.p = 0.35})},
+      {"cpa", byz::make_cpa_factory(n, {.trusted_origins = {0},
+                                        .active_rounds = 64,
+                                        .rebroadcast_period = 16})},
+      {"relay", byz::make_uncertified_relay_factory(
+                    n, {.active_rounds = 64, .rebroadcast_period = 16})},
+  };
+  StreamRng rng(0xC01);
+  for (const auto& [name, factory] : factories) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto id = static_cast<ProcessId>(
+          rng.below(static_cast<std::uint64_t>(n)));
+      const auto proc = factory(id, n, mix_seed(0xC01, rng.below(1000)));
+      const auto token_round = static_cast<Round>(rng.below(50));
+      const Message token_msg{/*token=*/true, /*origin=*/0,
+                              /*round_tag=*/token_round, /*payload=*/1};
+      if (token_round == 0) {
+        proc->on_activate(0, token_msg);
+      } else {
+        proc->on_activate(0, std::nullopt);
+        proc->on_receive(token_round, Reception::of(token_msg));
+      }
+      const std::string label = name + "/id=" + std::to_string(id) +
+                                "/t=" + std::to_string(token_round);
+      std::set<Round> sends;
+      for (Round r = token_round + 1; r < token_round + 1 + kWindow; ++r) {
+        if (proc->next_action(r).send) sends.insert(r);
+      }
+      std::set<Round> probed;
+      for (Round r = token_round + 1;;) {
+        const Round hint = proc->next_send_round(r);
+        if (hint == kNever || hint >= token_round + 1 + kWindow) break;
+        ASSERT_GE(hint, r) << label;
+        EXPECT_TRUE(proc->next_action(hint).send)
+            << label << ": hint named silent round " << hint;
+        probed.insert(hint);
+        r = hint + 1;
+      }
+      EXPECT_FALSE(sends.empty()) << label;
+      EXPECT_EQ(probed, sends) << label;
+    }
+  }
+}
+
+// ------------------------------------------------- pinned executions
+
+TEST(SendSchedules, OneExecutionPerScheduleIsPinned) {
+  // Engine equivalence cannot see a schedule drift (both engines run the
+  // same processes), so one small execution per send schedule is pinned by
+  // digest (test_util.hpp), recorded before Decay, Harmonic, gossip and the
+  // relays shared one coin schedule and CMS ran on the TDMA schedule. Each
+  // runs a fixed 400 rounds (600 for the relays), so duty-cycle beacons and
+  // late coins are covered. CPA and the relay run two tokens under forging
+  // faults, so CPA accepts two tokens and its relay pick (salt 1) is pinned
+  // too.
+  const DualGraph net = duals::layered_sparse(
+      {.layers = 8, .width = 6, .fwd_degree = 3, .unreliable_degree = 2,
+       .seed = 5});
+  const NodeId n = net.node_count();
+  std::vector<ProcessId> slots(static_cast<std::size_t>(n) + 3);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<ProcessId>((i * 3) % static_cast<std::size_t>(n));
+  }
+  const std::vector<NodeId> sources = {net.source(), n - 1};
+  const byz::ByzantinePlan plan = byz::make_random_plan(
+      net, /*f=*/1, /*count=*/3, byz::ByzBehavior::Forge, sources, 0xF0E);
+  ASSERT_EQ(plan.faults().size(), 3u);
+  struct Case {
+    const char* name;
+    ProcessFactory factory;
+    bool faulty;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"round-robin", make_round_robin_factory(n), false,
+       "63509318cd102903/89/352"},
+      {"scheduled", make_scheduled_factory(n, slots), false,
+       "202b48987fbd4c25/80/376"},
+      {"cms",
+       make_cms_oblivious_factory(
+           n, {.delta = static_cast<NodeId>(
+                   net.g_prime_csr().max_in_degree())}),
+       false, "5274c03dbcf14814/41/400"},
+      {"decay", make_decay_factory(n), false, "afff03af8bfc81bc/17/5354"},
+      {"decay-windowed",
+       make_decay_factory(n, {.active_phases = 2, .rebroadcast_period = 8}),
+       false, "057852f0fe6a4d20/16/815"},
+      {"harmonic", make_harmonic_factory(n, {.eps = 0.2}), false,
+       "64f555a5a5106425/157/7733"},
+      {"gossip", make_uniform_gossip_factory(n), false,
+       "9d11d50ae262a456/182/289"},
+      {"cpa",
+       byz::make_cpa_factory(n, {.f = 1,
+                                 .trusted_origins = sources,
+                                 .relay_p = 0.5,
+                                 .active_rounds = 64,
+                                 .rebroadcast_period = 16}),
+       true, "476e01ef1cc5e994/-1/3259"},
+      {"relay",
+       byz::make_uncertified_relay_factory(
+           n, {.relay_p = 0.5, .active_rounds = 64, .rebroadcast_period = 16}),
+       true, "ffc38a63ea911128/-1/4040"},
+  };
+  for (const Case& c : cases) {
+    BernoulliAdversary adversary(0.3, 77);
+    SimConfig config;
+    config.rule = CollisionRule::CR3;
+    config.start = StartRule::Asynchronous;
+    config.max_rounds = c.faulty ? 600 : 400;
+    config.stop_on_completion = false;
+    config.seed = 2024;
+    config.trace = TraceLevel::Compressed;
+    if (c.faulty) {
+      config.byzantine = &plan;
+      config.token_sources = sources;
+    }
+    EXPECT_EQ(testing::digest(run_broadcast(net, c.factory, adversary, config)),
+              c.digest)
+        << c.name;
   }
 }
 

@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
 #include "algorithms/strong_select.hpp"
-#include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/generators.hpp"
 #include "interference/interference.hpp"
@@ -20,6 +17,7 @@
 namespace dualrad {
 namespace {
 
+using testing::digest;
 using testing::scripted_factory;
 
 /// Path 0-1-2 where G_I adds the 0-2 interference edge, read as the dual
@@ -39,20 +37,6 @@ SimConfig one_round(CollisionRule rule) {
   config.trace = TraceLevel::Compressed;
   config.stop_on_completion = false;
   return config;
-}
-
-/// An execution's digest: the FNV-1a of its trace blob, then its completion
-/// round and total_sends. A drift in the reception rule changes the blob.
-std::string digest(const SimResult& result) {
-  const std::vector<std::uint8_t>& blob = result.trace.blob;
-  const std::uint64_t h = fnv1a64(std::string_view(
-      reinterpret_cast<const char*>(blob.data()), blob.size()));
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%016llx/%lld/%llu",
-                static_cast<unsigned long long>(h),
-                static_cast<long long>(result.completion_round),
-                static_cast<unsigned long long>(result.total_sends));
-  return buf;
 }
 
 TEST(InterferenceModel, MessagesOnlyConveyOverGt) {

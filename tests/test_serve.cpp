@@ -1121,8 +1121,6 @@ TEST(ServeCoordinator, AdaptiveLeaseTracksObservedUnitTimes) {
   config.master_seed = 23;
   config.unit_trials = 1;  // 10 units: enough adaptive observations
   config.lease_secs = 30.0;
-  config.lease_observations = 4;
-  config.lease_floor_secs = 0.05;
   Coordinator coordinator(config);
   coordinator.load_campaign(scenarios);
 

@@ -1,16 +1,21 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "algorithms/broadcast_algorithm.hpp"
 #include "core/process.hpp"
+#include "core/rng.hpp"
+#include "core/simulator.hpp"
 #include "core/trace.hpp"
 
-/// Test helpers: tiny controllable processes, and decoding and re-encoding
-/// execution traces.
+/// Test helpers: tiny controllable processes, decoding and re-encoding
+/// execution traces, and execution digests for pinning.
 
 namespace dualrad::testing {
 
@@ -144,6 +149,21 @@ inline void encode_rounds(Trace& trace,
     }
     out.receptions(nodes, at);
   }
+}
+
+/// An execution's digest: the FNV-1a of its trace blob, then its completion
+/// round and total_sends. A drift in a send schedule or a reception rule
+/// changes the blob.
+inline std::string digest(const SimResult& result) {
+  const std::vector<std::uint8_t>& blob = result.trace.blob;
+  const std::uint64_t h = fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(blob.data()), blob.size()));
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%016llx/%lld/%llu",
+                static_cast<unsigned long long>(h),
+                static_cast<long long>(result.completion_round),
+                static_cast<unsigned long long>(result.total_sends));
+  return buf;
 }
 
 /// Decode `trace`, let `edit` change its rounds, and re-encode them.
