@@ -5,12 +5,12 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <map>
 #include <mutex>
-#include <set>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 
+#include "campaign/ledger.hpp"
 #include "core/rng.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/rss.hpp"
@@ -121,150 +121,55 @@ TrialExecutor::Outcome TrialExecutor::run(std::uint32_t trial,
   return out;
 }
 
-std::vector<ScenarioSummary> summarize_trials(
-    const std::vector<TrialRow>& rows, const CampaignGrid& grid, bool timed) {
-  std::size_t total = 0;
-  for (const auto& [name, trials] : grid) total += trials;
-  DUALRAD_REQUIRE(rows.size() == total,
-                  "row count does not match the campaign grid");
-
-  std::vector<ScenarioSummary> summaries;
-  summaries.reserve(grid.size());
-  std::size_t first = 0;
-  for (const auto& [name, trials] : grid) {
-    ScenarioSummary summary;
-    summary.scenario = name;
-    summary.trials = trials;
-    std::vector<double> rounds;
-    double sends = 0.0, collisions = 0.0, wall_us = 0.0;
-    std::size_t timed_rows = 0;
-    for (std::size_t t = 0; t < trials; ++t) {
-      const TrialRow& row = rows[first + t];
-      if (row.completed) {
-        rounds.push_back(static_cast<double>(row.rounds));
-      } else {
-        ++summary.failures;
-      }
-      sends += static_cast<double>(row.sends);
-      collisions += static_cast<double>(row.collisions);
-      // Rows replayed from a journal carry no wall time (-1).
-      if (row.wall_us >= 0) {
-        wall_us += static_cast<double>(row.wall_us);
-        ++timed_rows;
-      }
-    }
-    summary.rounds = stats::summarize(std::move(rounds));
-    summary.mean_sends = sends / static_cast<double>(trials);
-    summary.mean_collisions = collisions / static_cast<double>(trials);
-    if (timed && timed_rows > 0) {
-      summary.mean_wall_ms = wall_us / 1000.0 / static_cast<double>(timed_rows);
-    }
-    summaries.push_back(std::move(summary));
-    first += trials;
-  }
-  return summaries;
-}
-
 CampaignResult run_campaign(const std::vector<Scenario>& scenarios,
                             const CampaignConfig& config) {
-  struct PreparedScenario {
-    const Scenario* spec = nullptr;
-    TrialExecutor executor;
-    std::size_t trials = 0;
-    std::size_t first_job = 0;  ///< index of trial 0 in the flat job list
-  };
+  Ledger ledger(campaign_grid(scenarios, config.trials_override),
+                config.master_seed, config.collect_telemetry,
+                config.journal_path, config.resume);
 
-  std::vector<PreparedScenario> prepared;
-  prepared.reserve(scenarios.size());
-  std::size_t total_jobs = 0;
-  std::set<std::string_view> names;
+  std::vector<TrialExecutor> executors;
+  executors.reserve(scenarios.size());
   for (const Scenario& s : scenarios) {
-    // Duplicate names would share a seed stream (correlated trials) and
-    // collide in find_summary; reject them even when the caller bypassed a
-    // ScenarioRegistry.
-    DUALRAD_REQUIRE(names.insert(s.name).second,
-                    "duplicate scenario name in campaign: " + s.name);
-    const std::size_t trials =
-        config.trials_override != 0 ? config.trials_override : s.trials;
-    DUALRAD_REQUIRE(trials >= 1,
-                    "scenario '" + s.name + "' needs at least one trial");
-    prepared.push_back(PreparedScenario{
-        &s, TrialExecutor(s, config.master_seed), trials, total_jobs});
-    total_jobs += trials;
+    executors.emplace_back(s, config.master_seed);
   }
 
-  CampaignResult result;
-  result.trials.resize(total_jobs);
-  if (config.collect_telemetry) result.telemetry.resize(total_jobs);
-
-  // job id -> scenario index, so workers claim jobs with one atomic fetch.
-  std::vector<std::size_t> scenario_of_job(total_jobs);
-  for (std::size_t si = 0; si < prepared.size(); ++si) {
-    for (std::size_t t = 0; t < prepared[si].trials; ++t) {
-      scenario_of_job[prepared[si].first_job + t] = si;
-    }
-  }
-
-  // Checkpoint resume: satisfy journaled (scenario, trial) jobs verbatim.
-  // Seeds are validated against the derived streams so a journal from a
-  // different master seed or grid fails loudly instead of corrupting the
-  // byte-identity contract.
-  std::vector<char> resumed(total_jobs, 0);
-  if (config.resume_rows != nullptr) {
-    std::map<std::string_view, std::size_t> scenario_index;
-    for (std::size_t si = 0; si < prepared.size(); ++si) {
-      scenario_index.emplace(prepared[si].spec->name, si);
-    }
-    for (const TrialRow& row : *config.resume_rows) {
-      const auto it = scenario_index.find(row.scenario);
-      DUALRAD_REQUIRE(it != scenario_index.end(),
-                      "resume row for unknown scenario: " + row.scenario);
-      const PreparedScenario& p = prepared[it->second];
-      DUALRAD_REQUIRE(row.trial < p.trials,
-                      "resume row trial out of range in " + row.scenario);
-      DUALRAD_REQUIRE(
-          row.seed == trial_seed(config.master_seed, row.scenario, row.trial),
-          "resume row seed mismatch (wrong master seed or journal?) in " +
-              row.scenario);
-      const std::size_t job = p.first_job + row.trial;
-      result.trials[job] = row;
-      resumed[job] = 1;
+  // The (scenario, trial) jobs the journal did not fill.
+  const std::size_t total_jobs = ledger.slots();
+  std::vector<std::pair<std::size_t, std::uint32_t>> pending;
+  for (std::size_t si = 0, slot = 0; si < scenarios.size(); ++si) {
+    for (std::uint32_t t = 0; t < ledger.grid()[si].second; ++t, ++slot) {
+      if (!ledger.committed(slot)) pending.emplace_back(si, t);
     }
   }
 
   std::atomic<std::size_t> next_job{0};
-  std::atomic<std::size_t> jobs_done{0};
+  std::atomic<std::size_t> jobs_done{ledger.committed()};
   std::atomic<std::uint64_t> rounds_done{0};
   std::atomic<bool> failed{false};
   std::atomic<bool> cancelled{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::mutex observer_mutex;
+  std::mutex commit_mutex;  // serializes the observer and the ledger
 
-  const auto run_one = [&](std::size_t job) {
-    const PreparedScenario& p = prepared[scenario_of_job[job]];
-    const std::uint32_t trial = static_cast<std::uint32_t>(job - p.first_job);
+  const auto run_one = [&](std::size_t si, std::uint32_t trial) {
     // One telemetry registry per trial, attached out-of-band. Window 1: only
     // whole-execution totals are kept, so the per-round ring can be minimal.
     obs::RoundTelemetry telemetry(1);
-    TrialExecutor::Outcome outcome = p.executor.run(
+    const TrialExecutor::Outcome outcome = executors[si].run(
         trial, {.threads_per_trial = config.threads_per_trial,
                 .measure_wall_time = config.measure_wall_time,
                 .telemetry = config.collect_telemetry ? &telemetry : nullptr,
                 .trace = config.trial_trace});
 
-    result.trials[job] = outcome.row;
-    if (config.collect_telemetry) result.telemetry[job] = outcome.telemetry;
-
-    if (config.observer || config.row_sink) {
-      const std::lock_guard<std::mutex> lock(observer_mutex);
+    {
+      const std::lock_guard<std::mutex> lock(commit_mutex);
       if (config.observer) {
-        config.observer(*p.spec, result.trials[job], outcome.sim);
+        config.observer(scenarios[si], outcome.row, outcome.sim);
       }
-      if (config.row_sink) {
-        config.row_sink(
-            result.trials[job],
-            config.collect_telemetry ? &result.telemetry[job] : nullptr);
+      (void)ledger.commit(outcome.row);
+      if (config.collect_telemetry) ledger.add_telemetry(outcome.telemetry);
+      if (ledger.journal_errors() != 0) {
+        throw std::runtime_error(ledger.journal_error());
       }
     }
 
@@ -281,14 +186,10 @@ CampaignResult run_campaign(const std::vector<Scenario>& scenarios,
         cancelled.store(true, std::memory_order_relaxed);
         return;
       }
-      const std::size_t job = next_job.fetch_add(1, std::memory_order_relaxed);
-      if (job >= total_jobs) return;
-      if (resumed[job]) {
-        jobs_done.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
+      const std::size_t next = next_job.fetch_add(1, std::memory_order_relaxed);
+      if (next >= pending.size()) return;
       try {
-        run_one(job);
+        run_one(pending[next].first, pending[next].second);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -302,7 +203,7 @@ CampaignResult run_campaign(const std::vector<Scenario>& scenarios,
                                          : std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
   threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(total_jobs, 1)));
+      std::min<std::size_t>(threads, std::max<std::size_t>(pending.size(), 1)));
 
   // Progress heartbeat: one line to stderr every heartbeat_secs while trials
   // run. Reads only the progress atomics and /proc RSS — never results. The
@@ -346,18 +247,11 @@ CampaignResult run_campaign(const std::vector<Scenario>& scenarios,
   heartbeat.stop();
   if (first_error) std::rethrow_exception(first_error);
 
+  CampaignResult result = std::move(ledger).result(config.measure_wall_time);
   if (cancelled.load(std::memory_order_relaxed)) {
     result.cancelled = true;
-    return result;
+    result.summaries.clear();
   }
-
-  CampaignGrid grid;
-  grid.reserve(prepared.size());
-  for (const PreparedScenario& p : prepared) {
-    grid.emplace_back(p.spec->name, p.trials);
-  }
-  result.summaries =
-      summarize_trials(result.trials, grid, config.measure_wall_time);
   return result;
 }
 

@@ -20,9 +20,9 @@
 /// Determinism contract: every trial's result depends only on
 /// (scenario spec, master seed, trial index) — each trial gets a fresh
 /// adversary from the scenario's factory and a seed from an independent
-/// counter-mixed stream (core/rng.hpp), and results land in preallocated
-/// slots indexed by job id — so campaign output is *bit-identical* for any
-/// worker count, including 1.
+/// counter-mixed stream (core/rng.hpp), and rows are committed to the
+/// grid slots of a campaign::Ledger (campaign/ledger.hpp) — so campaign
+/// output is *bit-identical* for any worker count, including 1.
 
 namespace dualrad::campaign {
 
@@ -97,14 +97,16 @@ struct CampaignResult {
   std::vector<TrialRow> trials;
   /// One summary per scenario, in scenario order.
   std::vector<ScenarioSummary> summaries;
-  /// Telemetry rows, same order as `trials`; empty unless
-  /// CampaignConfig::collect_telemetry was set.
+  /// Telemetry rows of the trials that have one, in `trials` order; empty
+  /// unless CampaignConfig::collect_telemetry was set.
   std::vector<TelemetryRow> telemetry;
-  /// True iff the run stopped early on CampaignConfig::cancel. Rows of
-  /// trials that never ran are default-constructed (empty scenario name) and
-  /// `summaries` is left empty — a cancelled result is only good for
-  /// inspecting which trials completed (e.g. via a checkpoint journal).
+  /// True iff the run stopped early on CampaignConfig::cancel. `trials`
+  /// then holds only the committed rows (journaled ones included), and
+  /// `summaries` is left empty.
   bool cancelled = false;
+  /// Rows replayed from the checkpoint journal instead of run
+  /// (CampaignConfig::resume); they are part of `trials`.
+  std::size_t resumed = 0;
 };
 
 struct CampaignConfig {
@@ -146,26 +148,19 @@ struct CampaignConfig {
   std::function<void(const Scenario& scenario, const TrialRow& row,
                      const SimResult& result)>
       observer;
-  /// Optional per-trial completion sink, serialized like `observer`. Unlike
-  /// the observer it receives export-ready rows only — this is the hook the
-  /// checkpoint journal and the serve-mode result stream hang off.
-  /// `telemetry` is nullptr unless collect_telemetry is set. Not called for
-  /// trials satisfied from `resume_rows` (they are already journaled).
-  std::function<void(const TrialRow& row, const TelemetryRow* telemetry)>
-      row_sink;
+  /// Checkpoint journal (serve/checkpoint.hpp): each committed row, and its
+  /// telemetry row when collected, is appended and fsynced; a failed append
+  /// fails the run. Empty disables checkpointing.
+  std::string journal_path;
+  /// Replay `journal_path` first and run only the trials it lacks. Its seeds
+  /// must match (std::invalid_argument otherwise), and the exports equal an
+  /// uninterrupted run's.
+  bool resume = false;
   /// Cooperative cancellation (e.g. from a SIGINT handler): when the pointee
   /// becomes true, workers stop claiming new trials, in-flight trials finish
-  /// and reach `row_sink`, and run_campaign returns with
+  /// and commit (and are journaled), and run_campaign returns with
   /// CampaignResult::cancelled set instead of computing summaries.
   const std::atomic<bool>* cancel = nullptr;
-  /// Checkpoint/resume: rows of already-completed trials (typically loaded
-  /// from a serve/checkpoint journal). Matching (scenario, trial) jobs are
-  /// satisfied from here verbatim instead of re-running; each row's seed
-  /// must equal the engine's derived trial seed (throws std::invalid_argument
-  /// otherwise — the journal belongs to a different master seed or grid).
-  /// Combined with the deterministic seed streams this makes a resumed
-  /// campaign's exports byte-identical to an uninterrupted run.
-  const std::vector<TrialRow>* resume_rows = nullptr;
 };
 
 /// Per-trial execution options of TrialExecutor (the serve-mode work-unit
@@ -215,20 +210,6 @@ class TrialExecutor {
   DualGraph net_;
   ProcessFactory factory_;
 };
-
-/// The campaign grid shape: (scenario name, trial count) in registration
-/// order. Row `i` of a flat trial vector belongs to the grid slot obtained
-/// by walking the counts in order.
-using CampaignGrid = std::vector<std::pair<std::string, std::size_t>>;
-
-/// Per-scenario summaries of a flat, grid-ordered row vector — the summary
-/// half of run_campaign, shared with the serve-mode coordinator so a
-/// distributed campaign summarizes byte-identically to a batch run. `timed`
-/// fills mean_wall_ms from the rows with TrialRow::wall_us >= 0 (journaled
-/// rows carry -1). Throws std::invalid_argument if rows.size() differs from
-/// the grid total.
-[[nodiscard]] std::vector<ScenarioSummary> summarize_trials(
-    const std::vector<TrialRow>& rows, const CampaignGrid& grid, bool timed);
 
 /// Seed stream of a scenario under a master seed: mixes the master with an
 /// FNV-1a hash of the name, so a scenario's trials are independent of which

@@ -291,7 +291,8 @@ class SparseKernel {
   std::vector<ArrivalSlot> arrival_;
   std::vector<NodeId> collided_;  ///< merged from shards; CR4 sorts it
   /// Full arrival lists, spilled only on collision and only consumed under
-  /// CR4 (adversary resolution picks among them).
+  /// CR4 (adversary resolution picks among them). Both are n-wide under CR4
+  /// and empty under every other rule.
   std::vector<std::vector<Message>> multi_;
   std::vector<Reception> rec_of_;  ///< CR4 collided non-senders only
 
@@ -318,8 +319,8 @@ SparseKernel::SparseKernel(ExecutionFrame& frame)
                         64u, static_cast<unsigned>(frame.un)}))),
       shard_(shards_),
       arrival_(frame.un),
-      multi_(frame.un),
-      rec_of_(frame.un) {
+      multi_(spill_arrivals_ ? frame.un : 0),
+      rec_of_(spill_arrivals_ ? frame.un : 0) {
   if (shards_ > 1) pool_.emplace(shards_);
   collided_.reserve(64);
 }

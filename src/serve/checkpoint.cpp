@@ -1,8 +1,10 @@
 #include "serve/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -77,7 +79,6 @@ std::string journal_line(const campaign::TelemetryRow& row) {
 
 JournalLoad parse_journal(const std::string& text) {
   JournalLoad load;
-  load.valid_bytes = text.size();
   std::map<std::pair<std::string, std::uint32_t>, std::string> seen;
   std::set<std::pair<std::string, std::uint32_t>> telemetry_seen;
   std::size_t begin = 0;
@@ -98,7 +99,6 @@ JournalLoad parse_journal(const std::string& text) {
       // earlier damage means the file itself is corrupt.
       if (is_last) {
         ++load.dropped_torn_tail;
-        load.valid_bytes = begin;
         break;
       }
       throw std::invalid_argument(
@@ -153,20 +153,33 @@ JournalLoad load_journal(const std::string& path) {
   return parse_journal(text.str());
 }
 
-void truncate_torn_tail(const std::string& path, const JournalLoad& load) {
-  if (load.dropped_torn_tail == 0) return;
-  if (::truncate(path.c_str(), static_cast<off_t>(load.valid_bytes)) != 0) {
-    throw std::runtime_error("dualrad: cannot truncate torn journal tail in " +
-                             path + ": " + errno_message());
-  }
-}
-
 void JournalWriter::open(const std::string& path) {
   close();
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     throw std::runtime_error("dualrad: cannot open journal " + path + ": " +
                              errno_message());
+  }
+  // Keep everything up to the last newline. A device such as /dev/full has
+  // no tail to cut.
+  struct stat st = {};
+  bool ok = ::fstat(fd_, &st) == 0;
+  const off_t size = ok && S_ISREG(st.st_mode) ? st.st_size : 0;
+  off_t keep = size;
+  char block[4096];
+  for (bool found = false; ok && !found && keep > 0;) {
+    const off_t from = std::max<off_t>(0, keep - off_t{sizeof block});
+    const auto len = static_cast<std::size_t>(keep - from);
+    ok = ::pread(fd_, block, len, from) == static_cast<ssize_t>(len);
+    const std::size_t nl = std::string_view(block, ok ? len : 0).rfind('\n');
+    found = nl != std::string_view::npos;
+    keep = found ? from + static_cast<off_t>(nl) + 1 : from;
+  }
+  if (!ok || (keep < size && ::ftruncate(fd_, keep) != 0)) {
+    const std::string error = errno_message();
+    close();
+    throw std::runtime_error("dualrad: cannot cut torn journal tail in " +
+                             path + ": " + error);
   }
 }
 
@@ -200,8 +213,8 @@ void JournalWriter::append_line(const std::string& line) {
         break;
       case JournalFault::TornWrite:
         // Half the line reaches disk, then the device errors: the classic
-        // torn tail. The loader recovers the valid prefix (valid_bytes) and
-        // truncate_torn_tail cuts the fragment on resume.
+        // torn tail. The loader drops the fragment and the next open()
+        // cuts it.
         write_all(line.data(), line.size() / 2);
         throw std::runtime_error(
             "dualrad: journal append failed mid-line (injected EIO; torn "

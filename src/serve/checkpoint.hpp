@@ -29,11 +29,15 @@
 /// Torn-write tolerance: a crash can tear at most the FINAL line (the writer
 /// appends whole lines and fsyncs). load_journal() therefore drops a trailing
 /// line that is incomplete or fails its CRC — reporting it — but treats any
-/// earlier damage as corruption and throws. Re-journaled duplicates (the
+/// earlier damage as corruption and throws, and JournalWriter::open() cuts
+/// such a fragment before its first append. Re-journaled duplicates (the
 /// at-least-once window between commit and crash) are byte-compared: equal
 /// rows dedupe silently, conflicting rows for the same (scenario, trial)
 /// throw. Telemetry rows carry wall times and are inherently
 /// nondeterministic, so they dedupe first-wins and never conflict.
+///
+/// Both front ends read and write journals through one campaign::Ledger
+/// (campaign/ledger.hpp), so a journal written by either resumes the other.
 
 namespace dualrad::serve {
 
@@ -47,10 +51,6 @@ struct JournalLoad {
   std::size_t dropped_torn_tail = 0;
   /// Byte-identical duplicate lines skipped.
   std::size_t duplicates = 0;
-  /// Length of the valid prefix (everything before a torn tail). A resuming
-  /// writer MUST truncate the file here first (truncate_torn_tail), or its
-  /// first append would concatenate onto the torn fragment and corrupt it.
-  std::size_t valid_bytes = 0;
 };
 
 /// Parse journal text. Throws std::invalid_argument on mid-file corruption
@@ -59,10 +59,6 @@ struct JournalLoad {
 
 /// Read and parse a journal file. Throws std::runtime_error if unreadable.
 [[nodiscard]] JournalLoad load_journal(const std::string& path);
-
-/// Cut a torn trailing line off the file (no-op when `load` reports none),
-/// so subsequent appends start on a fresh line. Throws on I/O failure.
-void truncate_torn_tail(const std::string& path, const JournalLoad& load);
 
 /// Serialize one row as a journal line (CRC column, trailing newline).
 [[nodiscard]] std::string journal_line(const campaign::TrialRow& row);
@@ -79,7 +75,7 @@ void truncate_torn_tail(const std::string& path, const JournalLoad& load);
 /// fsync error — a commit whose durability is unknown must fail loudly, not
 /// limp on. Because lines are whole-line appends, a failed append leaves the
 /// journal's valid prefix intact (at worst a torn tail, which the loader
-/// already recovers via valid_bytes). This is also the checkpoint
+/// drops and the next open() cuts). This is also the checkpoint
 /// fault-injection seam: an installed faultline::FaultInjector can simulate
 /// torn writes, fsync EIO, and ENOSPC here.
 class JournalWriter {
@@ -89,9 +85,11 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter() { close(); }
 
-  /// Open (creating or appending). Throws std::runtime_error on failure.
-  /// Every append is fsynced: trials cost orders of magnitude more than an
-  /// fsync, so each committed row is made crash-durable.
+  /// Open (creating or appending), first cutting a torn final line — the
+  /// bytes after the last newline — so the first append starts a fresh line
+  /// instead of gluing onto the fragment. Throws std::runtime_error on
+  /// failure. Every append is fsynced: trials cost orders of magnitude more
+  /// than an fsync, so each committed row is made crash-durable.
   void open(const std::string& path);
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }

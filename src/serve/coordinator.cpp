@@ -1,11 +1,7 @@
 #include "serve/coordinator.hpp"
 
 #include <algorithm>
-#include <set>
-#include <stdexcept>
 #include <utility>
-
-#include "campaign/export.hpp"
 
 namespace dualrad::serve {
 namespace {
@@ -27,7 +23,7 @@ Coordinator::Coordinator(Config config) : config_(std::move(config)) {
 void Coordinator::configure_campaign(std::uint64_t master_seed,
                                      std::size_t trials_override) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  DUALRAD_REQUIRE(!loaded_ || settled_locked(),
+  DUALRAD_REQUIRE(!ledger_ || settled_locked(),
                   "cannot reconfigure mid-campaign");
   config_.master_seed = master_seed;
   config_.trials_override = trials_override;
@@ -35,57 +31,33 @@ void Coordinator::configure_campaign(std::uint64_t master_seed,
 
 void Coordinator::load_campaign(
     const std::vector<campaign::Scenario>& scenarios) {
-  // Journal load happens outside the lock (file I/O), before the grid is
-  // published; commits cannot arrive for an unloaded campaign anyway.
-  JournalLoad journal_rows;
-  if (config_.resume) {
-    DUALRAD_REQUIRE(!config_.journal_path.empty(),
-                    "resume requires a journal path");
-    journal_rows = load_journal(config_.journal_path);
-    // Cut any torn final line before reopening for append, or the next
-    // commit would concatenate onto the fragment and corrupt it.
-    truncate_torn_tail(config_.journal_path, journal_rows);
+  campaign::CampaignGrid grid;
+  std::uint64_t master_seed = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    DUALRAD_REQUIRE(!ledger_ || settled_locked(),
+                    "a campaign is already in progress");
+    grid = campaign::campaign_grid(scenarios, config_.trials_override);
+    master_seed = config_.master_seed;
   }
+  // Journal I/O (the torn-tail cut, the resume replay) happens outside the
+  // lock, before the ledger is published.
+  auto ledger = std::make_unique<campaign::Ledger>(
+      std::move(grid), master_seed, config_.collect_telemetry,
+      config_.journal_path, config_.resume);
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  DUALRAD_REQUIRE(!loaded_ || settled_locked(),
+  DUALRAD_REQUIRE(!ledger_ || settled_locked(),
                   "a campaign is already in progress");
-
-  scenarios_.clear();
-  scenario_index_.clear();
   units_.clear();
-  std::set<std::string> names;
-  std::size_t total = 0;
-  for (const campaign::Scenario& s : scenarios) {
-    DUALRAD_REQUIRE(names.insert(s.name).second,
-                    "duplicate scenario name in campaign: " + s.name);
-    const std::size_t trials =
-        config_.trials_override != 0 ? config_.trials_override : s.trials;
-    DUALRAD_REQUIRE(trials >= 1,
-                    "scenario '" + s.name + "' needs at least one trial");
-    DUALRAD_REQUIRE(trials <= 0xFFFFFFFFull,
-                    "scenario '" + s.name + "' trial count exceeds 2^32");
-    scenario_index_.emplace(s.name, scenarios_.size());
-    scenarios_.push_back(ScenarioSlot{s.name, trials, total});
-    total += trials;
-  }
-
-  rows_.assign(total, {});
-  row_bytes_.assign(total, {});
-  telemetry_.assign(config_.collect_telemetry ? total : 0, {});
-  telemetry_present_.assign(config_.collect_telemetry ? total : 0, 0);
-  unit_of_job_.assign(total, 0);
-  committed_ = 0;
-  resumed_ = 0;
+  unit_of_job_.assign(ledger->slots(), 0);
   lease_expiries_ = 0;
   speculative_ = 0;
-  journal_errors_ = 0;
-  journal_error_.clear();
   unit_secs_.clear();
-
-  for (std::size_t si = 0; si < scenarios_.size(); ++si) {
-    const ScenarioSlot& slot = scenarios_[si];
-    const std::uint32_t trials = static_cast<std::uint32_t>(slot.trials);
+  std::size_t first = 0;
+  for (std::size_t si = 0; si < ledger->grid().size(); ++si) {
+    const auto trials =
+        static_cast<std::uint32_t>(ledger->grid()[si].second);
     const std::uint32_t step =
         config_.unit_trials == 0 ? trials : config_.unit_trials;
     for (std::uint32_t begin = 0; begin < trials; begin += step) {
@@ -94,47 +66,23 @@ void Coordinator::load_campaign(
       unit.scenario = si;
       unit.trial_begin = begin;
       unit.trial_end = end;
-      unit.remaining = end - begin;
+      // Trials replayed from the journal are already committed.
       for (std::uint32_t t = begin; t < end; ++t) {
-        unit_of_job_[slot.first_job + t] = units_.size();
+        unit_of_job_[first + t] = units_.size();
+        if (!ledger->committed(first + t)) ++unit.remaining;
       }
+      if (unit.remaining == 0) unit.state = UnitState::Done;
       units_.push_back(std::move(unit));
     }
+    first += trials;
   }
-
-  loaded_ = true;
-
-  // Open (or create) the journal before replaying: replayed rows are already
-  // in the file, so commit_locked(from_journal=true) skips re-appending.
-  if (!config_.journal_path.empty()) {
-    journal_.open(config_.journal_path);
-  }
-  for (const campaign::TrialRow& row : journal_rows.rows) {
-    const Commit outcome = commit_locked(row, /*from_journal=*/true);
-    DUALRAD_CHECK(outcome == Commit::Accepted,
-                  "journal replay produced a duplicate");
-    ++resumed_;
-  }
-  // Replay journaled telemetry (first-wins, same validation as the live
-  // path) so crashed runs keep their telemetry through --resume.
-  if (config_.collect_telemetry) {
-    for (const campaign::TelemetryRow& row : journal_rows.telemetry) {
-      const auto it = scenario_index_.find(row.scenario);
-      if (it == scenario_index_.end()) continue;
-      const ScenarioSlot& slot = scenarios_[it->second];
-      if (row.trial >= slot.trials) continue;
-      const std::size_t job = slot.first_job + row.trial;
-      if (telemetry_present_[job]) continue;
-      telemetry_[job] = row;
-      telemetry_present_[job] = 1;
-    }
-  }
+  ledger_ = std::move(ledger);
   if (settled_locked()) done_cv_.notify_all();
 }
 
 bool Coordinator::campaign_loaded() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return loaded_;
+  return ledger_ != nullptr;
 }
 
 std::string Coordinator::register_worker(const std::string& requested) {
@@ -145,7 +93,7 @@ std::string Coordinator::register_worker(const std::string& requested) {
 }
 
 bool Coordinator::settled_locked() const {
-  if (!loaded_) return false;
+  if (!ledger_) return false;
   for (const Unit& unit : units_) {
     if (unit.state != UnitState::Done && unit.state != UnitState::Quarantined) {
       return false;
@@ -199,7 +147,7 @@ void Coordinator::sweep_expired_leases_locked() {
 
 std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!loaded_) return std::nullopt;
+  if (!ledger_) return std::nullopt;
   sweep_expired_leases_locked();
   const auto now = std::chrono::steady_clock::now();
   const auto window = std::chrono::microseconds(
@@ -210,10 +158,10 @@ std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
     unit.lease_deadline = now + window;
     JobSpec job;
     job.unit = ui;
-    job.scenario = scenarios_[unit.scenario].name;
+    job.scenario = ledger_->grid()[unit.scenario].first;
     job.trial_begin = unit.trial_begin;
     job.trial_end = unit.trial_end;
-    job.master_seed = config_.master_seed;
+    job.master_seed = ledger_->master_seed();
     job.threads_per_trial = config_.threads_per_trial;
     job.collect_telemetry = config_.collect_telemetry;
     return job;
@@ -252,106 +200,31 @@ std::optional<JobSpec> Coordinator::lease(const std::string& worker) {
   return make_job(best, unit);
 }
 
-Coordinator::Commit Coordinator::commit_locked(const campaign::TrialRow& row,
-                                               bool from_journal) {
-  DUALRAD_REQUIRE(loaded_, "commit before a campaign was loaded");
-  const auto it = scenario_index_.find(row.scenario);
-  DUALRAD_REQUIRE(it != scenario_index_.end(),
-                  "commit for unknown scenario: " + row.scenario);
-  const ScenarioSlot& slot = scenarios_[it->second];
-  DUALRAD_REQUIRE(row.trial < slot.trials,
-                  "commit trial out of range in " + row.scenario);
-  DUALRAD_REQUIRE(
-      row.seed ==
-          campaign::trial_seed(config_.master_seed, row.scenario, row.trial),
-      "commit seed mismatch (different master seed?) in " + row.scenario);
-
-  const std::size_t job = slot.first_job + row.trial;
-  // Canonical untimed bytes: the same bytes the final export will contain,
-  // and the byte-identity key of exactly-once commit.
-  campaign::TrialRow canonical = row;
-  canonical.wall_us = -1;
-  const std::string bytes = campaign::trials_to_jsonl({canonical});
-
-  if (!row_bytes_[job].empty()) {
-    if (row_bytes_[job] == bytes) return Commit::Duplicate;
-    throw std::runtime_error(
-        "dualrad: conflicting commit for " + row.scenario + "#" +
-        std::to_string(row.trial) +
-        " — byte-identity contract violated (mismatched binary or grid?)");
-  }
-
-  if (!from_journal) journal_append_guarded_locked(canonical);
-  rows_[job] = std::move(canonical);
-  row_bytes_[job] = bytes;
-  ++committed_;
-
-  Unit& unit = units_[unit_of_job_[job]];
+Coordinator::Commit Coordinator::commit(const campaign::TrialRow& row) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  DUALRAD_REQUIRE(ledger_ != nullptr, "commit before a campaign was loaded");
+  const Commit outcome = ledger_->commit(row);
+  if (outcome == Commit::Duplicate) return outcome;
+  Unit& unit = units_[unit_of_job_[ledger_->slot(row.scenario, row.trial)]];
   DUALRAD_CHECK(unit.remaining > 0, "unit committed more trials than it has");
   if (--unit.remaining == 0) {
     // A late commit heals a quarantined unit: the work arrived after all, so
     // the campaign is whole again for this range.
-    if (unit.state == UnitState::Leased && !from_journal) {
+    if (unit.state == UnitState::Leased) {
       const auto elapsed = std::chrono::steady_clock::now() - unit.lease_start;
-      unit_secs_.push_back(
-          std::chrono::duration<double>(elapsed).count());
+      unit_secs_.push_back(std::chrono::duration<double>(elapsed).count());
     }
     unit.state = UnitState::Done;
     unit.worker.clear();
     unit.speculated = false;
+    if (settled_locked()) done_cv_.notify_all();
   }
-  return Commit::Accepted;
-}
-
-void Coordinator::journal_append_guarded_locked(const campaign::TrialRow& row) {
-  if (!journal_.is_open()) return;
-  try {
-    journal_.append(row);
-  } catch (const std::exception& e) {
-    // Availability over durability: a failing journal device must not take
-    // a running campaign down. Disable checkpointing (the on-disk prefix is
-    // still a valid journal — whole-line appends tear at most the tail, and
-    // a later --resume re-runs whatever wasn't durable), count it, and let
-    // the commit succeed.
-    journal_.close();
-    ++journal_errors_;
-    if (journal_error_.empty()) journal_error_ = e.what();
-  }
-}
-
-void Coordinator::journal_append_guarded_locked(
-    const campaign::TelemetryRow& row) {
-  if (!journal_.is_open()) return;
-  try {
-    journal_.append(row);
-  } catch (const std::exception& e) {
-    journal_.close();
-    ++journal_errors_;
-    if (journal_error_.empty()) journal_error_ = e.what();
-  }
-}
-
-Coordinator::Commit Coordinator::commit(const campaign::TrialRow& row) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Commit outcome = commit_locked(row, /*from_journal=*/false);
-  if (settled_locked()) done_cv_.notify_all();
   return outcome;
 }
 
 void Coordinator::add_telemetry(const campaign::TelemetryRow& row) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!loaded_ || !config_.collect_telemetry) return;
-  const auto it = scenario_index_.find(row.scenario);
-  if (it == scenario_index_.end()) return;
-  const ScenarioSlot& slot = scenarios_[it->second];
-  if (row.trial >= slot.trials) return;
-  const std::size_t job = slot.first_job + row.trial;
-  // First report wins: a requeued unit's re-run may report again, and
-  // telemetry (being nondeterministic) has no byte-identity to arbitrate.
-  if (telemetry_present_[job]) return;
-  telemetry_[job] = row;
-  telemetry_present_[job] = 1;
-  journal_append_guarded_locked(row);
+  if (ledger_) ledger_->add_telemetry(row);
 }
 
 bool Coordinator::done() const {
@@ -374,12 +247,15 @@ bool Coordinator::wait_done(std::chrono::milliseconds timeout) {
 Coordinator::Status Coordinator::status() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Status s;
-  s.loaded = loaded_;
+  s.loaded = ledger_ != nullptr;
   s.finished = settled_locked();
-  s.scenarios = scenarios_.size();
-  s.total_trials = rows_.size();
-  s.committed = committed_;
-  s.resumed = resumed_;
+  if (ledger_) {
+    s.scenarios = ledger_->grid().size();
+    s.total_trials = ledger_->slots();
+    s.committed = ledger_->committed();
+    s.resumed = ledger_->resumed();
+    s.journal_errors = ledger_->journal_errors();
+  }
   for (const Unit& unit : units_) {
     switch (unit.state) {
       case UnitState::Pending: ++s.units_pending; break;
@@ -394,7 +270,6 @@ Coordinator::Status Coordinator::status() const {
   s.workers = workers_seen_;
   s.lease_expiries = lease_expiries_;
   s.speculative_dispatches = speculative_;
-  s.journal_errors = journal_errors_;
   s.lease_ms_effective =
       static_cast<std::size_t>(lease_window_secs_locked() * 1e3);
   return s;
@@ -406,7 +281,7 @@ std::vector<Coordinator::QuarantinedUnit> Coordinator::quarantined() const {
   for (const Unit& unit : units_) {
     if (unit.state != UnitState::Quarantined) continue;
     QuarantinedUnit q;
-    q.scenario = scenarios_[unit.scenario].name;
+    q.scenario = ledger_->grid()[unit.scenario].first;
     q.trial_begin = unit.trial_begin;
     q.trial_end = unit.trial_end;
     q.committed = (unit.trial_end - unit.trial_begin) - unit.remaining;
@@ -420,40 +295,9 @@ std::vector<Coordinator::QuarantinedUnit> Coordinator::quarantined() const {
 campaign::CampaignResult Coordinator::finalize() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   DUALRAD_REQUIRE(settled_locked(), "finalize before the campaign completed");
-  campaign::CampaignResult result;
-  campaign::CampaignGrid grid;
-  grid.reserve(scenarios_.size());
-  if (committed_ == rows_.size()) {
-    result.trials = rows_;
-    for (const ScenarioSlot& slot : scenarios_) {
-      grid.emplace_back(slot.name, slot.trials);
-    }
-  } else {
-    // Quarantined units leave holes: export the committed subset with a grid
-    // whose per-scenario counts match, so summarize_trials' row-count
-    // invariant holds. The quarantined() manifest names the missing ranges.
-    result.trials.reserve(committed_);
-    for (const ScenarioSlot& slot : scenarios_) {
-      std::size_t present = 0;
-      for (std::size_t t = 0; t < slot.trials; ++t) {
-        const std::size_t job = slot.first_job + t;
-        if (row_bytes_[job].empty()) continue;
-        result.trials.push_back(rows_[job]);
-        ++present;
-      }
-      if (present > 0) grid.emplace_back(slot.name, present);
-    }
-  }
-  // Serve-mode rows are always untimed (the canonicalization in commit), so
-  // summaries carry no wall-time column — matching an untimed batch run.
-  result.summaries = campaign::summarize_trials(result.trials, grid, false);
-  if (config_.collect_telemetry) {
-    result.telemetry.reserve(rows_.size());
-    for (std::size_t job = 0; job < telemetry_.size(); ++job) {
-      if (telemetry_present_[job]) result.telemetry.push_back(telemetry_[job]);
-    }
-  }
-  return result;
+  // Workers commit untimed rows, so summaries carry no wall-time column —
+  // matching an untimed batch run.
+  return ledger_->result(/*timed=*/false);
 }
 
 }  // namespace dualrad::serve

@@ -3,15 +3,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/engine.hpp"
+#include "campaign/ledger.hpp"
 #include "campaign/scenario.hpp"
-#include "serve/checkpoint.hpp"
 
 /// \file coordinator.hpp
 /// The persistent campaign coordinator: a job queue of scenario x trial-range
@@ -19,12 +19,13 @@
 ///
 /// Dispatch is at-least-once: a unit leased to a worker that dies or stalls
 /// past the lease timeout is requeued and reissued to the next worker that
-/// asks. Commit is exactly-once, keyed by (scenario, trial): the first commit
-/// of a trial is journaled and counted; a replay (from a requeued unit or a
-/// reconnecting worker retransmitting unacked commits) must be byte-identical
-/// to the committed row — it dedupes silently — while a conflicting row
-/// throws, because under the engine's determinism contract two honest
-/// executions of one trial can never differ.
+/// asks. Commit is exactly-once, keyed by (scenario, trial): the rows live
+/// in a campaign::Ledger (campaign/ledger.hpp), the same row path
+/// run_campaign uses, so the first commit of a trial is journaled and
+/// counted, a replay (from a requeued unit or a reconnecting worker
+/// retransmitting unacked commits) equal to the committed row dedupes
+/// silently, and a conflicting row throws. The coordinator itself keeps
+/// only the work units and their leases.
 ///
 /// Self-healing (PR 9):
 ///  - Adaptive leases: once enough units have completed, the lease window is
@@ -41,8 +42,9 @@
 ///    dedup makes duplicate execution safe), cutting the straggler tail. At
 ///    most one speculative copy goes out per lease term.
 ///  - Journal degradation: a journal write failure disables checkpointing
-///    (counted and reported in status) but never fails the commit —
-///    availability over durability; the on-disk prefix stays recoverable.
+///    (counted by the ledger and reported in status) but never fails the
+///    commit — availability over durability; the on-disk prefix stays
+///    recoverable. (A batch run_campaign fails instead.)
 ///
 /// All public methods are thread-safe; the socket server calls them from one
 /// thread per connection.
@@ -97,10 +99,10 @@ class Coordinator {
   void configure_campaign(std::uint64_t master_seed,
                           std::size_t trials_override);
 
-  /// Install the campaign grid. Validates like run_campaign (duplicate
-  /// names, trial counts); with Config::resume, loads the journal and
-  /// pre-commits its rows. Throws if a campaign is already loaded and not
-  /// yet finished.
+  /// Install the campaign: a fresh ledger over its grid (validated like
+  /// run_campaign's; with Config::resume, the journal's rows are committed
+  /// before any unit is leased) replaces the previous one. Throws if a
+  /// campaign is already loaded and not yet finished.
   void load_campaign(const std::vector<campaign::Scenario>& scenarios);
 
   [[nodiscard]] bool campaign_loaded() const;
@@ -112,17 +114,17 @@ class Coordinator {
   /// now (all units leased or done — callers should retry or finish).
   [[nodiscard]] std::optional<JobSpec> lease(const std::string& worker);
 
-  enum class Commit { Accepted, Duplicate };
+  using Commit = campaign::Ledger::Commit;
 
-  /// Commit one trial row. Validates the seed against the derived stream,
-  /// journals first commits, dedupes byte-identical replays; throws
-  /// std::invalid_argument on unknown trials and std::runtime_error on a
-  /// conflicting replay (byte-identity violation).
+  /// Commit one trial row through the ledger (campaign::Ledger::commit:
+  /// seed check, journal, dedup; throws std::invalid_argument on unknown
+  /// trials and std::runtime_error on a conflicting replay) and settle its
+  /// unit's share of the work.
   Commit commit(const campaign::TrialRow& row);
 
-  /// Record an out-of-band telemetry row (first one per trial wins). Also
-  /// journaled (when a journal is open and telemetry collection is on) so
-  /// `--resume` can replay telemetry of crashed runs.
+  /// Record an out-of-band telemetry row (campaign::Ledger::add_telemetry:
+  /// first one per trial wins, journaled so `--resume` can replay telemetry
+  /// of crashed runs).
   void add_telemetry(const campaign::TelemetryRow& row);
 
   /// True when every unit is settled: Done, or Quarantined. A campaign with
@@ -167,13 +169,11 @@ class Coordinator {
   };
   [[nodiscard]] std::vector<QuarantinedUnit> quarantined() const;
 
-  /// Assemble the finished campaign: rows in canonical (scenario
-  /// registration order, trial) order, summaries via the shared
-  /// summarize_trials — byte-identical exports to a batch run_campaign of
-  /// the same grid and master seed. Throws if !done(). With quarantined
-  /// units, exports the committed subset (per-scenario grid counts shrink to
-  /// the committed rows; scenarios with none are omitted from summaries) —
-  /// the quarantined() manifest names exactly what is missing.
+  /// Assemble the finished campaign (campaign::Ledger::result, untimed):
+  /// byte-identical exports to a batch run_campaign of the same grid and
+  /// master seed. Throws if !done(). With quarantined units, exports the
+  /// committed subset — the quarantined() manifest names exactly what is
+  /// missing.
   [[nodiscard]] campaign::CampaignResult finalize() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
@@ -194,43 +194,24 @@ class Coordinator {
     bool speculated = false;      ///< a second copy is out this lease term
   };
 
-  struct ScenarioSlot {
-    std::string name;
-    std::size_t trials = 0;
-    std::size_t first_job = 0;
-  };
-
   void sweep_expired_leases_locked();
-  Commit commit_locked(const campaign::TrialRow& row, bool from_journal);
   [[nodiscard]] bool settled_locked() const;
   [[nodiscard]] double lease_window_secs_locked() const;
-  void journal_append_guarded_locked(const campaign::TrialRow& row);
-  void journal_append_guarded_locked(const campaign::TelemetryRow& row);
 
   Config config_;
   mutable std::mutex mutex_;
   std::condition_variable done_cv_;
 
-  bool loaded_ = false;
-  std::vector<ScenarioSlot> scenarios_;
-  std::map<std::string, std::size_t, std::less<>> scenario_index_;
+  /// The loaded campaign's rows; null until load_campaign.
+  std::unique_ptr<campaign::Ledger> ledger_;
   std::vector<Unit> units_;
-  std::vector<std::size_t> unit_of_job_;
-  std::vector<campaign::TrialRow> rows_;
-  std::vector<std::string> row_bytes_;  ///< canonical JSONL per committed slot
-  std::vector<campaign::TelemetryRow> telemetry_;
-  std::vector<char> telemetry_present_;
-  std::size_t committed_ = 0;
-  std::size_t resumed_ = 0;
+  std::vector<std::size_t> unit_of_job_;  ///< ledger slot -> unit
   std::size_t next_worker_ = 0;
   std::size_t workers_seen_ = 0;
   std::size_t lease_expiries_ = 0;
   std::size_t speculative_ = 0;
-  std::size_t journal_errors_ = 0;
-  std::string journal_error_;  ///< first journal failure, for status logs
   /// Wall seconds of completed units, for the adaptive lease p90.
   std::vector<double> unit_secs_;
-  JournalWriter journal_;
 };
 
 }  // namespace dualrad::serve

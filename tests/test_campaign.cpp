@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "adversary/basic_adversaries.hpp"
@@ -14,6 +18,7 @@
 #include "campaign/export.hpp"
 #include "campaign/registry.hpp"
 #include "graph/dual_builders.hpp"
+#include "serve/checkpoint.hpp"
 
 namespace dualrad::campaign {
 namespace {
@@ -587,21 +592,30 @@ TEST(CampaignEngine, WallTimeMeasuredOnlyOnRequest) {
 }
 
 TEST(CampaignEngine, TimedSummaryAveragesOnlyTrialsThatRan) {
-  // Resume rows come from a journal, which carries no wall time (-1). A
-  // fully resumed timed run has no mean; a partly resumed one averages only
-  // the trials it ran.
+  // Journaled rows carry no wall time (-1). A fully resumed timed run has no
+  // mean; a partly resumed one averages only the trials it ran.
   const std::vector<Scenario> scenarios = {cheap_scenario("test/timed")};
   const CampaignResult journaled = run_campaign(scenarios, {});
+  const std::string journal = ::testing::TempDir() + "dualrad_timed_resume_" +
+                              std::to_string(::getpid());
+  const auto write_journal = [&](std::size_t rows) {
+    std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+    for (std::size_t i = 0; i < rows; ++i) {
+      out << serve::journal_line(journaled.trials[i]);
+    }
+  };
   CampaignConfig config;
   config.measure_wall_time = true;
-  config.resume_rows = &journaled.trials;
+  config.journal_path = journal;
+  config.resume = true;
+  write_journal(journaled.trials.size());
   EXPECT_EQ(run_campaign(scenarios, config).summaries.front().mean_wall_ms,
             -1.0);
 
-  const std::vector<TrialRow> half(journaled.trials.begin(),
-                                   journaled.trials.begin() + 2);
-  config.resume_rows = &half;
+  const std::size_t half = 2;
+  write_journal(half);
   const CampaignResult partial = run_campaign(scenarios, config);
+  std::remove(journal.c_str());
   double ran_us = 0.0;
   std::size_t ran = 0;
   for (const TrialRow& row : partial.trials) {
@@ -609,7 +623,7 @@ TEST(CampaignEngine, TimedSummaryAveragesOnlyTrialsThatRan) {
     ran_us += static_cast<double>(row.wall_us);
     ++ran;
   }
-  ASSERT_EQ(ran, partial.trials.size() - half.size());
+  ASSERT_EQ(ran, partial.trials.size() - half);
   EXPECT_DOUBLE_EQ(partial.summaries.front().mean_wall_ms,
                    ran_us / 1000.0 / static_cast<double>(ran));
 }

@@ -22,6 +22,7 @@
 #include "campaign/contract.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
+#include "campaign/ledger.hpp"
 #include "campaign/registry.hpp"
 #include "graph/dual_builders.hpp"
 #include "obs/heartbeat.hpp"
@@ -85,6 +86,12 @@ struct TempPath {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+/// Write `rows` to `path` as a journal (replacing any previous file).
+void write_journal(const std::string& path, const std::vector<TrialRow>& rows) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const TrialRow& row : rows) out << journal_line(row);
 }
 
 /// The batch-engine reference output the serve stack must reproduce
@@ -213,6 +220,36 @@ TEST(ServeCheckpoint, WriterAppendsLoadableLines) {
   const JournalLoad load = load_journal(journal.path);
   EXPECT_EQ(load.rows.size(), 3u);
   EXPECT_EQ(load.rows[2].trial, 2u);
+}
+
+TEST(ServeCheckpoint, ReopenCutsATornTailBeforeAppending) {
+  // A crash left a fragment after the last whole line. A writer opened
+  // without a resume must not glue its first row onto it; the fragment may
+  // span several read blocks, or be the whole file.
+  const std::string torn = journal_line(sample_row(1, 22));
+  for (const std::string& tail :
+       {torn.substr(0, torn.size() / 2), std::string(9000, 'x')}) {
+    for (const bool whole_line_first : {true, false}) {
+      const TempPath journal("reopen_torn");
+      {
+        std::ofstream out(journal.path, std::ios::binary);
+        if (whole_line_first) out << journal_line(sample_row(0, 11));
+        out << tail;
+      }
+      {
+        JournalWriter writer;
+        writer.open(journal.path);
+        writer.append(sample_row(2, 33));
+      }
+      const JournalLoad load = load_journal(journal.path);
+      EXPECT_EQ(load.dropped_torn_tail, 0u);
+      ASSERT_EQ(load.rows.size(), whole_line_first ? 2u : 1u);
+      EXPECT_EQ(load.rows.back().trial, 2u);
+      if (whole_line_first) {
+        EXPECT_EQ(load.rows.front().trial, 0u);
+      }
+    }
+  }
 }
 
 // --- export parsers under torn writes ---------------------------------------
@@ -630,16 +667,19 @@ TEST(ServeEngine, CancelStopsBetweenTrialsAndResumeRowsCompleteTheRun) {
   EXPECT_TRUE(cancelled.cancelled);
   EXPECT_TRUE(cancelled.summaries.empty());
 
-  // Resume with half the reference rows: the engine skips them and the
-  // merged output is byte-identical to the uninterrupted run.
+  // Resume from a journal of half the reference rows: the engine skips them
+  // and the merged output is byte-identical to the uninterrupted run.
   const std::vector<TrialRow> half(
       reference.trials.begin(),
       reference.trials.begin() +
           static_cast<std::ptrdiff_t>(reference.trials.size() / 2));
+  const TempPath journal("engine_resume");
+  write_journal(journal.path, half);
   std::atomic<std::size_t> executed{0};
   CampaignConfig resume_config;
   resume_config.master_seed = 8;
-  resume_config.resume_rows = &half;
+  resume_config.journal_path = journal.path;
+  resume_config.resume = true;
   resume_config.observer = [&](const Scenario&, const TrialRow&,
                                const SimResult&) { ++executed; };
   const CampaignResult resumed = run_campaign(scenarios, resume_config);
@@ -652,9 +692,12 @@ TEST(ServeEngine, CancelStopsBetweenTrialsAndResumeRowsCompleteTheRun) {
   // Rows whose seed does not match the derived stream are rejected.
   std::vector<TrialRow> forged = half;
   forged[0].seed ^= 1;
+  const TempPath forged_journal("engine_forged");
+  write_journal(forged_journal.path, forged);
   CampaignConfig forged_config;
   forged_config.master_seed = 8;
-  forged_config.resume_rows = &forged;
+  forged_config.journal_path = forged_journal.path;
+  forged_config.resume = true;
   EXPECT_THROW((void)run_campaign(scenarios, forged_config),
                std::invalid_argument);
 }
@@ -1221,8 +1264,7 @@ TEST(ServeCheckpoint, InjectedWriteFailuresFailLoudlyAndKeepThePrefix) {
     EXPECT_EQ(load.rows.size(), 1u);
     EXPECT_EQ(load.dropped_torn_tail, 1u);
 
-    // truncate_torn_tail makes the file appendable again.
-    truncate_torn_tail(journal.path, load);
+    // Reopening cuts the torn tail, so the file is appendable again.
     JournalWriter again;
     again.open(journal.path);
     again.append(sample_row(2, 33));
@@ -1385,6 +1427,221 @@ TEST(ServeCoordinator, ResumeReplaysJournaledTelemetry) {
   EXPECT_TRUE(coordinator.done());
   EXPECT_EQ(campaign::telemetry_to_jsonl(coordinator.finalize().telemetry),
             first_run_telemetry);
+}
+
+TEST(ServeCoordinator, FreshLoadOverATornJournalStaysResumable) {
+  // A crash left a torn fragment; a coordinator started without --resume
+  // appends after it, and a later resume must still read every row.
+  const std::vector<Scenario> scenarios = {cheap_scenario("serve/torn/fresh")};
+  const auto [ref_trials, ref_summaries] = batch_reference(scenarios, 41);
+  const TempPath journal("torn_fresh");
+  const std::string torn = journal_line(sample_row(0, 11));
+  std::ofstream(journal.path, std::ios::binary)
+      << torn.substr(0, torn.size() / 2);
+
+  Coordinator::Config config;
+  config.master_seed = 41;
+  config.journal_path = journal.path;
+  {
+    Coordinator coordinator(config);
+    coordinator.load_campaign(scenarios);
+    drain(coordinator, scenarios, "w0");
+  }
+  config.resume = true;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  EXPECT_EQ(coordinator.status().resumed, 4u);
+  EXPECT_TRUE(coordinator.done());
+  const CampaignResult result = coordinator.finalize();
+  EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(result.summaries), ref_summaries);
+}
+
+// --- one journal, either front end -------------------------------------------
+
+TEST(ServeJournal, CoordinatorJournalResumesABatchRun) {
+  const std::vector<Scenario> scenarios = cheap_campaign();
+  const auto [ref_trials, ref_summaries] = batch_reference(scenarios, 55);
+  const TempPath journal("cross_serve");
+  {
+    Coordinator::Config config;
+    config.master_seed = 55;
+    config.journal_path = journal.path;
+    Coordinator coordinator(config);
+    coordinator.load_campaign(scenarios);
+    drain(coordinator, scenarios, "w0");
+  }
+
+  std::atomic<std::size_t> executed{0};
+  CampaignConfig config;
+  config.master_seed = 55;
+  config.journal_path = journal.path;
+  config.resume = true;
+  config.observer = [&](const Scenario&, const TrialRow&,
+                        const SimResult&) { ++executed; };
+  const CampaignResult resumed = run_campaign(scenarios, config);
+  EXPECT_EQ(executed.load(), 0u);
+  EXPECT_EQ(resumed.resumed, resumed.trials.size());
+  EXPECT_EQ(campaign::trials_to_jsonl(resumed.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(resumed.summaries), ref_summaries);
+}
+
+TEST(ServeJournal, BatchJournalResumesACoordinator) {
+  const std::vector<Scenario> scenarios = cheap_campaign();
+  const auto [ref_trials, ref_summaries] = batch_reference(scenarios, 56);
+  const TempPath journal("cross_batch");
+  CampaignConfig batch;
+  batch.master_seed = 56;
+  batch.journal_path = journal.path;
+  const std::size_t total = run_campaign(scenarios, batch).trials.size();
+
+  Coordinator::Config config;
+  config.master_seed = 56;
+  config.journal_path = journal.path;
+  config.resume = true;
+  Coordinator coordinator(config);
+  coordinator.load_campaign(scenarios);
+  EXPECT_EQ(coordinator.status().resumed, total);
+  EXPECT_TRUE(coordinator.done());
+  const CampaignResult result = coordinator.finalize();
+  EXPECT_EQ(campaign::trials_to_jsonl(result.trials), ref_trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(result.summaries), ref_summaries);
+}
+
+// --- the ledger --------------------------------------------------------------
+
+using campaign::CampaignGrid;
+using campaign::Ledger;
+
+/// A row of `scenario`#`trial` under `master`, with the derived seed.
+[[nodiscard]] TrialRow ledger_row(const std::string& scenario,
+                                  std::uint32_t trial, std::uint64_t master) {
+  TrialRow row;
+  row.scenario = scenario;
+  row.trial = trial;
+  row.seed = campaign::trial_seed(master, scenario, trial);
+  row.completed = trial % 2 == 0;
+  row.rounds = row.completed ? 10 + static_cast<Round>(trial) : kNever;
+  row.rounds_executed = 20;
+  row.sends = 100 + trial;
+  row.collisions = 3 * trial;
+  return row;
+}
+
+TEST(CampaignLedger, ValidatesTheGridBeforeAllocatingSlots) {
+  // 2^32 slots would not fit in memory, so the check must come first.
+  const CampaignGrid too_many = {{"ledger/a", std::size_t{1} << 32}};
+  EXPECT_THROW(Ledger(too_many, 1, false), std::invalid_argument);
+  const CampaignGrid empty = {{"ledger/a", 0}};
+  EXPECT_THROW(Ledger(empty, 1, false), std::invalid_argument);
+  const CampaignGrid twice = {{"ledger/a", 1}, {"ledger/a", 1}};
+  EXPECT_THROW(Ledger(twice, 1, false), std::invalid_argument);
+  const CampaignGrid one = {{"ledger/a", 1}};
+  EXPECT_THROW(Ledger(one, 1, false, "", /*resume=*/true),
+               std::invalid_argument);
+}
+
+TEST(CampaignLedger, RejectsRowsOutsideTheGridAndForeignSeeds) {
+  Ledger ledger({{"ledger/a", 2}}, 5, false);
+  TrialRow unknown = ledger_row("ledger/b", 0, 5);
+  EXPECT_THROW((void)ledger.commit(unknown), std::invalid_argument);
+  EXPECT_THROW((void)ledger.commit(ledger_row("ledger/a", 2, 5)),
+               std::invalid_argument);
+  TrialRow foreign = ledger_row("ledger/a", 0, 5);
+  foreign.seed ^= 1;
+  EXPECT_THROW((void)ledger.commit(foreign), std::invalid_argument);
+  EXPECT_EQ(ledger.committed(), 0u);
+}
+
+TEST(CampaignLedger, ReplaysDedupeAndConflictsThrow) {
+  Ledger ledger({{"ledger/a", 2}}, 5, false);
+  const TrialRow row = ledger_row("ledger/a", 1, 5);
+  EXPECT_EQ(ledger.commit(row), Ledger::Commit::Accepted);
+  EXPECT_EQ(ledger.commit(row), Ledger::Commit::Duplicate);
+  TrialRow timed = row;  // wall time is outside the determinism contract
+  timed.wall_us = 1234;
+  EXPECT_EQ(ledger.commit(timed), Ledger::Commit::Duplicate);
+  TrialRow conflicting = row;
+  conflicting.sends += 1;
+  EXPECT_THROW((void)ledger.commit(conflicting), std::runtime_error);
+  EXPECT_EQ(ledger.committed(), 1u);
+  EXPECT_EQ(ledger.result(false).trials, std::vector<TrialRow>{row});
+}
+
+TEST(CampaignLedger, PartlyFilledLedgerYieldsTheCommittedSubset) {
+  Ledger ledger({{"ledger/a", 3}, {"ledger/b", 2}, {"ledger/c", 1}}, 5, false);
+  const std::vector<TrialRow> rows = {ledger_row("ledger/a", 0, 5),
+                                      ledger_row("ledger/a", 2, 5),
+                                      ledger_row("ledger/c", 0, 5)};
+  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
+    EXPECT_EQ(ledger.commit(*it), Ledger::Commit::Accepted);
+  }
+  const CampaignResult partial = ledger.result(false);
+  EXPECT_EQ(partial.trials, rows);  // slot order, not commit order
+  ASSERT_EQ(partial.summaries.size(), 2u);  // no summary for ledger/b
+  EXPECT_EQ(partial.summaries[0].scenario, "ledger/a");
+  EXPECT_EQ(partial.summaries[0].trials, 2u);
+  EXPECT_EQ(partial.summaries[0].failures, 0u);
+  EXPECT_DOUBLE_EQ(partial.summaries[0].mean_sends, 101.0);
+  EXPECT_EQ(partial.summaries[1].scenario, "ledger/c");
+  EXPECT_EQ(partial.summaries[1].trials, 1u);
+
+  // Moving the rows out yields the same result.
+  const CampaignResult moved = std::move(ledger).result(false);
+  EXPECT_EQ(moved.trials, partial.trials);
+  EXPECT_EQ(campaign::summaries_to_jsonl(moved.summaries),
+            campaign::summaries_to_jsonl(partial.summaries));
+}
+
+TEST(CampaignLedger, TelemetryFirstRowWinsAndForeignRowsAreIgnored) {
+  Ledger ledger({{"ledger/a", 2}}, 5, /*collect_telemetry=*/true);
+  campaign::TelemetryRow later = sample_telemetry("ledger/a", 1);
+  later.wall_us = 9999;
+  ledger.add_telemetry(sample_telemetry("ledger/a", 1));
+  ledger.add_telemetry(later);
+  ledger.add_telemetry(sample_telemetry("ledger/b", 0));
+  ledger.add_telemetry(sample_telemetry("ledger/a", 2));
+  const std::vector<campaign::TelemetryRow> telemetry =
+      ledger.result(false).telemetry;
+  ASSERT_EQ(telemetry.size(), 1u);
+  EXPECT_EQ(telemetry[0], sample_telemetry("ledger/a", 1));
+
+  Ledger untracked({{"ledger/a", 2}}, 5, /*collect_telemetry=*/false);
+  untracked.add_telemetry(sample_telemetry("ledger/a", 1));
+  EXPECT_TRUE(untracked.result(false).telemetry.empty());
+}
+
+TEST(CampaignLedger, JournalFailureIsCountedAndTheRowStaysCommitted) {
+  const TempPath journal("ledger_enospc");
+  Ledger ledger({{"ledger/a", 2}}, 5, false, journal.path);
+  {
+    FaultPlan plan;
+    plan.append_enospc = 1.0;
+    FaultInjector injector(plan);
+    const ScopedFaultInjector guard(injector);
+    EXPECT_EQ(ledger.commit(ledger_row("ledger/a", 0, 5)),
+              Ledger::Commit::Accepted);
+  }
+  EXPECT_EQ(ledger.journal_errors(), 1u);
+  EXPECT_NE(ledger.journal_error().find("ENOSPC"), std::string::npos);
+  // Journaling has stopped; commits go on.
+  EXPECT_EQ(ledger.commit(ledger_row("ledger/a", 1, 5)),
+            Ledger::Commit::Accepted);
+  EXPECT_EQ(ledger.journal_errors(), 1u);
+  EXPECT_EQ(ledger.committed(), 2u);
+  EXPECT_TRUE(load_journal(journal.path).rows.empty());
+
+  // run_campaign fails the run instead.
+  const TempPath batch_journal("ledger_enospc_batch");
+  CampaignConfig config;
+  config.threads = 1;
+  config.journal_path = batch_journal.path;
+  FaultPlan plan;
+  plan.append_enospc = 1.0;
+  FaultInjector injector(plan);
+  const ScopedFaultInjector guard(injector);
+  EXPECT_THROW((void)run_campaign({cheap_scenario("ledger/batch")}, config),
+               std::runtime_error);
 }
 
 }  // namespace

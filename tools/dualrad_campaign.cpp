@@ -21,7 +21,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "campaign/builtin_scenarios.hpp"
@@ -34,7 +33,6 @@
 #include "obs/perfetto_writer.hpp"
 #include "obs/telemetry.hpp"
 #include "run_options.hpp"
-#include "serve/checkpoint.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -189,37 +187,8 @@ int main(int argc, char** argv) {
     config.measure_wall_time = options.timing;
     config.collect_telemetry = !run.telemetry_jsonl_path.empty();
     config.heartbeat_secs = run.heartbeat_secs;
-
-    // Checkpoint/resume plumbing. The journal sees each row as it commits
-    // (under the engine's serialization lock); resume rows fill their slots
-    // without re-execution, and the engine validates their seeds so a wrong
-    // --seed or grid fails loudly instead of merging foreign rows.
-    std::vector<campaign::TrialRow> resume_rows;
-    std::vector<campaign::TelemetryRow> journal_telemetry;
-    if (run.resume) {
-      const serve::JournalLoad loaded = serve::load_journal(run.journal_path);
-      serve::truncate_torn_tail(run.journal_path, loaded);
-      resume_rows = loaded.rows;
-      journal_telemetry = loaded.telemetry;
-      std::fprintf(stderr,
-                   "[campaign] resume: %zu committed trial(s) from %s%s\n",
-                   resume_rows.size(), run.journal_path.c_str(),
-                   loaded.dropped_torn_tail ? " (dropped torn tail line)" : "");
-      config.resume_rows = &resume_rows;
-    }
-    serve::JournalWriter journal;
-    if (!run.journal_path.empty()) {
-      journal.open(run.journal_path);
-      config.row_sink = [&journal](const campaign::TrialRow& row,
-                                   const campaign::TelemetryRow* telemetry) {
-        campaign::TrialRow untimed = row;
-        untimed.wall_us = -1;
-        journal.append(untimed);
-        // Telemetry rides the same crash-safe journal so --resume can
-        // reconstruct the full --telemetry-jsonl without re-running trials.
-        if (telemetry != nullptr) journal.append(*telemetry);
-      };
-    }
+    config.journal_path = run.journal_path;
+    config.resume = run.resume;
     std::signal(SIGINT, on_cancel_signal);
     std::signal(SIGTERM, on_cancel_signal);
     config.cancel = &g_cancel;
@@ -277,6 +246,11 @@ int main(int argc, char** argv) {
     }
 
     campaign::CampaignResult result = campaign::run_campaign(scenarios, config);
+    if (run.resume) {
+      std::fprintf(stderr,
+                   "[campaign] resume: %zu committed trial(s) from %s\n",
+                   result.resumed, run.journal_path.c_str());
+    }
 
     if (result.cancelled) {
       if (!run.journal_path.empty()) {
@@ -296,30 +270,6 @@ int main(int argc, char** argv) {
       campaign::write_file(options.mac_jsonl_path,
                            mac_rows_to_jsonl(collector->sorted_rows()));
     }
-    if (!journal_telemetry.empty()) {
-      // Resumed trials skip execution, so their telemetry slots are empty;
-      // fill them from rows replayed out of the journal (keyed by scenario
-      // and trial).
-      std::map<std::pair<std::string, std::uint32_t>,
-               const campaign::TelemetryRow*>
-          replay;
-      for (const campaign::TelemetryRow& t : journal_telemetry) {
-        replay.emplace(std::make_pair(t.scenario, t.trial), &t);
-      }
-      for (std::size_t i = 0;
-           i < result.telemetry.size() && i < result.trials.size(); ++i) {
-        if (!result.telemetry[i].scenario.empty()) continue;  // ran now
-        const campaign::TrialRow& trial = result.trials[i];
-        const auto it =
-            replay.find(std::make_pair(trial.scenario, trial.trial));
-        if (it != replay.end()) result.telemetry[i] = *it->second;
-      }
-    }
-    // Drop any still-empty slot: a journal written without
-    // --telemetry-jsonl has trial rows but no telemetry.
-    std::erase_if(result.telemetry, [](const campaign::TelemetryRow& t) {
-      return t.scenario.empty();
-    });
     cli::write_exports(run, result, options.timing);
     if (!options.perfetto_path.empty()) {
       const campaign::Scenario* traced = &scenarios.front();
