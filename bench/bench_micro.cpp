@@ -1,10 +1,11 @@
 // M1: micro benchmarks — network construction at 10^5 nodes, simulator
-// round throughput, the counter-coin poll, the Compressed trace and its
-// audit on a verified Byzantine trial, and SSF construction cost
-// (google-benchmark).
+// round throughput, the counter-coin poll, the Compressed trace (encode and
+// decode) and its audit on a verified Byzantine trial, and SSF
+// construction cost (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -168,21 +169,61 @@ void BM_ByzTraceDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ByzTraceDecode)->Unit(benchmark::kMillisecond);
 
-/// audit_execution over the trial's Compressed trace.
+/// Re-encode every round of the trial's Compressed trace through
+/// CompressedRound into a fresh trace, as the execution frame records it.
+/// Only the encoder is timed (manual time): each round is decoded first,
+/// untimed. Bytes per second count the blob written.
+void BM_TraceEncode(benchmark::State& state) {
+  const SimResult& result = byz_traced_result();
+  const NodeId n = byz_trial().scenario().network().node_count();
+  SparseRound round;
+  std::vector<NodeId> heard;
+  std::vector<Reception> at(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    Trace trace;
+    std::chrono::steady_clock::duration encoding{};
+    for (std::size_t i = 0; i < result.trace.compressed_rounds(); ++i) {
+      result.trace.decode_round(i, n, round);
+      heard.clear();
+      for (const SparseRound::Heard& h : round.receptions) {
+        heard.push_back(h.node);
+        at[static_cast<std::size_t>(h.node)] = h.reception;
+      }
+      const auto start = std::chrono::steady_clock::now();
+      CompressedRound out(trace, round.round, round.senders.size());
+      for (const SparseRound::Sender& s : round.senders) {
+        out.sender(s.node, s.message, round.reach(s), {});
+      }
+      out.receptions(heard, at);
+      encoding += std::chrono::steady_clock::now() - start;
+    }
+    state.SetIterationTime(std::chrono::duration<double>(encoding).count());
+    benchmark::DoNotOptimize(trace.blob.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() *
+      static_cast<std::int64_t>(result.trace.blob.size())));
+}
+BENCHMARK(BM_TraceEncode)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+/// audit_in_chunks over the trial's Compressed trace: arg 1 audits it as
+/// one chunk, arg 0 in as many as audit_execution picks.
 void BM_ByzAudit(benchmark::State& state) {
   const SimResult& result = byz_traced_result();
   const campaign::Scenario& scenario = byz_trial().scenario();
   const DualGraph net = scenario.network();
+  const auto chunks = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    const audit::AuditReport report = audit::audit_execution(
-        net, result, scenario.rule, scenario.token_sources);
+    const audit::AuditReport report = audit::audit_in_chunks(
+        net, result, scenario.rule, scenario.token_sources, chunks);
     benchmark::DoNotOptimize(report.ok);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() *
       static_cast<std::int64_t>(result.trace.compressed_rounds())));
+  state.SetLabel(chunks == 0 ? "automatic chunks" : "one chunk");
 }
-BENCHMARK(BM_ByzAudit)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ByzAudit)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_KautzSingletonConstruction(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "core/ascending_set.hpp"
+#include "core/shard_pool.hpp"
 #include "graph/graph.hpp"
 
 namespace dualrad::audit {
@@ -15,85 +17,20 @@ std::string at(Round round, NodeId node) {
   return ss.str();
 }
 
-}  // namespace
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-AuditReport audit_execution(const DualGraph& net, const SimResult& result,
-                            CollisionRule rule,
-                            const std::vector<NodeId>& token_sources) {
-  AuditReport report;
-  if (result.trace.level != TraceLevel::Compressed) {
-    report.fail("audit requires a compressed trace");
-    return report;
-  }
-  const NodeId n = net.node_count();
-  const auto un = static_cast<std::size_t>(n);
-  if (result.token_first.empty()) {
-    report.fail("result has no per-token coverage data");
-    return report;
-  }
-  // first_token is the single-message view of token_first[0]; a result where
-  // they disagree is internally inconsistent.
-  if (result.first_token != result.token_first.front()) {
-    report.fail("first_token does not match token_first[0]");
-  }
-  // Per-token first-reception reconstruction. The only legitimate round-0
-  // holder of a token is its environment source — exactly one node per
-  // token, and a known one when the caller pins it — so a result claiming
-  // extra (or missing) round-0 coverage fails here rather than becoming
-  // ground truth. Everything later must be justified by a traced delivery.
-  const std::size_t k = result.token_first.size();
-  std::vector<std::vector<Round>> token_seen(
-      k, std::vector<Round>(un, kNever));
-  for (std::size_t t = 0; t < k; ++t) {
-    NodeId holder = kInvalidNode;
-    int holders = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      if (result.token_first[t][static_cast<std::size_t>(v)] == 0) {
-        holder = v;
-        ++holders;
-      }
-    }
-    NodeId expected = kInvalidNode;
-    if (t < token_sources.size()) {
-      expected = token_sources[t];
-    } else if (k == 1 && token_sources.empty()) {
-      expected = net.source();
-    }
-    if (holders != 1) {
-      report.fail("token " + std::to_string(t + 1) + " has " +
-                  std::to_string(holders) + " round-0 holders (want 1)");
-    } else if (expected != kInvalidNode && holder != expected) {
-      report.fail("token " + std::to_string(t + 1) + " originates at node " +
-                  std::to_string(holder) + ", expected " +
-                  std::to_string(expected));
-    } else {
-      token_seen[t][static_cast<std::size_t>(holder)] = 0;
-    }
-  }
-  const auto holds = [&](TokenId tok, NodeId v) {
-    return tok != kNoToken && static_cast<std::size_t>(tok) <= k &&
-           token_seen[static_cast<std::size_t>(tok - 1)]
-                     [static_cast<std::size_t>(v)] != kNever;
-  };
+/// What every round chunk reads.
+struct AuditInput {
+  const DualGraph& net;
+  const Trace& trace;
+  CollisionRule rule;
+  /// Tokens 1..k are the environment's; any other id is forged.
+  std::size_t k;
+  const std::vector<ForgedTokenRecord>& forged;
+  /// (token id, index into `forged`), sorted.
+  std::vector<std::pair<TokenId, std::size_t>> forged_index{};
 
-  // Forged-token provenance (Byzantine executions, src/byz/): the result's
-  // ForgedTokenRecords name the planted facts — token id and forger — and
-  // the audit recomputes every derived field from the trace, plus per-node
-  // first-reception rounds so non-forger relays can be checked for
-  // having actually received what they transmit.
-  const std::size_t kf = result.forged_tokens.size();
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<std::pair<TokenId, std::size_t>> forged_index;
-  std::vector<ForgedTokenRecord> forged_recomputed(kf);
-  std::vector<std::vector<Round>> forged_seen(kf,
-                                              std::vector<Round>(un, kNever));
-  for (std::size_t i = 0; i < kf; ++i) {
-    forged_recomputed[i].token = result.forged_tokens[i].token;
-    forged_recomputed[i].forger = result.forged_tokens[i].forger;
-    forged_index.emplace_back(result.forged_tokens[i].token, i);
-  }
-  std::sort(forged_index.begin(), forged_index.end());
-  const auto forged_slot = [&](TokenId tok) {
+  [[nodiscard]] std::size_t forged_slot(TokenId tok) const {
     const auto it = std::lower_bound(
         forged_index.begin(), forged_index.end(), tok,
         [](const std::pair<TokenId, std::size_t>& e, TokenId t) {
@@ -101,13 +38,54 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
         });
     if (it == forged_index.end() || it->first != tok) return kNoSlot;
     return it->second;
+  }
+};
+
+/// What auditing one chunk of rounds yields.
+struct ChunkAudit {
+  /// First reception round per token and node (round 0: the holder chunk 0
+  /// starts from), and the same per forged token, within the chunk.
+  std::vector<std::vector<Round>> token_seen{};
+  std::vector<std::vector<Round>> forged_seen{};
+  /// Per forged token, the provenance fields the chunk's rounds give:
+  /// counts, and the first injection and first victim send among them.
+  std::vector<ForgedTokenRecord> provenance{};
+  /// Sender checks a later chunk cannot settle: deferred[slot * n + v] is
+  /// set when v transmitted token slot + 1 (slot k + i: forged token i)
+  /// before the chunk delivered it to v.
+  NodeFlags deferred{};
+  std::vector<std::string> violations{};
+};
+
+/// Audit rounds [first, last) into `out`, with state of its own. Chunk 0
+/// (`defer` false) starts from out.token_seen, the round-0 holders, and
+/// reports every check; a later chunk starts with nothing received and
+/// records its unsettled token checks in out.deferred instead.
+void audit_rounds(const AuditInput& in, std::size_t first, std::size_t last,
+                  bool defer, ChunkAudit& out) {
+  const NodeId n = in.net.node_count();
+  const auto un = static_cast<std::size_t>(n);
+  const std::size_t k = in.k;
+  const std::size_t kf = in.forged.size();
+  if (defer) {
+    out.token_seen.assign(k, std::vector<Round>(un, kNever));
+    out.deferred.assign((k + kf) * un, 0);
+  }
+  out.forged_seen.assign(kf, std::vector<Round>(un, kNever));
+  out.provenance.resize(kf);
+  for (std::size_t i = 0; i < kf; ++i) {
+    out.provenance[i].token = in.forged[i].token;
+    out.provenance[i].forger = in.forged[i].forger;
+  }
+  const auto fail = [&out](std::string what) {
+    out.violations.push_back(std::move(what));
   };
 
   // The network's frozen CSR snapshots drive the per-round reconstruction:
   // g_csr.row for "every reliable edge delivered", gp_csr.row for "every
   // reached node is a G' neighbor".
-  const CsrGraph& g_csr = net.g_csr();
-  const CsrGraph& gp_csr = net.g_prime_csr();
+  const CsrGraph& g_csr = in.net.g_csr();
+  const CsrGraph& gp_csr = in.net.g_prime_csr();
 
   // Epoch-stamped arrival slots (one epoch per round): count + first message
   // per node, full list spilled on collision, so per-round cost scales with
@@ -128,22 +106,15 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
   std::int64_t epoch = 0;
   std::int64_t reach_mark = 0;
 
-  // The trace holds one round per executed round, numbered 1, 2, ... in
-  // order. Each is decoded into one reused SparseRound, so the audit never
+  // Each round is decoded into one reused SparseRound, so the audit never
   // materializes the whole history.
-  const std::size_t round_count = result.trace.compressed_rounds();
-  if (round_count != static_cast<std::size_t>(result.rounds_executed)) {
-    report.fail("trace records " + std::to_string(round_count) +
-                " rounds, result executed " +
-                std::to_string(result.rounds_executed));
-  }
   SparseRound record;
   const Reception silence = Reception::silence();
-  for (std::size_t ri = 0; ri < round_count; ++ri) {
-    result.trace.decode_round(ri, n, record);
+  for (std::size_t ri = first; ri < last; ++ri) {
+    in.trace.decode_round(ri, n, record);
     if (record.round != static_cast<Round>(ri + 1)) {
-      report.fail("trace round " + std::to_string(ri + 1) +
-                  " is numbered " + std::to_string(record.round));
+      fail("trace round " + std::to_string(ri + 1) + " is numbered " +
+           std::to_string(record.round));
     }
     ++epoch;
     const auto deposit = [&](NodeId v, const Message& m) {
@@ -170,6 +141,7 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       deposit(sender.node, sender.message);
     }
     for (const auto& sender : record.senders) {
+      const auto us = static_cast<std::size_t>(sender.node);
       ++reach_mark;
       for (const NodeId v : gp_csr.row(sender.node)) {
         gp_seen[static_cast<std::size_t>(v)] = reach_mark;
@@ -180,34 +152,40 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
         if (reach_seen[uv] == reach_mark) duplicates = true;
         reach_seen[uv] = reach_mark;
         if (gp_seen[uv] != reach_mark) {
-          report.fail(at(record.round, sender.node) + "reached non-neighbor " +
-                      std::to_string(v));
+          fail(at(record.round, sender.node) + "reached non-neighbor " +
+               std::to_string(v));
         }
         deposit(v, sender.message);
       }
       if (duplicates) {
-        report.fail(at(record.round, sender.node) + "duplicate reach entries");
+        fail(at(record.round, sender.node) + "duplicate reach entries");
       }
       for (NodeId v : g_csr.row(sender.node)) {
         if (reach_seen[static_cast<std::size_t>(v)] != reach_mark) {
-          report.fail(at(record.round, sender.node) +
-                      "reliable edge skipped to " + std::to_string(v));
+          fail(at(record.round, sender.node) + "reliable edge skipped to " +
+               std::to_string(v));
         }
       }
+      // token_seen and forged_seen hold strictly earlier rounds here: this
+      // round's receptions fold in below.
       const TokenId stok = sender.message.token;
       if (stok != kNoToken && static_cast<std::size_t>(stok) <= k) {
-        if (!holds(stok, sender.node)) {
-          report.fail(at(record.round, sender.node) +
-                      "transmitted a token without holding it");
+        const auto slot = static_cast<std::size_t>(stok - 1);
+        if (out.token_seen[slot][us] == kNever) {
+          if (defer) {
+            out.deferred[slot * un + us] = 1;
+          } else {
+            fail(at(record.round, sender.node) +
+                 "transmitted a token without holding it");
+          }
         }
       } else if (stok != kNoToken) {
-        const std::size_t fi = forged_slot(stok);
+        const std::size_t fi = in.forged_slot(stok);
         if (fi == kNoSlot) {
-          report.fail(at(record.round, sender.node) +
-                      "transmitted unregistered token id " +
-                      std::to_string(stok));
+          fail(at(record.round, sender.node) +
+               "transmitted unregistered token id " + std::to_string(stok));
         } else {
-          ForgedTokenRecord& frec = forged_recomputed[fi];
+          ForgedTokenRecord& frec = out.provenance[fi];
           if (sender.node == frec.forger) {
             ++frec.injections;
             if (frec.first_injected == kNever) {
@@ -215,13 +193,15 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
             }
           } else {
             // A correct relay of a forged token is legal only after the
-            // token reached the relay (forged_seen holds strictly earlier
-            // rounds here: this round's receptions fold in below).
-            if (forged_seen[fi][static_cast<std::size_t>(sender.node)] ==
-                kNever) {
-              report.fail(at(record.round, sender.node) +
-                          "transmitted forged token " + std::to_string(stok) +
-                          " without having received it");
+            // token reached the relay.
+            if (out.forged_seen[fi][us] == kNever) {
+              if (defer) {
+                out.deferred[(k + fi) * un + us] = 1;
+              } else {
+                fail(at(record.round, sender.node) +
+                     "transmitted forged token " + std::to_string(stok) +
+                     " without having received it");
+              }
             }
             ++frec.victim_sends;
             if (frec.first_victim == kInvalidNode) {
@@ -255,16 +235,16 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       // adversary's pick of silence or one of them (CR4).
       switch (rec.kind) {
         case ReceptionKind::Collision:
-          if (rule != CollisionRule::CR1 && rule != CollisionRule::CR2) {
-            report.fail(at(record.round, v) +
-                        "collision notification under " + to_string(rule));
-          } else if (rule == CollisionRule::CR2 && is_sender[uv]) {
-            report.fail(at(record.round, v) +
-                        "sender heard collision notification under CR2");
+          if (in.rule != CollisionRule::CR1 && in.rule != CollisionRule::CR2) {
+            fail(at(record.round, v) + "collision notification under " +
+                 to_string(in.rule));
+          } else if (in.rule == CollisionRule::CR2 && is_sender[uv]) {
+            fail(at(record.round, v) +
+                 "sender heard collision notification under CR2");
           }
           if (arrived_count < 2) {
-            report.fail(at(record.round, v) +
-                        "collision notification without a collision");
+            fail(at(record.round, v) +
+                 "collision notification without a collision");
           }
           break;
         case ReceptionKind::Message: {
@@ -278,51 +258,51 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
                                 std::find(multi[uv].begin(), multi[uv].end(),
                                           *rec.message) != multi[uv].end());
           if (!arrived) {
-            report.fail(at(record.round, v) +
-                        "received a message that did not arrive");
+            fail(at(record.round, v) +
+                 "received a message that did not arrive");
           } else if (is_sender[uv] && !own) {
-            report.fail(at(record.round, v) +
-                        "sender received a message other than its own");
+            fail(at(record.round, v) +
+                 "sender received a message other than its own");
           }
           if (arrived_count > 1 &&
-              (rule == CollisionRule::CR1 ||
-               (!is_sender[uv] && rule != CollisionRule::CR4))) {
-            report.fail(at(record.round, v) +
-                        (is_sender[uv] ? "sender" : "non-sender") +
-                        " received one of several messages under " +
-                        to_string(rule));
+              (in.rule == CollisionRule::CR1 ||
+               (!is_sender[uv] && in.rule != CollisionRule::CR4))) {
+            fail(at(record.round, v) +
+                 (is_sender[uv] ? "sender" : "non-sender") +
+                 " received one of several messages under " +
+                 to_string(in.rule));
           }
           break;
         }
         case ReceptionKind::Silence:
           if (arrived_count == 1 && !is_sender[uv]) {
-            report.fail(at(record.round, v) +
-                        "heard silence despite a sole arrival");
+            fail(at(record.round, v) +
+                 "heard silence despite a sole arrival");
           }
           if (arrived_count > 1 && !is_sender[uv] &&
-              (rule == CollisionRule::CR1 || rule == CollisionRule::CR2)) {
-            report.fail(at(record.round, v) +
-                        "heard silence despite a collision under " +
-                        to_string(rule));
+              (in.rule == CollisionRule::CR1 ||
+               in.rule == CollisionRule::CR2)) {
+            fail(at(record.round, v) +
+                 "heard silence despite a collision under " +
+                 to_string(in.rule));
           }
           if (is_sender[uv]) {
-            report.fail(at(record.round, v) + "sender heard silence");
+            fail(at(record.round, v) + "sender heard silence");
           }
           break;
       }
       if (rec.has_token()) {
         const TokenId tok = rec.message->token;
         if (static_cast<std::size_t>(tok) <= k) {
-          auto& seen = token_seen[static_cast<std::size_t>(tok - 1)];
+          auto& seen = out.token_seen[static_cast<std::size_t>(tok - 1)];
           if (seen[uv] == kNever) seen[uv] = record.round;
         } else {
-          const std::size_t fi = forged_slot(tok);
+          const std::size_t fi = in.forged_slot(tok);
           if (fi == kNoSlot) {
-            report.fail(at(record.round, v) +
-                        "received unregistered token id " +
-                        std::to_string(tok));
-          } else if (forged_seen[fi][uv] == kNever) {
-            forged_seen[fi][uv] = record.round;
+            fail(at(record.round, v) + "received unregistered token id " +
+                 std::to_string(tok));
+          } else if (out.forged_seen[fi][uv] == kNever) {
+            out.forged_seen[fi][uv] = record.round;
           }
         }
       }
@@ -332,16 +312,189 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
       is_sender[static_cast<std::size_t>(sender.node)] = 0;
     }
   }
+}
+
+/// The chunk count audit_execution picks, from the input and the host
+/// alone: at most one chunk per hardware thread and per MiB of trace, and
+/// few enough that the chunks' n-wide state stays within a quarter of the
+/// trace.
+std::size_t auto_chunk_count(const Trace& trace, std::size_t un,
+                             std::size_t token_slots) {
+  constexpr std::size_t kMinChunkBytes = std::size_t{1} << 20;
+  // Arrival slots, reach and G' marks and the `checked` set are about 80 B
+  // per node; each token and forged token adds a Round and a deferred flag.
+  const std::size_t state =
+      std::max<std::size_t>(1, un * (80 + 9 * token_slots));
+  const std::size_t bytes = trace.blob.size();
+  const std::size_t chunks = std::min(
+      {static_cast<std::size_t>(std::thread::hardware_concurrency()),
+       bytes / kMinChunkBytes, bytes / (4 * state),
+       trace.compressed_rounds()});
+  return std::max<std::size_t>(chunks, 1);
+}
+
+}  // namespace
+
+AuditReport audit_execution(const DualGraph& net, const SimResult& result,
+                            CollisionRule rule,
+                            const std::vector<NodeId>& token_sources) {
+  return audit_in_chunks(net, result, rule, token_sources, 0);
+}
+
+AuditReport audit_in_chunks(const DualGraph& net, const SimResult& result,
+                            CollisionRule rule,
+                            const std::vector<NodeId>& token_sources,
+                            std::size_t chunks) {
+  AuditReport report;
+  if (result.trace.level != TraceLevel::Compressed) {
+    report.fail("audit requires a compressed trace");
+    return report;
+  }
+  const NodeId n = net.node_count();
+  const auto un = static_cast<std::size_t>(n);
+  if (result.token_first.empty()) {
+    report.fail("result has no per-token coverage data");
+    return report;
+  }
+  // first_token is the single-message view of token_first[0]; a result where
+  // they disagree is internally inconsistent.
+  if (result.first_token != result.token_first.front()) {
+    report.fail("first_token does not match token_first[0]");
+  }
+  // Per-token first-reception reconstruction. The only legitimate round-0
+  // holder of a token is its environment source — exactly one node per
+  // token, and a known one when the caller pins it — so a result claiming
+  // extra (or missing) round-0 coverage fails here rather than becoming
+  // ground truth. Everything later must be justified by a traced delivery.
+  const std::size_t k = result.token_first.size();
+  std::vector<std::vector<Round>> holders(k, std::vector<Round>(un, kNever));
+  for (std::size_t t = 0; t < k; ++t) {
+    NodeId holder = kInvalidNode;
+    int count = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (result.token_first[t][static_cast<std::size_t>(v)] == 0) {
+        holder = v;
+        ++count;
+      }
+    }
+    NodeId expected = kInvalidNode;
+    if (t < token_sources.size()) {
+      expected = token_sources[t];
+    } else if (k == 1 && token_sources.empty()) {
+      expected = net.source();
+    }
+    if (count != 1) {
+      report.fail("token " + std::to_string(t + 1) + " has " +
+                  std::to_string(count) + " round-0 holders (want 1)");
+    } else if (expected != kInvalidNode && holder != expected) {
+      report.fail("token " + std::to_string(t + 1) + " originates at node " +
+                  std::to_string(holder) + ", expected " +
+                  std::to_string(expected));
+    } else {
+      holders[t][static_cast<std::size_t>(holder)] = 0;
+    }
+  }
+
+  // Forged-token provenance (Byzantine executions, src/byz/): the result's
+  // ForgedTokenRecords name the planted facts — token id and forger — and
+  // the audit recomputes every derived field from the trace, plus per-node
+  // first-reception rounds so non-forger relays can be checked for
+  // having actually received what they transmit.
+  const std::size_t kf = result.forged_tokens.size();
+  AuditInput in{net, result.trace, rule, k, result.forged_tokens};
+  for (std::size_t i = 0; i < kf; ++i) {
+    in.forged_index.emplace_back(result.forged_tokens[i].token, i);
+  }
+  std::sort(in.forged_index.begin(), in.forged_index.end());
+
+  // The trace holds one round per executed round, numbered 1, 2, ... in
+  // order.
+  const Trace& trace = result.trace;
+  const std::size_t round_count = trace.compressed_rounds();
+  if (round_count != static_cast<std::size_t>(result.rounds_executed)) {
+    report.fail("trace records " + std::to_string(round_count) +
+                " rounds, result executed " +
+                std::to_string(result.rounds_executed));
+  }
+
+  // Cut the rounds into contiguous chunks of similar blob bytes and audit
+  // them in parallel. Any cut gives the same report, so blob offsets out of
+  // order (a corrupt trace) only unbalance the chunks.
+  if (chunks == 0) chunks = auto_chunk_count(trace, un, k + kf);
+  std::vector<std::size_t> bounds(chunks + 1, round_count);
+  bounds[0] = 0;
+  for (std::size_t c = 1, ri = 0; c < chunks; ++c) {
+    const std::uint64_t target = trace.blob.size() * c / chunks;
+    while (ri < round_count && trace.blob_offsets[ri] < target) ++ri;
+    bounds[c] = ri;
+  }
+  std::vector<ChunkAudit> parts(chunks);
+  parts[0].token_seen = std::move(holders);
+  const auto audit_chunk = [&](unsigned c) {
+    audit_rounds(in, bounds[c], bounds[c + 1], c > 0, parts[c]);
+  };
+  if (chunks == 1) {
+    audit_chunk(0);
+  } else {
+    // Shard 0 runs here, and the lowest chunk's exception is rethrown
+    // first: the first malformed round in round order.
+    ShardPool pool(static_cast<unsigned>(chunks));
+    pool.run(audit_chunk);
+  }
+
+  // Stitch the chunks in order onto chunk 0. First receptions: the earlier
+  // chunk's round wins.
+  const auto fold = [](std::vector<std::vector<Round>>& into,
+                       const std::vector<std::vector<Round>>& from) {
+    for (std::size_t t = 0; t < into.size(); ++t) {
+      for (std::size_t v = 0; v < into[t].size(); ++v) {
+        if (into[t][v] == kNever) into[t][v] = from[t][v];
+      }
+    }
+  };
+  ChunkAudit& all = parts[0];
+  for (std::string& v : all.violations) report.fail(std::move(v));
+  for (std::size_t c = 1; c < chunks; ++c) {
+    ChunkAudit& part = parts[c];
+    // A deferred check holds iff a chunk before delivered the token to the
+    // sender. A failed one is a violation only the one-chunk audit places
+    // in order, so audit again as one chunk.
+    for (std::size_t slot = 0; slot < k + kf; ++slot) {
+      const std::vector<Round>& seen =
+          slot < k ? all.token_seen[slot] : all.forged_seen[slot - k];
+      for (std::size_t v = 0; v < un; ++v) {
+        if (part.deferred[slot * un + v] != 0 && seen[v] == kNever) {
+          return audit_in_chunks(net, result, rule, token_sources, 1);
+        }
+      }
+    }
+    fold(all.token_seen, part.token_seen);
+    fold(all.forged_seen, part.forged_seen);
+    for (std::size_t i = 0; i < kf; ++i) {
+      ForgedTokenRecord& into = all.provenance[i];
+      const ForgedTokenRecord& from = part.provenance[i];
+      into.injections += from.injections;
+      into.victim_sends += from.victim_sends;
+      if (into.first_injected == kNever) {
+        into.first_injected = from.first_injected;
+      }
+      if (into.first_victim == kInvalidNode) {
+        into.first_victim = from.first_victim;
+        into.first_victim_round = from.first_victim_round;
+      }
+    }
+    for (std::string& v : part.violations) report.fail(std::move(v));
+  }
 
   for (std::size_t t = 0; t < k; ++t) {
     for (NodeId v = 0; v < n; ++v) {
       const auto uv = static_cast<std::size_t>(v);
-      if (result.token_first[t][uv] != token_seen[t][uv]) {
+      if (result.token_first[t][uv] != all.token_seen[t][uv]) {
         report.fail("token " + std::to_string(t + 1) +
                     " first-reception mismatch at node " + std::to_string(v) +
                     ": result says " +
                     std::to_string(result.token_first[t][uv]) +
-                    ", trace says " + std::to_string(token_seen[t][uv]));
+                    ", trace says " + std::to_string(all.token_seen[t][uv]));
       }
     }
   }
@@ -357,8 +510,8 @@ AuditReport audit_execution(const DualGraph& net, const SimResult& result,
   };
   for (std::size_t i = 0; i < kf; ++i) {
     const ForgedTokenRecord& claimed = result.forged_tokens[i];
-    ForgedTokenRecord& traced = forged_recomputed[i];
-    for (const Round r : forged_seen[i]) {
+    ForgedTokenRecord& traced = all.provenance[i];
+    for (const Round r : all.forged_seen[i]) {
       if (r != kNever) ++traced.receptions;
     }
     if (claimed.first_injected != traced.first_injected) {

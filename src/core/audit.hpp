@@ -70,8 +70,28 @@ struct AuditReport {
 /// final coverage and provenance checks are O((tokens + forged tokens) * n).
 /// Violations are reported round by round: sender checks in record order,
 /// then reception checks in ascending node order.
+///
+/// Threads: the rounds are cut into contiguous chunks of similar blob bytes
+/// and audited in parallel, one thread per chunk, the caller's included.
+/// There is one chunk per MiB of trace at most, and at most
+/// std::thread::hardware_concurrency() chunks; these threads are not
+/// bounded by any campaign thread count. Each chunk holds its own n-wide
+/// state: about 80 B per node, plus 9 B per node per token and per forged
+/// token. The count is also capped so that this state stays within a
+/// quarter of the trace, so a short trace on a large network runs as one
+/// chunk. A sender check that needs an earlier chunk's receptions ("a
+/// token without holding it", "forged token ... without having received
+/// it") is deferred to the stitch; if one fails there, the trace is audited
+/// again as one chunk, so the report never depends on the cut.
 [[nodiscard]] AuditReport audit_execution(
     const DualGraph& net, const SimResult& result, CollisionRule rule,
     const std::vector<NodeId>& token_sources = {});
+
+/// audit_execution with the trace cut into `chunks` round chunks, audited
+/// on one thread each (0: the count audit_execution picks). The report is
+/// the same for every count; tests and benchmarks pin a count through this.
+[[nodiscard]] AuditReport audit_in_chunks(
+    const DualGraph& net, const SimResult& result, CollisionRule rule,
+    const std::vector<NodeId>& token_sources, std::size_t chunks);
 
 }  // namespace dualrad::audit

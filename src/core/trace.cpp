@@ -1,26 +1,57 @@
 #include "core/trace.hpp"
 
+#include <bit>
 #include <string>
 
 /// \file trace.cpp
 /// The trace codec. LEB128 varints; signed fields (origin can be -1, reach
 /// lists are unsorted) go through zigzag. Node id lists that the engines
 /// emit in ascending order (senders, reception touchers) are stored as
-/// unsigned deltas off the previous id. Silence receptions are not
+/// unsigned 32-bit deltas off the previous id. Silence receptions are not
 /// encoded at all — a node the round does not list heard silence — which is
 /// where the compression wins: at sparse densities almost every node hears
 /// silence almost every round.
+///
+/// The encoder writes through a raw pointer: each call grows the blob by
+/// the worst case of what it writes, fills it, then trims the blob to the
+/// bytes written.
 
 namespace dualrad {
 
 namespace {
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+/// Worst-case varint lengths: a 32-bit value (id delta, zigzagged token or
+/// origin, reach delta) and a 64-bit one (count, round, round tag, payload).
+constexpr std::size_t kMax32 = 5;
+constexpr std::size_t kMax64 = 10;
+constexpr std::size_t kMaxMessage = 2 * kMax32 + 2 * kMax64;
+
+/// Grow `blob` by `worst` bytes and return where they start. Capacity grows
+/// to powers of two, as push_back's doubling does (see trace.hpp).
+[[nodiscard]] std::uint8_t* open_bytes(std::vector<std::uint8_t>& blob,
+                                       std::size_t worst) {
+  const std::size_t size = blob.size();
+  if (size + worst > blob.capacity()) blob.reserve(std::bit_ceil(size + worst));
+  blob.resize(size + worst);
+  return blob.data() + size;
+}
+
+/// Trim `blob` to end where writing stopped.
+void close_bytes(std::vector<std::uint8_t>& blob, const std::uint8_t* end) {
+  blob.resize(static_cast<std::size_t>(end - blob.data()));
+}
+
+void put_varint(std::uint8_t*& out, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *out++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *out++ = static_cast<std::uint8_t>(v);
+}
+
+/// An ascending id list's next entry, as its delta off the previous id.
+void put_id_delta(std::uint8_t*& out, NodeId id, std::int64_t prev) {
+  put_varint(out, static_cast<std::uint32_t>(id - prev));
 }
 
 [[nodiscard]] std::uint64_t zigzag(std::int64_t v) {
@@ -32,8 +63,9 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-[[nodiscard]] std::uint64_t get_varint(const std::uint8_t*& p,
-                                       const std::uint8_t* end) {
+/// A varint of two bytes or more, with every check.
+[[nodiscard]] std::uint64_t get_long_varint(const std::uint8_t*& p,
+                                            const std::uint8_t* end) {
   std::uint64_t v = 0;
   unsigned shift = 0;
   while (true) {
@@ -44,6 +76,9 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
       // The tenth byte holds bit 63 only: anything more is past 64 bits.
       DUALRAD_REQUIRE(shift < 63 || byte <= 1,
                       "malformed varint in compressed trace");
+      // The encoder continues only while the value is at least 0x80, so a
+      // last byte of 0 is a second spelling of a shorter varint.
+      DUALRAD_REQUIRE(byte != 0, "malformed varint in compressed trace");
       return v;
     }
     shift += 7;
@@ -51,7 +86,15 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
-void put_message(std::vector<std::uint8_t>& out, const Message& m) {
+/// Most varints are one byte (id deltas, small counts, tokens): those are
+/// read inline, without entering get_long_varint's loop.
+[[nodiscard]] inline std::uint64_t get_varint(const std::uint8_t*& p,
+                                              const std::uint8_t* end) {
+  if (p != end && *p < 0x80) return *p++;
+  return get_long_varint(p, end);
+}
+
+void put_message(std::uint8_t*& out, const Message& m) {
   put_varint(out, zigzag(m.token));
   put_varint(out, zigzag(m.origin));
   put_varint(out, zigzag(m.round_tag));
@@ -88,24 +131,30 @@ CompressedRound::CompressedRound(Trace& trace, Round round,
                                  std::size_t sender_count)
     : blob_(trace.blob) {
   trace.blob_offsets.push_back(blob_.size());
-  put_varint(blob_, static_cast<std::uint64_t>(round));
-  put_varint(blob_, sender_count);
+  std::uint8_t* out = open_bytes(blob_, 2 * kMax64);
+  put_varint(out, static_cast<std::uint64_t>(round));
+  put_varint(out, sender_count);
+  close_bytes(blob_, out);
 }
 
 void CompressedRound::sender(NodeId node, const Message& message,
                              std::span<const NodeId> reliable,
                              std::span<const NodeId> extras) {
-  put_varint(blob_, static_cast<std::uint64_t>(node - prev_));
+  const std::size_t reach = reliable.size() + extras.size();
+  std::uint8_t* out =
+      open_bytes(blob_, kMax32 + kMaxMessage + kMax64 + reach * kMax32);
+  put_id_delta(out, node, prev_);
   prev_ = node;
-  put_message(blob_, message);
-  put_varint(blob_, reliable.size() + extras.size());
+  put_message(out, message);
+  put_varint(out, reach);
   std::int64_t rprev = 0;
   for (const std::span<const NodeId> part : {reliable, extras}) {
     for (const NodeId v : part) {
-      put_varint(blob_, zigzag(v - rprev));
+      put_varint(out, zigzag(v - rprev));
       rprev = v;
     }
   }
+  close_bytes(blob_, out);
 }
 
 void CompressedRound::receptions(std::span<const NodeId> nodes,
@@ -114,16 +163,19 @@ void CompressedRound::receptions(std::span<const NodeId> nodes,
   for (const NodeId v : nodes) {
     if (!at[static_cast<std::size_t>(v)].is_silence()) ++heard;
   }
-  put_varint(blob_, heard);
+  std::uint8_t* out =
+      open_bytes(blob_, kMax64 + heard * (kMax32 + 1 + kMaxMessage));
+  put_varint(out, heard);
   std::int64_t prev = 0;
   for (const NodeId v : nodes) {
     const Reception& r = at[static_cast<std::size_t>(v)];
     if (r.is_silence()) continue;
-    put_varint(blob_, static_cast<std::uint64_t>(v - prev));
+    put_id_delta(out, v, prev);
     prev = v;
-    blob_.push_back(static_cast<std::uint8_t>(r.kind));
-    if (r.is_message()) put_message(blob_, *r.message);
+    *out++ = static_cast<std::uint8_t>(r.kind);
+    if (r.is_message()) put_message(out, *r.message);
   }
+  close_bytes(blob_, out);
 }
 
 void Trace::decode_round(std::size_t index, NodeId n, SparseRound& out) const {

@@ -21,6 +21,13 @@
 /// receptions. Encoding and decoding a round cost O(senders + deliveries),
 /// not O(n), and memory scales with arrivals, not with nodes x rounds, which
 /// is what lets audits run past 10^4 nodes inside the CI memory gate.
+///
+/// The encoder grows the blob by each call's worst case and trims it after,
+/// and it reserves capacity in powers of two, as push_back's doubling does.
+/// Left to vector::resize, a blob grows to twice its size, not its
+/// capacity: the capacities stop being powers of two, and the freed blocks
+/// of a finished trial's blob no longer fit the next one's, so the
+/// allocator keeps them and peak RSS grows.
 
 namespace dualrad {
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,11 +48,12 @@ SimResult run_path_script(CollisionRule rule) {
                        adversary, config);
 }
 
-/// Audit a tampered run_path_script result on its own network and rule.
+/// Audit a tampered run_path_script result on its own network and rule, at
+/// every chunk count of testing::kAuditCuts.
 audit::AuditReport audit_path_script(const SimResult& result,
                                      CollisionRule rule) {
-  return audit::audit_execution(make_classical(gen::path(4), 0), result,
-                                rule);
+  return testing::audit_every_cut(make_classical(gen::path(4), 0), result,
+                                  rule);
 }
 
 /// A one-round scripted execution on the classical 3-clique (source 0,
@@ -71,8 +74,8 @@ SimResult run_clique_script(CollisionRule rule) {
 
 audit::AuditReport audit_clique_script(const SimResult& result,
                                        CollisionRule rule) {
-  return audit::audit_execution(make_classical(gen::clique(3), 0), result,
-                                rule);
+  return testing::audit_every_cut(make_classical(gen::clique(3), 0), result,
+                                  rule);
 }
 
 /// Edit the decoded rounds of a scripted run's trace and re-encode them.
@@ -339,6 +342,82 @@ TEST(Audit, DecoderRejectsMalformedBytes) {
     EXPECT_TRUE(mentions(decode_error(overlong, 8), "malformed varint"))
         << "tenth byte " << int{last};
   }
+
+  // A varint of more than one byte never ends in 0: 0x81 0x00 would be a
+  // second spelling of round 1, and blobs compare byte for byte.
+  Trace padded = valid;
+  padded.blob[0] = 0x81;
+  padded.blob.insert(padded.blob.begin() + 1, 0x00);
+  EXPECT_TRUE(mentions(decode_error(padded, 8), "malformed varint"));
+}
+
+TEST(Audit, EncoderWorstCaseRoundTrips) {
+  // One round whose every varint is as long as its type allows: the
+  // encoder reserves each call's worst case, so a reserve that is too small
+  // corrupts this round trip or overflows the blob (ASan). Receptions sit
+  // at small ids because `at` is indexed by node id.
+  constexpr NodeId n = std::numeric_limits<NodeId>::max();
+  constexpr Round round = std::numeric_limits<Round>::max();
+  const Message extreme{std::numeric_limits<TokenId>::min(),
+                        std::numeric_limits<ProcessId>::max(),
+                        std::numeric_limits<Round>::min(),
+                        std::numeric_limits<std::uint64_t>::max()};
+  // Long enough that one byte short per entry outgrows the slack of the
+  // reach count, which never needs its 10 bytes.
+  std::vector<NodeId> reach;
+  for (int i = 0; i < 64; ++i) reach.push_back(i % 2 == 0 ? 0 : n - 1);
+  const std::vector<NodeId> heard = {0, 65535};
+  std::vector<Reception> at(65536);
+  at[0] = Reception::of(extreme);
+  at[65535] = Reception::collision();
+
+  Trace trace;
+  {
+    CompressedRound out(trace, round, 2);
+    out.sender(0, extreme, reach, kNone);
+    out.sender(n - 1, extreme, std::span(reach).first(20),
+               std::span(reach).subspan(20));
+    out.receptions(heard, at);
+  }
+  SparseRound decoded;
+  trace.decode_round(0, n, decoded);
+  EXPECT_EQ(decoded.round, round);
+  ASSERT_EQ(decoded.senders.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(decoded.senders[i].node, i == 0 ? 0 : n - 1);
+    EXPECT_EQ(decoded.senders[i].message, extreme);
+    EXPECT_EQ(testing::reach_of(decoded, i), reach);
+  }
+  ASSERT_EQ(decoded.receptions.size(), 2u);
+  EXPECT_EQ(decoded.receptions[0].node, 0);
+  EXPECT_EQ(decoded.receptions[0].reception, Reception::of(extreme));
+  EXPECT_EQ(decoded.receptions[1].node, 65535);
+  EXPECT_TRUE(decoded.receptions[1].reception.is_collision());
+
+  // The canonical LEB128 length of each field, zigzag for signed ones.
+  const auto bytes = [](std::uint64_t v) -> std::size_t {
+    return v == 0 ? 1 : (static_cast<std::size_t>(std::bit_width(v)) + 6) / 7;
+  };
+  const auto signed_bytes = [&](std::int64_t v) {
+    return bytes(v < 0 ? ~(static_cast<std::uint64_t>(v) << 1)
+                       : static_cast<std::uint64_t>(v) << 1);
+  };
+  const std::size_t message = signed_bytes(extreme.token) +
+                              signed_bytes(extreme.origin) +
+                              signed_bytes(extreme.round_tag) +
+                              bytes(extreme.payload);
+  std::size_t reach_bytes = bytes(reach.size());
+  for (std::size_t i = 0; i < reach.size(); ++i) {
+    reach_bytes += signed_bytes(std::int64_t{reach[i]} -
+                                (i == 0 ? 0 : std::int64_t{reach[i - 1]}));
+  }
+  const std::size_t expected =
+      bytes(static_cast<std::uint64_t>(round)) + bytes(2) +
+      (bytes(0) + message + reach_bytes) +
+      (bytes(n - 1) + message + reach_bytes) +
+      (bytes(2) + bytes(0) + 1 + message + bytes(65535) + 1);
+  EXPECT_EQ(trace.blob.size(), expected);
+  EXPECT_EQ(message, 5u + 5u + 10u + 10u);
 }
 
 TEST(Audit, DecoderRejectsIndexAndOffsetsOutsideTheBlob) {
@@ -609,8 +688,55 @@ TEST(AuditMutation, MutatedTracesAreRejectedOrFlagged) {
         }
       } catch (const std::invalid_argument&) {
       }
+      // The one-chunk report, or throw, at every chunk count.
+      const std::string one = testing::audit_outcome(run.net, result,
+                                                     run.rule, 1);
+      for (const std::size_t chunks : testing::kAuditCuts) {
+        EXPECT_EQ(testing::audit_outcome(run.net, result, run.rule, chunks),
+                  one)
+            << label << " at " << chunks << " chunks";
+      }
     }
   }
+}
+
+TEST(AuditChunks, TokenSentInOneChunkAndFirstReceivedInALaterOne) {
+  // Path 0-1-2-3 over 12 rounds of similar size: node 0 sends every round,
+  // node 2 in round 6 and node 1 in round 10, which is when node 2 first
+  // receives the token. Round 6's message is edited to carry the token, so
+  // node 2 sends it four rounds before it holds it (the receptions keep the
+  // message that was sent). Cut in 3 or 7 chunks, rounds 6 and 10 fall in
+  // different chunks after the first: the check is deferred, and fails only
+  // against the chunks before it.
+  const DualGraph net = make_classical(gen::path(4), 0);
+  BenignAdversary adversary;
+  SimConfig config;
+  config.rule = CollisionRule::CR3;
+  config.start = StartRule::Synchronous;
+  config.max_rounds = 12;
+  config.trace = TraceLevel::Compressed;
+  config.stop_on_completion = false;
+  std::set<Round> every_round;
+  for (Round r = 1; r <= 12; ++r) every_round.insert(r);
+  SimResult result = run_broadcast(
+      net,
+      testing::scripted_factory({{0, every_round}, {1, {10}}, {2, {6}}}),
+      adversary, config);
+  ASSERT_EQ(result.token_first[0][2], 10);
+  tamper(result, [](std::vector<SparseRound>& rounds) {
+    SparseRound& round6 = rounds[5];
+    ASSERT_EQ(round6.senders.size(), 2u);
+    Message& sent = round6.senders[1].message;
+    ASSERT_EQ(round6.senders[1].node, 2);
+    ASSERT_EQ(sent.token, kNoToken);
+    sent.token = kBroadcastToken;
+  });
+  EXPECT_EQ(testing::audit_every_cut(net, result, CollisionRule::CR3)
+                .violations,
+            (std::vector<std::string>{
+                "round 6 node 2: transmitted a token without holding it",
+                "round 6 node 2: received a message that did not arrive",
+                "round 6 node 3: received a message that did not arrive"}));
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "graph/dual_builders.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "test_util.hpp"
 
 /// Unit suite for the Byzantine node-fault subsystem (src/byz/): placement
 /// validation and incremental growth, deterministic forged-token ids, the
@@ -295,7 +297,7 @@ TEST(ByzAudit, ForgedWinSurfacesThroughTheTrace) {
   const SimResult result = run_broadcast(
       net, relay, adversary, byz_config(plan, 16, TraceLevel::Compressed));
   const audit::AuditReport report =
-      audit::audit_execution(net, result, CollisionRule::CR3);
+      testing::audit_every_cut(net, result, CollisionRule::CR3);
   EXPECT_TRUE(report.ok)
       << (report.violations.empty() ? "" : report.violations.front());
   ASSERT_TRUE(report.forged_token_won());
@@ -316,7 +318,7 @@ TEST(ByzAudit, CpaExecutionAuditsCleanWithNoWins) {
   const SimResult result = run_broadcast(
       net, cpa, adversary, byz_config(plan, 64, TraceLevel::Compressed));
   const audit::AuditReport report =
-      audit::audit_execution(net, result, CollisionRule::CR3);
+      testing::audit_every_cut(net, result, CollisionRule::CR3);
   EXPECT_TRUE(report.ok)
       << (report.violations.empty() ? "" : report.violations.front());
   EXPECT_FALSE(report.forged_token_won());
@@ -335,10 +337,61 @@ TEST(ByzAudit, TamperedProvenanceFailsTheAudit) {
   ASSERT_EQ(result.forged_tokens.size(), 1u);
   result.forged_tokens[0].victim_sends += 1;  // claim one send too many
   const audit::AuditReport report =
-      audit::audit_execution(net, result, CollisionRule::CR3);
+      testing::audit_every_cut(net, result, CollisionRule::CR3);
   EXPECT_FALSE(report.ok);
   ASSERT_FALSE(report.violations.empty());
   EXPECT_NE(report.violations[0].find("victim_sends"), std::string::npos);
+}
+
+TEST(ByzAudit, ForgedRelayAcrossChunksAuditsAsOneChunk) {
+  // The path 0-1-...-63 with the forger at node 63: uncertified relays
+  // adopt the first token they hear and pass it on every round, so over 24
+  // rounds the forged token moves one hop per round from node 63, and the
+  // genuine one from node 0, without meeting. Cut in 2, 3 or 7 chunks,
+  // nodes first hear the forged token in chunks after the first (those of
+  // the last chunk relay it only there), and relay it in chunks after the
+  // one that delivered it: deferred checks that the chunks before settle.
+  const DualGraph net = make_classical(gen::path(64), 0);
+  byz::ByzantinePlan plan(1);
+  plan.add(63, byz::ByzBehavior::Forge);
+  plan.bind(net, {}, 33);
+  const ProcessFactory relay =
+      byz::make_uncertified_relay_factory(net.node_count(), {.relay_p = 1.0});
+  BenignAdversary adversary;
+  SimResult result = run_broadcast(
+      net, relay, adversary, byz_config(plan, 24, TraceLevel::Compressed));
+  ASSERT_EQ(result.forged_tokens.size(), 1u);
+  const ForgedTokenRecord& record = result.forged_tokens[0];
+  ASSERT_EQ(record.first_victim, 62);
+  ASSERT_GT(record.receptions, 16u);
+  const audit::AuditReport clean =
+      testing::audit_every_cut(net, result, CollisionRule::CR3);
+  EXPECT_TRUE(clean.ok)
+      << (clean.violations.empty() ? "" : clean.violations.front());
+  EXPECT_EQ(clean.forged_wins.size(), 1u);
+
+  // Drop node 61's receptions of the forged token before round 20: its
+  // relays until then are sent without having received it, in chunks after
+  // the first.
+  const TokenId forged = record.token;
+  testing::edit_rounds(
+      result.trace, net.node_count(), [&](std::vector<SparseRound>& rounds) {
+        for (SparseRound& round : rounds) {
+          const Reception heard = testing::reception_at(round, 61);
+          if (round.round < 20 && heard.has_token() &&
+              heard.message->token == forged) {
+            testing::set_reception(round, 61, Reception::silence());
+          }
+        }
+      });
+  const audit::AuditReport tampered =
+      testing::audit_every_cut(net, result, CollisionRule::CR3);
+  EXPECT_FALSE(tampered.ok);
+  EXPECT_NE(std::find(tampered.violations.begin(), tampered.violations.end(),
+                      "round 19 node 61: transmitted forged token " +
+                          std::to_string(forged) +
+                          " without having received it"),
+            tampered.violations.end());
 }
 
 TEST(ByzContract, ForgedWinIsANoCreationViolation) {

@@ -1,21 +1,26 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "algorithms/broadcast_algorithm.hpp"
+#include "core/audit.hpp"
 #include "core/process.hpp"
 #include "core/rng.hpp"
 #include "core/simulator.hpp"
 #include "core/trace.hpp"
 
 /// Test helpers: tiny controllable processes, decoding and re-encoding
-/// execution traces, and execution digests for pinning.
+/// execution traces, execution digests for pinning, and audit outcomes at a
+/// pinned chunk count.
 
 namespace dualrad::testing {
 
@@ -164,6 +169,41 @@ inline std::string digest(const SimResult& result) {
                 static_cast<long long>(result.completion_round),
                 static_cast<unsigned long long>(result.total_sends));
   return buf;
+}
+
+/// The audit of `result` cut into `chunks` round chunks, as one string to
+/// compare across cuts: ok or flagged, then every violation and forged win
+/// in order; or the message of the std::invalid_argument it threw.
+inline std::string audit_outcome(const DualGraph& net, const SimResult& result,
+                                 CollisionRule rule, std::size_t chunks,
+                                 const std::vector<NodeId>& sources = {}) {
+  std::string out;
+  try {
+    const audit::AuditReport report =
+        audit::audit_in_chunks(net, result, rule, sources, chunks);
+    out = report.ok ? "ok" : "flagged";
+    for (const std::string& v : report.violations) out += "\nviolation " + v;
+    for (const std::string& w : report.forged_wins) out += "\nwin " + w;
+  } catch (const std::invalid_argument& e) {
+    out = std::string("threw ") + e.what();
+  }
+  return out;
+}
+
+/// The chunk counts whose audit outcome must equal the one-chunk audit's.
+inline constexpr std::size_t kAuditCuts[] = {2, 3, 7};
+
+/// The one-chunk audit of `result`, after expecting every chunk count of
+/// kAuditCuts to give the same outcome.
+inline audit::AuditReport audit_every_cut(
+    const DualGraph& net, const SimResult& result, CollisionRule rule,
+    const std::vector<NodeId>& sources = {}) {
+  const std::string one = audit_outcome(net, result, rule, 1, sources);
+  for (const std::size_t chunks : kAuditCuts) {
+    EXPECT_EQ(audit_outcome(net, result, rule, chunks, sources), one)
+        << "at " << chunks << " chunks";
+  }
+  return audit::audit_in_chunks(net, result, rule, sources, 1);
 }
 
 /// Decode `trace`, let `edit` change its rounds, and re-encode them.
