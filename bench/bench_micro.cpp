@@ -26,13 +26,17 @@ namespace {
 
 using namespace dualrad;
 
-/// Build the network of a scale/*-100k arm through CsrGraphBuilder: edge
-/// emission, the sort-dedup freeze, and DualGraph validation (E subset of
-/// E', reachability, the G'-only rows). Arg 0 is layered_sparse
-/// (layered-100k), arg 1 gray_zone_grid (grayzone-100k).
+/// Build the network of a scale/* arm through CsrGraphBuilder: edge
+/// emission, the counting-sort freeze of G and G' (bucket by source, then
+/// sort and dedup each row in place), and the DualGraph constructor (one
+/// stamp pass for E subset of E' and the G'-only rows, then reachability).
+/// Arg 0 is layered_sparse at layered-100k, arg 1 gray_zone_grid at
+/// grayzone-100k, arg 2 layered_sparse at layered-1m (giant-1m's network).
 void BM_NetworkBuild(benchmark::State& state) {
-  const char* name = state.range(0) == 0 ? "scale/decay/layered-100k/benign"
-                                         : "scale/decay/grayzone-100k/benign";
+  const char* names[] = {"scale/decay/layered-100k/benign",
+                         "scale/decay/grayzone-100k/benign",
+                         "scale/decay/layered-1m/benign"};
+  const char* name = names[state.range(0)];
   const campaign::NetworkBuilder build =
       campaign::builtin_registry().at(name).network;
   std::uint64_t edges = 0;
@@ -44,7 +48,11 @@ void BM_NetworkBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(edges));  // G' edges
   state.SetLabel(name);
 }
-BENCHMARK(BM_NetworkBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NetworkBuild)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EngineRounds(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

@@ -159,9 +159,10 @@ DualGraph layered_sparse(const LayeredSparseParams& params) {
   const NodeId n = 1 + params.layers * params.width;
   StreamRng rng(mix_seed(params.seed, 0x6C737270));
   // Edges stream straight into CSR builders — no Graph, no hash set — so a
-  // 10^6-node instance peaks at ~8 bytes per emitted edge. Repeated draws
-  // of the same parent (and skip links duplicating either direction)
-  // collapse in the builders' sort-dedup freeze, exactly as the historical
+  // 10^6-node instance peaks at ~12 bytes per emitted edge (the packed edges
+  // plus their scattered targets at freeze). Repeated draws of the same
+  // parent (and skip links duplicating either direction) collapse in the
+  // builders' deduplicating freeze, exactly as the historical
   // Graph::add_undirected_edge dedup collapsed them.
   CsrGraphBuilder g(n);
   CsrGraphBuilder gp(n);

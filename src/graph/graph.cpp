@@ -79,8 +79,13 @@ CsrGraph::CsrGraph(const Graph& g) {
 CsrGraph CsrGraph::from_rows(std::vector<std::uint32_t> offsets,
                              std::vector<NodeId> targets) {
   DUALRAD_REQUIRE(!offsets.empty() && offsets.front() == 0 &&
-                      offsets.back() == targets.size(),
+                      offsets.back() == targets.size() &&
+                      std::is_sorted(offsets.begin(), offsets.end()),
                   "malformed CSR offsets");
+  const auto n = static_cast<NodeId>(offsets.size() - 1);
+  DUALRAD_REQUIRE(std::all_of(targets.begin(), targets.end(),
+                              [n](NodeId v) { return v >= 0 && v < n; }),
+                  "CSR target out of range");
   CsrGraph csr(std::move(offsets), std::move(targets));
   bool sorted = true;
   for (NodeId u = 0; sorted && u < csr.node_count(); ++u) {
@@ -156,23 +161,39 @@ void CsrGraphBuilder::add_edge(NodeId u, NodeId v) {
 }
 
 CsrGraph CsrGraphBuilder::freeze() {
-  // Packed (u << 32) | v keys sort by source then target, so one sort both
-  // groups the rows and orders each row ascending; dedup is then adjacent.
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  // Every count below is at most the emitted count, so this one check keeps
+  // all of them within the 32-bit offsets.
   CsrGraph::require_edges_fit(edges_.size());
+  const auto n = static_cast<std::size_t>(n_);
 
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(n_) + 1, 0);
-  std::vector<NodeId> targets;
-  targets.reserve(edges_.size());
+  // Counting sort by source: out-degrees, prefix sums, then a scatter that
+  // uses offsets[u] as row u's write cursor. Afterwards offsets[u] holds the
+  // end of row u, which is where row u + 1 starts.
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  for (const std::uint64_t e : edges_) ++offsets[(e >> 32) + 1];
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  std::vector<NodeId> targets(edges_.size());
   for (const std::uint64_t e : edges_) {
-    ++offsets[static_cast<std::size_t>(e >> 32) + 1];
-    targets.push_back(static_cast<NodeId>(e & 0xFFFFFFFFULL));
+    targets[offsets[e >> 32]++] = static_cast<NodeId>(e & 0xFFFFFFFFULL);
   }
-  for (std::size_t u = 0; u < static_cast<std::size_t>(n_); ++u) {
-    offsets[u + 1] += offsets[u];
+  edges_ = {};  // release the packed array before the row pass
+
+  // Sort and dedup each row in place, compacting toward the front; offsets[u]
+  // becomes row u's compacted start.
+  std::uint32_t begin = 0;
+  std::uint32_t kept = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint32_t end = offsets[u];
+    const auto first = targets.begin() + begin;
+    std::sort(first, targets.begin() + end);
+    const auto last = std::unique(first, targets.begin() + end);
+    if (kept != begin) std::copy(first, last, targets.begin() + kept);
+    offsets[u] = kept;
+    kept += static_cast<std::uint32_t>(last - first);
+    begin = end;
   }
-  edges_ = {};  // release the packed array before handing out the CSR
+  offsets[n] = kept;
+  targets.resize(kept);
   return CsrGraph(std::move(offsets), std::move(targets));
 }
 

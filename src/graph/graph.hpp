@@ -24,8 +24,10 @@
 /// Memory at scale: `Graph` keeps a hash set of packed edge keys for O(1)
 /// has_edge, which costs tens of bytes per edge and dominates peak RSS from
 /// n ~ 10^5 up. Scale workloads skip `Graph` entirely and stream edges into
-/// a `CsrGraphBuilder` (~8 bytes per emitted edge transient, sort-based
-/// dedup, ~4 bytes per edge frozen).
+/// a `CsrGraphBuilder`: 8 bytes per emitted edge while emitting, a freeze
+/// linear in the emitted edges (a counting sort by source, then a sort and
+/// dedup of each short row in place) that peaks at 12 bytes per emitted edge
+/// plus 4(n + 1) bytes of offsets, ~4 bytes per edge frozen.
 
 namespace dualrad {
 
@@ -93,10 +95,12 @@ class Graph {
 class CsrGraph {
  public:
   /// Largest edge count a snapshot can hold: offsets are 32-bit, so one
-  /// more edge would wrap them. Every freeze path (Graph snapshot,
-  /// CsrGraphBuilder::freeze) funnels through require_edges_fit, which
-  /// throws a clear error instead of silently truncating — the 10^7-node
-  /// grid will need 64-bit offsets (ROADMAP), not a wrap.
+  /// more edge would wrap them. Every freeze path funnels through
+  /// require_edges_fit, which throws a clear error instead of silently
+  /// truncating — the 10^7-node grid will need 64-bit offsets (ROADMAP), not
+  /// a wrap. A Graph snapshot checks its edge count; CsrGraphBuilder::freeze
+  /// checks its *emitted* count, duplicates included, so every count of its
+  /// counting sort fits too (reaching the bound takes a 34 GB packed array).
   static constexpr std::size_t kMaxEdges =
       static_cast<std::size_t>((std::uint64_t{1} << 32) - 1);
 
@@ -109,7 +113,9 @@ class CsrGraph {
 
   /// Build from explicit rows in the given order (offsets has node_count + 1
   /// entries; targets[offsets[u]..offsets[u+1]) is row u). Row order is
-  /// preserved; a sorted index is built only if some row is unsorted.
+  /// preserved; a sorted index is built only if some row is unsorted. Throws
+  /// std::invalid_argument unless offsets start at 0, never decrease and end
+  /// at targets.size(), and every target is in [0, node_count).
   [[nodiscard]] static CsrGraph from_rows(std::vector<std::uint32_t> offsets,
                                           std::vector<NodeId> targets);
 
@@ -160,12 +166,19 @@ class CsrGraph {
 
 /// Streaming CSR construction for large graphs: emit directed edges into a
 /// flat packed array (8 bytes each, duplicates welcome), then `freeze()`
-/// sorts, deduplicates, and lays out the CSR — no hash set, no per-node
-/// vectors, no `Graph` intermediate. Peak RSS is ~8 bytes per emitted edge
-/// during construction and ~4 bytes per distinct edge after freeze, which
-/// is what makes 10^6-node generator families fit in memory. Frozen rows
-/// are sorted ascending (a builder-frozen CsrGraph therefore needs no
-/// separate sorted index).
+/// lays out the CSR — no hash set, no per-node vectors, no `Graph`
+/// intermediate. The freeze is a counting sort by source: count the
+/// out-degrees into the offsets, take prefix sums, and scatter every target
+/// into its row, using the offsets themselves as write cursors; then, with
+/// the packed array released, sort and dedup each row in place, compacting
+/// the rows toward the front. Its time is linear in the emitted edges (plus
+/// a sort per short row), and its peak is 8 bytes per emitted edge (the
+/// packed array) plus 4 per emitted edge (the scattered targets) plus
+/// 4(n + 1) bytes of offsets. The frozen snapshot keeps ~4 bytes per
+/// distinct edge, with the duplicates' slots as unused capacity, which is
+/// what makes 10^6-node generator families fit in memory. Frozen rows are
+/// sorted ascending (a builder-frozen CsrGraph therefore needs no separate
+/// sorted index).
 class CsrGraphBuilder {
  public:
   explicit CsrGraphBuilder(NodeId n);
@@ -186,7 +199,8 @@ class CsrGraphBuilder {
     add_edge(v, u);
   }
 
-  /// Sort + dedup + lay out the CSR. The builder is left empty (reusable).
+  /// Counting-sort the emitted edges into CSR rows, then sort and dedup each
+  /// row. The builder is left empty (reusable).
   [[nodiscard]] CsrGraph freeze();
 
  private:

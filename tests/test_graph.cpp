@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "campaign/builtin_scenarios.hpp"
+#include "core/rng.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/dual_builders.hpp"
 #include "graph/dual_graph.hpp"
@@ -445,12 +452,12 @@ TEST(CsrGraphBuilder, CsrDualGraphValidatesLikeGraphPath) {
 }
 
 TEST(CsrGraph, OffsetOverflowGuardFailsLoudlyPast32Bit) {
-  // Every freeze path (Graph snapshot, builder freeze) funnels its
-  // post-dedup edge count through require_edges_fit; offsets are 32-bit, so
-  // one edge past kMaxEdges must be a clear error, never a silent wrap. The
-  // guard is exercised directly — materializing 2^32 edges (32+ GB) in a
-  // unit test is not an option, which is exactly why it is a testable
-  // seam.
+  // Every freeze path funnels an edge count through require_edges_fit (a
+  // Graph snapshot its edge count, a builder freeze its emitted count,
+  // duplicates included); offsets are 32-bit, so one edge past kMaxEdges
+  // must be a clear error, never a silent wrap. The guard is exercised
+  // directly — materializing 2^32 edges (32+ GB) in a unit test is not an
+  // option, which is exactly why it is a testable seam.
   EXPECT_NO_THROW(CsrGraph::require_edges_fit(0));
   EXPECT_NO_THROW(CsrGraph::require_edges_fit(CsrGraph::kMaxEdges));
   EXPECT_THROW(CsrGraph::require_edges_fit(CsrGraph::kMaxEdges + 1),
@@ -472,6 +479,282 @@ TEST(CsrGraph, OffsetOverflowGuardFailsLoudlyPast32Bit) {
   builder.add_undirected_edge(0, 1);
   builder.add_undirected_edge(1, 2);
   EXPECT_EQ(builder.freeze().edge_count(), 4u);
+}
+
+TEST(CsrGraph, FromRowsRejectsMalformedRows) {
+  // Well-formed rows, one of them unsorted, are accepted as given.
+  const CsrGraph ok = CsrGraph::from_rows({0, 2, 2, 3}, {2, 1, 0});
+  EXPECT_EQ(ok.node_count(), 3);
+  EXPECT_EQ(ok.row(0)[0], 2);
+  EXPECT_FALSE(ok.rows_sorted());
+  EXPECT_TRUE(ok.contains(0, 1));
+  // Ends that do not match the targets.
+  EXPECT_THROW((void)CsrGraph::from_rows({}, {}), std::invalid_argument);
+  EXPECT_THROW((void)CsrGraph::from_rows({1, 2}, {0, 1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)CsrGraph::from_rows({0, 1}, {1, 0}),
+               std::invalid_argument);
+  // A row that ends before it starts: row 1 would span [2, 1).
+  EXPECT_THROW((void)CsrGraph::from_rows({0, 2, 1, 3}, {1, 2, 0}),
+               std::invalid_argument);
+  // Targets outside [0, n): a reader would index past its n-wide arrays.
+  EXPECT_THROW((void)CsrGraph::from_rows({0, 1, 2}, {7, 0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)CsrGraph::from_rows({0, 1, 2}, {1, -1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)CsrGraph::from_rows({0, 1, 2}, {2, 0}),
+               std::invalid_argument);
+}
+
+/// The sort-based freeze the counting sort replaced, as the oracle: sort the
+/// packed (u << 32) | v keys, drop adjacent repeats, cut rows at each new
+/// source.
+std::vector<std::vector<NodeId>> sort_freeze_rows(
+    NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(edges.size());
+  for (const auto& [u, v] : edges) {
+    keys.push_back((static_cast<std::uint64_t>(u) << 32) |
+                   static_cast<std::uint32_t>(v));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<std::vector<NodeId>> rows(static_cast<std::size_t>(n));
+  for (const std::uint64_t k : keys) {
+    rows[k >> 32].push_back(static_cast<NodeId>(k & 0xFFFFFFFFULL));
+  }
+  return rows;
+}
+
+/// `csr` has exactly these rows: the same degrees (hence the same offsets)
+/// and the same targets in the same order.
+void expect_rows(const CsrGraph& csr,
+                 const std::vector<std::vector<NodeId>>& rows) {
+  ASSERT_EQ(static_cast<std::size_t>(csr.node_count()), rows.size());
+  std::size_t edges = 0;
+  for (NodeId u = 0; u < csr.node_count(); ++u) {
+    const auto row = csr.row(u);
+    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
+              rows[static_cast<std::size_t>(u)])
+        << "row " << u;
+    edges += rows[static_cast<std::size_t>(u)].size();
+  }
+  EXPECT_EQ(csr.edge_count(), edges);
+  EXPECT_TRUE(csr.rows_sorted());
+}
+
+/// A random emitted multiset over n nodes, in random order: repeats in both
+/// directions, the top quarter of the ids left isolated, and (for n > 130)
+/// node 1's row swept downward over 129 targets, twice.
+std::vector<std::pair<NodeId, NodeId>> random_emission(NodeId n,
+                                                       std::uint64_t seed) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  if (n < 2) return edges;
+  StreamRng rng(seed);
+  const auto active = static_cast<std::uint64_t>(std::max(2, n - n / 4));
+  const std::uint64_t draws = rng.below(4 * active);
+  for (std::uint64_t i = 0; i < draws; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(active));
+    const auto v = static_cast<NodeId>(rng.below(active));
+    if (u == v) continue;
+    edges.emplace_back(u, v);
+    if (rng.bernoulli(0.3)) edges.emplace_back(v, u);
+    if (rng.bernoulli(0.2)) edges.emplace_back(u, v);
+  }
+  if (n > 130) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (NodeId v = 130; v >= 2; --v) edges.emplace_back(1, v);
+    }
+  }
+  std::shuffle(edges.begin(), edges.end(), rng);
+  return edges;
+}
+
+TEST(CsrGraphBuilder, FreezeEqualsSortBasedFreeze) {
+  // The empty builder, with and without nodes.
+  expect_rows(CsrGraphBuilder(0).freeze(), {});
+  expect_rows(CsrGraphBuilder(5).freeze(), sort_freeze_rows(5, {}));
+  for (const NodeId n : {1, 2, 257}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " seed " << seed);
+      CsrGraphBuilder builder(n);
+      // Two freezes of one builder: the second sees only its own edges.
+      for (std::uint64_t round = 0; round < 2; ++round) {
+        const auto edges = random_emission(n, 2 * seed + round);
+        for (const auto& [u, v] : edges) builder.add_edge(u, v);
+        ASSERT_EQ(builder.emitted(), edges.size());
+        const CsrGraph csr = builder.freeze();
+        expect_rows(csr, sort_freeze_rows(n, edges));
+        EXPECT_EQ(builder.emitted(), 0u);
+        if (n == 257) {
+          EXPECT_GE(csr.out_degree(1), 129u) << "the long row";
+          EXPECT_EQ(csr.out_degree(256), 0u) << "an isolated node";
+        }
+      }
+    }
+  }
+}
+
+/// Every G'-only row is the G' row, in its order, less G's members.
+void expect_unreliable_rows(const DualGraph& net) {
+  const CsrGraph& g = net.g_csr();
+  const CsrGraph& gp = net.g_prime_csr();
+  std::size_t edges = 0;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    std::vector<NodeId> want;
+    for (const NodeId v : gp.row(u)) {
+      if (!g.contains(u, v)) want.push_back(v);
+    }
+    const auto got = net.unreliable_out(u);
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), want)
+        << "row " << u;
+    edges += want.size();
+  }
+  EXPECT_EQ(net.unreliable_edge_count(), edges);
+}
+
+TEST(DualGraph, UnreliableRowsFollowGPrimeRowOrder) {
+  // Graph-frozen networks keep insertion order.
+  expect_unreliable_rows(duals::layered_complete_gprime(4, 5));
+  expect_unreliable_rows(duals::gray_zone({.n = 80, .seed = 3}));
+  expect_unreliable_rows(duals::bridge_network(9));
+  // A complete-layered G under a G' whose complete rows were inserted in
+  // shuffled order, so the G'-only rows are unsorted.
+  const Graph g = gen::complete_layered({1, 4, 4, 3});
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (u != v) pairs.emplace_back(u, v);
+    }
+  }
+  StreamRng rng(11);
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  Graph gp(g.node_count());
+  for (const auto& [u, v] : pairs) gp.add_edge(u, v);
+  const DualGraph shuffled(g, gp, 0);
+  EXPECT_FALSE(shuffled.unreliable_csr().rows_sorted());
+  expect_unreliable_rows(shuffled);
+  // Builder-frozen networks have ascending rows.
+  expect_unreliable_rows(duals::layered_sparse({.layers = 20,
+                                                .width = 10,
+                                                .fwd_degree = 3,
+                                                .unreliable_degree = 2,
+                                                .seed = 7}));
+  expect_unreliable_rows(
+      duals::gray_zone_grid({.n = 400, .mean_degree = 9.0, .seed = 13}));
+}
+
+/// `build()` must fail the E subset of E' check, whatever else holds.
+template <class Build>
+void expect_not_subset(const Build& build) {
+  try {
+    (void)build();
+    FAIL() << "a G edge missing from G' was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("E must be a subset of E'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// G is the undirected path 0-1-...-(n-1); G' is G plus the chords
+/// (u, u + 2), less the directed edge (mu, mv). Every node is reachable in
+/// G, so only the subset check can reject the network. Built both ways.
+void expect_missing_edge_rejected(NodeId n, NodeId mu, NodeId mv) {
+  SCOPED_TRACE(::testing::Message() << "missing " << mu << "->" << mv);
+  Graph g(n), gp(n);
+  CsrGraphBuilder gb(n), gpb(n);
+  for (NodeId u = 0; u + 1 < n; ++u) {
+    g.add_undirected_edge(u, u + 1);
+    gb.add_undirected_edge(u, u + 1);
+  }
+  const auto add_gp = [&](NodeId u, NodeId v) {
+    if (u == mu && v == mv) return;
+    gp.add_edge(u, v);
+    gpb.add_edge(u, v);
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    for (const NodeId v : {u - 2, u - 1, u + 1, u + 2}) {
+      if (v >= 0 && v < n) add_gp(u, v);
+    }
+  }
+  expect_not_subset([&] { return DualGraph(g, gp, 0); });
+  expect_not_subset([&] { return DualGraph(gb.freeze(), gpb.freeze(), 0); });
+}
+
+TEST(DualGraph, SubsetViolationIsCaughtInAnyRow) {
+  expect_missing_edge_rejected(6, 0, 1);  // the first row
+  expect_missing_edge_rejected(6, 5, 4);  // the last row
+  expect_missing_edge_rejected(6, 3, 2);  // a middle row
+  // The only non-empty row: G is the out-star 0 -> {1, 2}, G' only 0 -> 1.
+  Graph star(3), partial(3);
+  star.add_edge(0, 1);
+  star.add_edge(0, 2);
+  partial.add_edge(0, 1);
+  expect_not_subset([&] { return DualGraph(star, partial, 0); });
+  CsrGraphBuilder sb(3), pb(3);
+  sb.add_edge(0, 2);
+  sb.add_edge(0, 1);
+  pb.add_edge(0, 1);
+  expect_not_subset([&] { return DualGraph(sb.freeze(), pb.freeze(), 0); });
+  // With node 2 unreachable in G as well, the subset error still comes
+  // first.
+  Graph stranded(3), empty(3);
+  stranded.add_edge(1, 2);
+  expect_not_subset([&] { return DualGraph(stranded, empty, 0); });
+  // G with more edges than G' (the G'-only count would be negative).
+  expect_not_subset([] { return DualGraph(gen::clique(4), gen::path(4), 0); });
+}
+
+/// FNV-1a over the rows of `g` as little-endian 32-bit words: the node
+/// count, then each row's degree and targets in row order.
+std::string rows_digest(const CsrGraph& g) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto feed = [&h](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  feed(static_cast<std::uint32_t>(g.node_count()));
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const auto row = g.row(u);
+    feed(static_cast<std::uint32_t>(row.size()));
+    for (const NodeId v : row) feed(static_cast<std::uint32_t>(v));
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(ScaleFamilies, NetworkRowsArePinned) {
+  // The rows of G, G' and the G'-only CSR of the scale families, pinned by
+  // digest: every execution, export and trace of a scale/* or byz/* run
+  // starts from these bytes, so a construction change must leave them be.
+  struct Pin {
+    const char* name;
+    campaign::NetworkBuilder build;
+    const char* g;
+    const char* g_prime;
+    const char* unreliable;
+  };
+  const Pin pins[] = {
+      {"layered-1k", campaign::scale_layered(50, 20), "61a657207b36e1b0",
+       "dde36fd6cbce01c1", "3aa8b176baa6f55a"},
+      {"layered-10k", campaign::scale_layered(125, 80), "709ffd35befeb1bb",
+       "8d870f6f5f400eb4", "cd123b0f4fb457da"},
+      {"grayzone-1k", campaign::scale_grayzone(1'000), "96f2e049e02adb61",
+       "9649d2acfdf098a3", "7a1025855417b68a"},
+      {"grayzone-10k", campaign::scale_grayzone(10'000), "fcafc6d7e5950ff9",
+       "7bc7349475e0db53", "f240db9c578e3848"},
+  };
+  for (const Pin& pin : pins) {
+    const DualGraph net = pin.build();
+    EXPECT_EQ(rows_digest(net.g_csr()), pin.g) << pin.name;
+    EXPECT_EQ(rows_digest(net.g_prime_csr()), pin.g_prime) << pin.name;
+    EXPECT_EQ(rows_digest(net.unreliable_csr()), pin.unreliable) << pin.name;
+  }
 }
 
 }  // namespace
