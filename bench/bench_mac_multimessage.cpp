@@ -70,7 +70,7 @@ int main() {
     const double trials = agg.trials > 0 ? static_cast<double>(agg.trials) : 1.0;
     std::size_t k = 0;
     for (const campaign::Scenario& spec : scenarios) {
-      if (spec.name == s.scenario) k = spec.token_sources.size();
+      if (spec.name == s.scenario) k = campaign::token_count(spec);
     }
     table.add_row({s.scenario, std::to_string(k), std::to_string(s.failures),
                    any ? stats::Table::num(s.rounds.mean, 1) : "-",

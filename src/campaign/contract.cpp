@@ -21,8 +21,7 @@ std::vector<std::string> check_broadcast_contract(const Scenario& scenario,
   std::vector<std::string> out;
 
   // --- no-creation: the token set is exactly what the environment injected.
-  const std::size_t expected_tokens =
-      scenario.token_sources.empty() ? 1 : scenario.token_sources.size();
+  const std::size_t expected_tokens = token_count(scenario);
   if (result.token_first.size() != expected_tokens) {
     violation(out, row, "no-creation",
               "execution carries " + std::to_string(result.token_first.size()) +
@@ -134,14 +133,16 @@ void ContractObserver::record(const Scenario& scenario, const TrialRow& row,
       check_broadcast_contract(scenario, row, result);
   const std::lock_guard<std::mutex> lock(mutex_);
   ++trials_checked_;
-  violations_.insert(violations_.end(),
-                     std::make_move_iterator(found.begin()),
-                     std::make_move_iterator(found.end()));
+  for (std::string& v : found) {
+    violations_.emplace(std::make_pair(row.scenario, row.trial), std::move(v));
+  }
 }
 
 std::vector<std::string> ContractObserver::violations() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return violations_;
+  std::vector<std::string> out;
+  for (const auto& [trial, v] : violations_) out.push_back(v);
+  return out;
 }
 
 std::size_t ContractObserver::trials_checked() const {

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/engine.hpp"
@@ -52,12 +54,17 @@ class ContractObserver {
   void record(const Scenario& scenario, const TrialRow& row,
               const SimResult& result);
 
+  /// Every violation recorded, ordered by (scenario name, trial) and within
+  /// a trial as the checker found them — the same for any recording order,
+  /// so a campaign's verdicts do not depend on its thread count.
   [[nodiscard]] std::vector<std::string> violations() const;
   [[nodiscard]] std::size_t trials_checked() const;
 
  private:
   mutable std::mutex mutex_;
-  std::vector<std::string> violations_;
+  /// Keyed by (scenario, trial); equal keys keep their insertion order.
+  std::multimap<std::pair<std::string, std::uint32_t>, std::string>
+      violations_;
   std::size_t trials_checked_ = 0;
 };
 

@@ -55,7 +55,6 @@ struct Scenario {
   /// Unique registry key, e.g. "dual/harmonic/layered/greedy". Restricted to
   /// [A-Za-z0-9._/+:=-] so exported CSV/JSONL never needs quoting.
   std::string name;
-  std::string description{};
   /// Free-form labels ("dual", "randomized", "table2", ...) used by
   /// `--filter` and ScenarioRegistry::match.
   std::vector<std::string> tags{};
@@ -74,6 +73,12 @@ struct Scenario {
   std::vector<NodeId> token_sources{};
   std::size_t trials = 5;
 };
+
+/// Tokens in each execution of `s`: one per source, and one at the network
+/// source when `token_sources` is empty.
+[[nodiscard]] inline std::size_t token_count(const Scenario& s) {
+  return s.token_sources.empty() ? 1 : s.token_sources.size();
+}
 
 /// Adversary factory for adversaries constructed from fixed arguments
 /// (ignores the trial seed): make_adversary_factory<GreedyBlockerAdversary>().

@@ -66,14 +66,7 @@ CsrGraph::CsrGraph(const Graph& g) {
         static_cast<std::uint32_t>(nbrs.size());
     targets_.insert(targets_.end(), nbrs.begin(), nbrs.end());
   }
-  sorted_ = targets_;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto uu = static_cast<std::size_t>(u);
-    std::sort(sorted_.begin() + offsets_[uu], sorted_.begin() + offsets_[uu + 1]);
-  }
-  // An edge-free Graph-frozen snapshot is indistinguishable from a sorted
-  // one — rows_sorted() is vacuously true and contains() has nothing to
-  // find, so the sorted_/targets_ distinction does not matter there.
+  index_unsorted_rows();
 }
 
 CsrGraph CsrGraph::from_rows(std::vector<std::uint32_t> offsets,
@@ -87,20 +80,23 @@ CsrGraph CsrGraph::from_rows(std::vector<std::uint32_t> offsets,
                               [n](NodeId v) { return v >= 0 && v < n; }),
                   "CSR target out of range");
   CsrGraph csr(std::move(offsets), std::move(targets));
-  bool sorted = true;
-  for (NodeId u = 0; sorted && u < csr.node_count(); ++u) {
-    const auto row = csr.row(u);
-    sorted = std::is_sorted(row.begin(), row.end());
-  }
-  if (!sorted) {
-    csr.sorted_ = csr.targets_;
-    for (NodeId u = 0; u < csr.node_count(); ++u) {
-      const auto uu = static_cast<std::size_t>(u);
-      std::sort(csr.sorted_.begin() + csr.offsets_[uu],
-                csr.sorted_.begin() + csr.offsets_[uu + 1]);
-    }
-  }
+  csr.index_unsorted_rows();
   return csr;
+}
+
+void CsrGraph::index_unsorted_rows() {
+  bool sorted = true;
+  for (NodeId u = 0; sorted && u < node_count(); ++u) {
+    const auto r = row(u);
+    sorted = std::is_sorted(r.begin(), r.end());
+  }
+  if (sorted) return;
+  sorted_ = targets_;
+  for (NodeId u = 0; u < node_count(); ++u) {
+    const auto uu = static_cast<std::size_t>(u);
+    std::sort(sorted_.begin() + offsets_[uu],
+              sorted_.begin() + offsets_[uu + 1]);
+  }
 }
 
 bool CsrGraph::contains(NodeId u, NodeId v) const {

@@ -88,10 +88,9 @@ class Graph {
 /// Snapshots frozen from a `Graph` keep the builder's *insertion order* —
 /// the engines deliver in row order and stateful adversaries draw their
 /// RNG streams in it, so a network's executions are fixed by the order its
-/// builder inserted edges — and carry a per-row sorted copy backing
-/// `contains()` (binary search). Snapshots produced by `CsrGraphBuilder`
-/// have rows already sorted ascending, so `contains()` searches the rows
-/// directly and the sorted copy (and its ~4 bytes/edge) is not allocated.
+/// builder inserted edges. `contains()` is a binary search: over the rows
+/// themselves when every row is ascending (always for `CsrGraphBuilder`
+/// snapshots), otherwise over a per-row sorted copy (~4 bytes/edge).
 class CsrGraph {
  public:
   /// Largest edge count a snapshot can hold: offsets are 32-bit, so one
@@ -136,7 +135,7 @@ class CsrGraph {
     return offsets_[uu + 1] - offsets_[uu];
   }
 
-  /// True iff rows are sorted ascending (builder-frozen snapshots).
+  /// True iff every row is sorted ascending (so no sorted copy is kept).
   [[nodiscard]] bool rows_sorted() const { return sorted_.empty(); }
 
   /// True iff the directed edge (u, v) exists. O(log out_degree(u)).
@@ -158,6 +157,9 @@ class CsrGraph {
   friend class CsrGraphBuilder;
   CsrGraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets)
       : offsets_(std::move(offsets)), targets_(std::move(targets)) {}
+
+  /// Build sorted_ if some row is not ascending.
+  void index_unsorted_rows();
 
   std::vector<std::uint32_t> offsets_{};  ///< size node_count() + 1
   std::vector<NodeId> targets_{};

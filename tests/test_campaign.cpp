@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
 #include "campaign/registry.hpp"
+#include "core/rng.hpp"
 #include "graph/dual_builders.hpp"
 #include "serve/checkpoint.hpp"
 
@@ -297,59 +299,266 @@ TEST(BuiltinScenarios, QuickSubsetRunsToCompletion) {
   }
 }
 
+/// FNV-1a of `text` as 16 hex digits.
+std::string hex_digest(std::string_view text) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(text)));
+  return buf;
+}
+
+// The catalogue, pinned in registration order. Per builtin: a digest of
+// what it declares (name, trials, rule, start, round cap, tags, token
+// sources, and whether a runner replaces the default trial body) and, for
+// every builtin not tagged slow, a digest of its trial-0 JSONL row at master
+// seed 42, run with the cap lowered to min(cap, 2000) so the test stays
+// quick. One token at the network source is the default whether the list
+// is empty or names that node, so both digest as "source".
+TEST(BuiltinScenarios, CatalogueIsPinned) {
+  struct Pin {
+    const char* name;
+    const char* declared;
+    const char* trial0;  ///< empty for the slow builtins
+  };
+  const Pin pins[] = {
+      {"classical/round-robin/bridge/benign", "817167bbec9278ef",
+       "5f296049eda3e414"},
+      {"classical/decay/bridge/benign", "24ccc70fa031f090",
+       "c03b4c9a42763b52"},
+      {"classical/gossip/clique/benign", "54409fa7eab60de3",
+       "622095f58fb08971"},
+      {"dual/round-robin/layered/full-interference", "002805b8961ad0a3",
+       "f0969f145ec3495e"},
+      {"dual/strong-select/layered/greedy", "e6125284af3a336b",
+       "59033bcf73f945f0"},
+      {"dual/strong-select/layered/bernoulli:0.5", "e6b33d73a5e67593",
+       "46b61e21421c02b9"},
+      {"dual/strong-select/grayzone/greedy", "b1144b438a4baa66",
+       "51938fd20e4702a1"},
+      {"dual/cms/layered/greedy", "baf17ba203e3280b",
+       "886cea309e28fa57"},
+      {"dual/harmonic/layered/greedy", "49bf6daccae00393",
+       "932dcae0915d52b1"},
+      {"dual/harmonic/layered/full-interference", "e3cc0dbd8b6a3365",
+       "db1798d82508915b"},
+      {"dual/harmonic/grayzone/bernoulli:0.3", "5e67554fcaa9d388",
+       "fb6b8769412187b8"},
+      {"dual/harmonic/backbone/bernoulli:0.5", "9f2bcc03bab993e2",
+       "ecfdc7f5acae9653"},
+      {"dual/gossip/layered/bernoulli:0.5", "06d604965519745e",
+       "4b5c2f97c195745e"},
+      {"dual/decay/layered/greedy", "43b2d83732d4ea98",
+       "be602c88db1a62fa"},
+      {"scale/decay/layered-1k/benign", "c368a370da720c91",
+       "0a8b487c273fd881"},
+      {"scale/decay/layered-1k/bernoulli:0.1", "8067624f385c24a5",
+       "a547a5a3b2b0b2c9"},
+      {"scale/decay/layered-1k/greedy", "ed7324a122270a7a",
+       "16a768d855f66783"},
+      {"scale/decay/layered-10k/benign", "c7cb50592c649c68",
+       "1ead12677b050217"},
+      {"scale/decay/layered-10k/bernoulli:0.1", "d365424fb7c0b640",
+       "9245717899ef1f30"},
+      {"scale/decay/layered-10k/greedy", "61ea27a6747284a3",
+       "a1b0902fa9519e58"},
+      {"scale/decay/layered-100k/benign", "20707dd39cd36698",
+       ""},
+      {"scale/decay/layered-100k/bernoulli:0.1", "01887e2d287c04b4",
+       ""},
+      {"scale/decay/layered-100k/greedy", "ff9015fcc0c88335",
+       ""},
+      {"scale/decay/layered-1m/benign", "1121e958165ead24",
+       ""},
+      {"scale/decay/layered-1m/bernoulli:0.1", "3a075dd7f749dacc",
+       ""},
+      {"scale/decay/layered-1m/greedy", "c8e3571b01fd0a73",
+       ""},
+      {"scale/decay/grayzone-1k/benign", "aa8bac0d0240cef6",
+       "be195b46e3bb04e1"},
+      {"scale/decay/grayzone-1k/bernoulli:0.1", "df95db1f0f9f22cc",
+       "119bb8ed7b716afa"},
+      {"scale/decay/grayzone-1k/greedy", "7bba19ad8cfe8695",
+       "3a76fbc9c7a8eb26"},
+      {"scale/decay/grayzone-10k/benign", "5ae696a5c4084fe9",
+       "6d13c163fb232643"},
+      {"scale/decay/grayzone-10k/bernoulli:0.1", "ebfb4ee7733e5f87",
+       "b1fc2f78d577f135"},
+      {"scale/decay/grayzone-10k/greedy", "5a9b7ce71b94a95e",
+       "3bd5fc97dfdec2c2"},
+      {"scale/decay/grayzone-100k/benign", "27819bfc3db2051d",
+       ""},
+      {"scale/decay/grayzone-100k/bernoulli:0.1", "0f9aa59328a537b7",
+       ""},
+      {"scale/decay/grayzone-100k/greedy", "1e7530ef818fb7b8",
+       ""},
+      {"scale/decay/grayzone-1m/benign", "a8d5b76731760e0f",
+       ""},
+      {"scale/decay/grayzone-1m/bernoulli:0.1", "d5b2d3c92a95bc49",
+       ""},
+      {"scale/decay/grayzone-1m/greedy", "caa459ec507e6970",
+       ""},
+      {"mac/bmmb-decay/layered/k=1/benign", "86ef5dc643d45d77",
+       "e9c95ad5cc7ad834"},
+      {"mac/bmmb-decay/layered/k=4/benign", "e5ab13c6690533f5",
+       "23c4e269938ca78f"},
+      {"mac/bmmb-decay/layered/k=16/bernoulli:0.5", "187d2bd1c004d3f2",
+       "a6624f67ee9848cc"},
+      {"mac/bmmb-decay/layered/k=4/greedy", "03c3af20c259b9be",
+       "620ac21b8b4f069c"},
+      {"mac/bmmb-decay/grayzone/k=4/bernoulli:0.3", "2c34c6ed951f1b5d",
+       "2529804864beaee4"},
+      {"mac/bmmb-decay/grayzone/k=16/benign", "12bdc1ca20194480",
+       "71a4151d2e91e3a0"},
+      {"byz/layered-1k/cpa/f=1-silent", "55e11edb6dd5ec71",
+       "a5597369a5613abf"},
+      {"byz/layered-1k/cpa/f=1-forge", "bce7f3e49fd11f0d",
+       "b087fd49f7c498bf"},
+      {"byz/layered-1k/decay/f=1-silent", "a808add8d88733c9",
+       "2f82ef205e60d196"},
+      {"byz/layered-1k/decay/f=1-forge", "a66b2228288aeab5",
+       "2ccf9c1664892bd2"},
+      {"byz/layered-1k/cpa/f=2-forge", "50900c2198f2e8b0",
+       "8d4c97b54d54b0d0"},
+      {"byz/layered-1k/decay/f=2-forge", "63f2136e39409cd8",
+       "2f71bb70fa534466"},
+      {"byz/grayzone-1k/cpa/f=1-forge", "3a321eb48bb33f28",
+       "55136569f1bad218"},
+      {"byz/grayzone-1k/decay/f=1-forge", "f83efaa230d38080",
+       "eb4370d43e72815e"},
+      {"byz/grayzone-1k/cpa/f=2-silent", "ec0ea99b38d6a019",
+       "dd95d81715f962d0"},
+      {"byz/layered-10k/cpa/f=1-forge", "fef2100f21d2c798",
+       "6661cf6ee2831441"},
+      {"byz/layered-10k/decay/f=1-forge", "5afaa16d7f260848",
+       "1a06a137f29c9394"},
+      {"byz/layered-10k/cpa/f=1-adaptive", "5c2da71982b9a393",
+       "143b4a1d72cc06fe"},
+      {"byz/grayzone-10k/cpa/f=2-forge", "93406a40ebb86d22",
+       "d7b839f0ea9f5104"},
+      {"byz/layered-100k/cpa/f=1-forge", "e719f2fe835fb312",
+       ""},
+      {"byz/grayzone-100k/cpa/f=2-silent", "d25e6031d66f5856",
+       ""},
+  };
+  const ScenarioRegistry registry = builtin_registry();
+  ASSERT_EQ(registry.size(), std::size(pins));
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    const Scenario& s = registry.all()[i];
+    std::string declared = s.name + "|" + std::to_string(s.trials) + "|" +
+                           to_string(s.rule) + "|" + to_string(s.start) +
+                           "|" + std::to_string(s.max_rounds) + "|";
+    for (const std::string& tag : s.tags) declared += tag + ",";
+    const bool one_source =
+        s.token_sources.empty() ||
+        (s.token_sources.size() == 1 &&
+         s.token_sources.front() == s.network().source());
+    declared += one_source ? "|source" : "|";
+    for (const NodeId v : s.token_sources) {
+      if (!one_source) declared += std::to_string(v) + ",";
+    }
+    declared += s.runner ? "|runner" : "|default";
+
+    std::string trial0;
+    if (std::find(s.tags.begin(), s.tags.end(), "slow") == s.tags.end()) {
+      Scenario capped = s;
+      capped.max_rounds = std::min<Round>(s.max_rounds, 2000);
+      trial0 =
+          hex_digest(trials_to_jsonl({TrialExecutor(capped, 42).run(0).row}));
+    }
+    EXPECT_EQ(s.name, pins[i].name);
+    EXPECT_EQ(hex_digest(declared), pins[i].declared) << s.name;
+    EXPECT_EQ(trial0, pins[i].trial0) << s.name;
+  }
+}
+
 // --- scenario specs ----------------------------------------------------------
 
 // One spec per network family; together the rows use every algorithm,
-// adversary, collision rule and start rule the grammar accepts. Every spec
-// parses to a scenario named by the spec itself, builds the network it
-// names, and runs one trial to completion.
+// adversary, collision rule, start rule and optional field the grammar
+// accepts. Every spec parses to a scenario named by the spec itself, builds
+// the network it names, and runs one trial: to completion without byz:
+// faults (a placement may keep nodes from ever accepting the token), and
+// with the forgers' tokens on record under forge faults.
 TEST(ScenarioSpec, EverySingleRunValueParsesAndRuns) {
   struct Row {
     const char* spec;
     NodeId nodes;
     CollisionRule rule;
     StartRule start;
+    std::int32_t tokens;
+    Round max_rounds;
   };
   const Row rows[] = {
       {"adhoc/bridge:n=16/round-robin/benign/cr1/sync", 16, CollisionRule::CR1,
-       StartRule::Synchronous},
+       StartRule::Synchronous, 1, 10'000'000},
       {"adhoc/layered:layers=4:width=3/strong-select/greedy/cr2/async", 10,
-       CollisionRule::CR2, StartRule::Asynchronous},
+       CollisionRule::CR2, StartRule::Asynchronous, 1, 10'000'000},
       {"adhoc/grayzone:n=24:seed=7/harmonic/bernoulli:0.5/cr3/sync", 24,
-       CollisionRule::CR3, StartRule::Synchronous},
+       CollisionRule::CR3, StartRule::Synchronous, 1, 10'000'000},
       {"adhoc/backbone:n=24:seed=11/decay/full-interference/cr4/async", 24,
-       CollisionRule::CR4, StartRule::Asynchronous},
+       CollisionRule::CR4, StartRule::Asynchronous, 1, 10'000'000},
       {"adhoc/theorem11:n=17/cms/benign/cr3/async", 17, CollisionRule::CR3,
-       StartRule::Asynchronous},
+       StartRule::Asynchronous, 1, 10'000'000},
       {"adhoc/theorem12:n=17/strong-select-forever/greedy/cr4/sync", 17,
-       CollisionRule::CR4, StartRule::Synchronous},
+       CollisionRule::CR4, StartRule::Synchronous, 1, 10'000'000},
       {"adhoc/clique:n=16/gossip/bernoulli:0.1/cr2/async", 16,
-       CollisionRule::CR2, StartRule::Asynchronous},
+       CollisionRule::CR2, StartRule::Asynchronous, 1, 10'000'000},
+      {"adhoc/classical-bridge:n=16/decay-windowed/benign/cr3/sync/"
+       "cap=100000",
+       16, CollisionRule::CR3, StartRule::Synchronous, 1, 100'000},
+      {"adhoc/scale-layered:layers=5:width=4/cpa:f=1/benign/cr3/async/"
+       "byz:f=1:silent/cap=2000",
+       21, CollisionRule::CR3, StartRule::Asynchronous, 1, 2'000},
+      {"adhoc/scale-grayzone:n=64/relay/bernoulli:0.25/cr4/sync/"
+       "byz:f=1:adaptive/cap=2000",
+       64, CollisionRule::CR4, StartRule::Synchronous, 1, 2'000},
+      {"adhoc/layered:layers=4:width=3/bmmb/greedy/cr1/sync/tokens=3/"
+       "cap=50000",
+       10, CollisionRule::CR1, StartRule::Synchronous, 3, 50'000},
+      {"adhoc/scale-grayzone:n=64/cpa:f=2/full-interference/cr2/async/"
+       "tokens=2/byz:f=2:forge/cap=3000",
+       64, CollisionRule::CR2, StartRule::Asynchronous, 2, 3'000},
   };
-  std::set<std::string> fields[5];
+  std::set<std::string> fields[6];
   for (const Row& row : rows) {
-    const Scenario scenario = parse_spec(row.spec);
-    EXPECT_EQ(scenario.name, row.spec);
-    EXPECT_EQ(scenario.rule, row.rule) << row.spec;
-    EXPECT_EQ(scenario.start, row.start) << row.spec;
-    EXPECT_EQ(scenario.trials, 1u) << row.spec;
-    EXPECT_EQ(scenario.network().node_count(), row.nodes) << row.spec;
-    const TrialExecutor executor(scenario, 5);
-    EXPECT_TRUE(executor.run(0).row.completed) << row.spec;
+    const std::string_view spec = row.spec;
+    const Scenario scenario = parse_spec(spec);
+    EXPECT_EQ(scenario.name, spec);
+    EXPECT_EQ(scenario.rule, row.rule) << spec;
+    EXPECT_EQ(scenario.start, row.start) << spec;
+    EXPECT_EQ(scenario.max_rounds, row.max_rounds) << spec;
+    EXPECT_EQ(scenario.trials, 1u) << spec;
+    EXPECT_EQ(scenario.network().node_count(), row.nodes) << spec;
+    const bool byz = spec.find("/byz:") != std::string_view::npos;
+    EXPECT_EQ(static_cast<bool>(scenario.runner), byz) << spec;
+    const TrialExecutor::Outcome trial = TrialExecutor(scenario, 5).run(0);
+    EXPECT_EQ(trial.row.tokens, row.tokens) << spec;
+    if (byz) {
+      EXPECT_EQ(trial.sim.forged_tokens.empty(),
+                spec.find(":silent") != std::string_view::npos)
+          << spec;
+    } else {
+      EXPECT_TRUE(trial.row.completed) << spec;
+    }
 
-    std::string_view rest = row.spec;
+    std::string_view rest = spec;
     rest.remove_prefix(kSpecPrefix.size());
-    for (std::set<std::string>& field : fields) {
+    for (std::size_t i = 0; !rest.empty(); ++i) {
       const std::size_t slash = rest.find('/');
-      field.insert(std::string(rest.substr(0, rest.find_first_of(":/"))));
+      const std::string_view field = rest.substr(0, slash);
+      // The required fields by their text before any ':'; the optional
+      // ones, after them, by their name.
+      fields[std::min<std::size_t>(i, 5)].insert(std::string(
+          field.substr(0, field.find_first_of(i < 5 ? ":" : ":="))));
       rest = slash == std::string_view::npos ? "" : rest.substr(slash + 1);
     }
   }
-  EXPECT_EQ(fields[0].size(), 7u);  // networks
-  EXPECT_EQ(fields[1].size(), 7u);  // algorithms
-  EXPECT_EQ(fields[2].size(), 4u);  // adversaries
-  EXPECT_EQ(fields[3].size(), 4u);  // collision rules
-  EXPECT_EQ(fields[4].size(), 2u);  // start rules
+  EXPECT_EQ(fields[0].size(), 10u);  // networks
+  EXPECT_EQ(fields[1].size(), 11u);  // algorithms
+  EXPECT_EQ(fields[2].size(), 4u);   // adversaries
+  EXPECT_EQ(fields[3].size(), 4u);   // collision rules
+  EXPECT_EQ(fields[4].size(), 2u);   // start rules
+  EXPECT_EQ(fields[5].size(), 3u);   // optional fields
 }
 
 TEST(ScenarioSpec, MalformedSpecsThrow) {
@@ -379,6 +588,31 @@ TEST(ScenarioSpec, MalformedSpecsThrow) {
            "adhoc/bridge:n=16/harmonic/greedy/cr5/async",
            "adhoc/bridge:n=16/harmonic/greedy/cr4/bogus",
            "bridge:n=16/harmonic/greedy/cr4/async",  // no adhoc/ prefix
+           "adhoc/classical-bridge:n=16:seed=1/decay/benign/cr3/sync",
+           "adhoc/scale-grayzone:n=64:seed=7/decay/benign/cr3/async",
+           "adhoc/scale-layered:layers=5/decay/benign/cr3/async",
+           // Windowed Decay and the adaptive fault take no arguments.
+           "adhoc/bridge:n=16/decay:active=0:period=32/greedy/cr4/async",
+           "adhoc/bridge:n=16/decay-windowed:active=2/greedy/cr4/async",
+           "adhoc/bridge:n=16/cpa:f=0/greedy/cr4/async",
+           "adhoc/bridge:n=16/cpa/greedy/cr4/async",
+           "adhoc/bridge:n=16/bmmb/greedy/cr4/async/tokens=1",
+           "adhoc/bridge:n=16/bmmb/greedy/cr4/async/tokens=0",
+           "adhoc/bridge:n=16/bmmb/greedy/cr4/async/tokens=04",
+           "adhoc/bridge:n=16/bmmb/greedy/cr4/async/tokens=17",  // > n
+           "adhoc/bridge:n=16/harmonic/greedy/cr4/async/cap=10000000",
+           "adhoc/bridge:n=16/harmonic/greedy/cr4/async/cap=0",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/byz:f=1:bogus",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/byz:f=1:adaptive=0",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/byz:f=1:adaptive=4",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/byz:f=0:forge",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/byz:f=1",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/byz:forge:f=1",
+           "adhoc/bridge:n=16/relay/greedy/cr4/async/cap=100/byz:f=1:forge",
+           "adhoc/bridge:n=16/bmmb/greedy/cr4/async/cap=100/tokens=2",
+           "adhoc/bridge:n=16/harmonic/greedy/cr4/async/cap=100/cap=100",
+           "adhoc/bridge:n=16/bmmb/greedy/cr4/async/tokens=2/tokens=2",
+           "adhoc/bridge:n=16/harmonic/greedy/cr4/async/cap=100/x",
        }) {
     EXPECT_THROW((void)parse_spec(spec), std::invalid_argument) << spec;
     if (std::string_view(spec).starts_with(kSpecPrefix)) {
@@ -387,6 +621,22 @@ TEST(ScenarioSpec, MalformedSpecsThrow) {
           << spec;
     }
   }
+}
+
+// tokens=K builds the network to place its sources, but only after every
+// field has passed its checks: the cap=0 below is reported, not the bridge
+// builder's n >= 3 precondition.
+TEST(ScenarioSpec, FieldsAreCheckedBeforeTokensBuildTheNetwork) {
+  try {
+    (void)parse_spec("adhoc/bridge:n=2/bmmb/benign/cr4/async/tokens=2/cap=0");
+    ADD_FAILURE() << "cap=0 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string_view(e.what()).find("cap=N"), std::string_view::npos)
+        << e.what();
+  }
+  EXPECT_THROW(
+      (void)parse_spec("adhoc/bridge:n=2/bmmb/benign/cr4/async/tokens=2"),
+      std::invalid_argument);
 }
 
 // A spec filter selects exactly its scenario; any other filter is the
@@ -412,12 +662,14 @@ TEST(ScenarioSpec, SelectionNamesExactlyTheSpec) {
 
 // The spec of a builtin's tuple runs the builtin's execution exactly.
 TEST(ScenarioSpec, SpecRunsLikeTheBuiltinItSpells) {
-  const Scenario spec =
-      parse_spec("adhoc/layered:layers=8:width=4/harmonic/greedy/cr4/async");
+  const Scenario spec = parse_spec(
+      "adhoc/layered:layers=8:width=4/harmonic/greedy/cr4/async/"
+      "cap=20000000");
   const Scenario builtin =
       builtin_registry().at("dual/harmonic/layered/greedy");
   EXPECT_EQ(spec.rule, builtin.rule);
   EXPECT_EQ(spec.start, builtin.start);
+  EXPECT_EQ(spec.max_rounds, builtin.max_rounds);
 
   SimConfig config;
   config.rule = CollisionRule::CR4;

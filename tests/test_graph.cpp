@@ -118,6 +118,26 @@ TEST(CsrGraph, ContainsMatchesHasEdge) {
   EXPECT_FALSE(csr.contains(0, 40));
 }
 
+// A Graph snapshot allocates the sorted copy behind contains() only when
+// some row is out of order; contains() answers the same either way.
+TEST(CsrGraph, GraphSnapshotIndexesOnlyUnsortedRows) {
+  EXPECT_TRUE(CsrGraph(gen::clique(5)).rows_sorted());
+  Graph g(5);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(3, 4);
+  g.add_edge(3, 0);
+  g.add_edge(3, 2);
+  const CsrGraph csr(g);
+  EXPECT_FALSE(csr.rows_sorted());
+  EXPECT_EQ(csr.row(3)[0], 4);
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(csr.contains(u, v), g.has_edge(u, v)) << u << "->" << v;
+    }
+  }
+}
+
 TEST(CsrGraph, EmptyAndIsolatedNodes) {
   const CsrGraph empty{};
   EXPECT_EQ(empty.node_count(), 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "adversary/basic_adversaries.hpp"
 #include "algorithms/decay.hpp"
@@ -176,12 +177,16 @@ TEST(MacScenarios, CatalogueHasTheMultiMessageSuite) {
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   const std::vector<campaign::Scenario> mac_scenarios = registry.match("mac");
   EXPECT_GE(mac_scenarios.size(), 6u);
-  std::set<std::int32_t> ks;
+  std::set<std::size_t> ks;
   bool layered = false, grayzone = false;
   for (const campaign::Scenario& s : mac_scenarios) {
     EXPECT_EQ(s.name.rfind("mac/", 0), 0u) << s.name;
-    EXPECT_FALSE(s.token_sources.empty()) << s.name;
-    ks.insert(static_cast<std::int32_t>(s.token_sources.size()));
+    const std::size_t k = campaign::token_count(s);
+    const std::string k_tag = "k=" + std::to_string(k);
+    EXPECT_NE(s.name.find("/" + k_tag + "/"), std::string::npos) << s.name;
+    EXPECT_NE(std::find(s.tags.begin(), s.tags.end(), k_tag), s.tags.end())
+        << s.name;
+    ks.insert(k);
     layered = layered || s.name.find("/layered/") != std::string::npos;
     grayzone = grayzone || s.name.find("/grayzone/") != std::string::npos;
   }
@@ -216,7 +221,7 @@ TEST(MacScenarios, MacCampaignByteIdenticalAcrossWorkerCounts) {
         }
         ASSERT_NE(spec, nullptr) << row.scenario;
         EXPECT_EQ(static_cast<std::size_t>(row.tokens),
-                  spec->token_sources.size())
+                  campaign::token_count(*spec))
             << row.scenario;
       }
     } else {

@@ -750,6 +750,41 @@ TEST(ServeContract, SyntheticViolationsAreDetected) {
   }
 }
 
+// Verdicts come in (scenario, trial) order whatever order the trials were
+// recorded in, so a campaign's stderr does not depend on --threads; a
+// trial's own violations keep the checker's order.
+TEST(ServeContract, ViolationsComeInScenarioThenTrialOrder) {
+  struct Trial {
+    Scenario scenario;
+    campaign::TrialRow row;
+    SimResult sim;
+  };
+  std::vector<Trial> trials;
+  for (const char* name : {"serve/contract/a", "serve/contract/b"}) {
+    const Scenario scenario = cheap_scenario(name);
+    const campaign::TrialExecutor executor(scenario, 3);
+    for (std::uint32_t t = 0; t < 3; ++t) {
+      campaign::TrialExecutor::Outcome outcome = executor.run(t);
+      // An agreement violation, then a validity one.
+      outcome.sim.completion_round += 1;
+      outcome.row.completed = !outcome.row.completed;
+      trials.push_back({scenario, outcome.row, outcome.sim});
+    }
+  }
+  campaign::ContractObserver forward, backward;
+  for (const Trial& t : trials) forward.record(t.scenario, t.row, t.sim);
+  for (auto t = trials.rbegin(); t != trials.rend(); ++t) {
+    backward.record(t->scenario, t->row, t->sim);
+  }
+  const std::vector<std::string> violations = forward.violations();
+  ASSERT_EQ(violations.size(), 12u);
+  EXPECT_EQ(violations[0].rfind("serve/contract/a#0 agreement", 0), 0u);
+  EXPECT_EQ(violations[1].rfind("serve/contract/a#0 validity", 0), 0u);
+  EXPECT_EQ(violations[11].rfind("serve/contract/b#2 validity", 0), 0u);
+  EXPECT_EQ(backward.violations(), violations);
+  EXPECT_EQ(backward.trials_checked(), 6u);
+}
+
 // --- heartbeat promptness ----------------------------------------------------
 
 TEST(ServeHeartbeat, StopReturnsPromptlyMidInterval) {

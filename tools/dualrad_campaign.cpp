@@ -21,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/builtin_scenarios.hpp"
@@ -198,10 +199,14 @@ int main(int argc, char** argv) {
     // rows and exports stay byte-identical; the trace is dropped after the
     // observer fires. Installed by direct assignment, so it must come before
     // the chaining attach() observers below. Resumed trials never reach an
-    // observer, so the observer counts what it audited.
+    // observer, so the observer counts what it audited. Verdict lines are
+    // keyed by (scenario, trial), so they print in that order for any
+    // --threads, not in trial-completion order.
+    using TrialLines =
+        std::multimap<std::pair<std::string, std::uint32_t>, std::string>;
     std::map<std::string, DualGraph> audit_nets;
-    std::vector<std::string> audit_failures;
-    std::vector<std::string> audit_forged_wins;
+    TrialLines audit_failures;
+    TrialLines audit_forged_wins;
     std::size_t audited = 0;
     if (options.audit) {
       config.trial_trace = TraceLevel::Compressed;
@@ -218,12 +223,14 @@ int main(int argc, char** argv) {
         const audit::AuditReport report = audit::audit_execution(
             it->second, result, scenario.rule, scenario.token_sources);
         ++audited;
+        const std::pair<std::string, std::uint32_t> key{scenario.name,
+                                                        row.trial};
         const std::string tag = scenario.name + "#" + std::to_string(row.trial);
         for (const std::string& v : report.violations) {
-          audit_failures.push_back(tag + " " + v);
+          audit_failures.emplace(key, tag + " " + v);
         }
         for (const std::string& w : report.forged_wins) {
-          audit_forged_wins.push_back(tag + " " + w);
+          audit_forged_wins.emplace(key, tag + " " + w);
         }
       };
     }
@@ -293,10 +300,10 @@ int main(int argc, char** argv) {
     // way (a failing campaign's rows are still evidence). Contract trumps
     // audit in the exit code when both trip.
     if (options.audit) {
-      for (const std::string& w : audit_forged_wins) {
+      for (const auto& [trial, w] : audit_forged_wins) {
         std::fprintf(stderr, "[audit] forged-token win: %s\n", w.c_str());
       }
-      for (const std::string& v : audit_failures) {
+      for (const auto& [trial, v] : audit_failures) {
         std::fprintf(stderr, "[audit] FAIL: %s\n", v.c_str());
       }
       if (audit_failures.empty()) {

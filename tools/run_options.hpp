@@ -138,8 +138,9 @@ class Flags {
 
 /// Parse argv[first, argc) into `run` and the tool's own `flags`. Returns
 /// false, after saying why on stderr, on an unknown argument, a malformed
-/// number or scenario spec, or --resume without --journal; the caller then
-/// prints its usage and exits 2.
+/// number or scenario spec, a spec whose network parse_spec cannot build
+/// (with tokens=K it builds one), or --resume without --journal; the caller
+/// then prints its usage and exits 2.
 [[nodiscard]] inline bool parse_command_line(int argc, char** argv, int first,
                                              Flags& flags, RunOptions& run) {
   flags.on("--help", run.help)
@@ -167,7 +168,7 @@ class Flags {
     if (run.filter.starts_with(campaign::kSpecPrefix)) {
       (void)campaign::parse_spec(run.filter);
     }
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return false;
   }
