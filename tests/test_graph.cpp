@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -748,10 +749,17 @@ std::string rows_digest(const CsrGraph& g) {
   return buf;
 }
 
+/// The network that the <network> field of a scenario spec builds.
+campaign::NetworkBuilder spec_network(const std::string& network) {
+  return campaign::parse_spec("adhoc/" + network + "/decay/benign/cr3/async")
+      .network;
+}
+
 TEST(ScaleFamilies, NetworkRowsArePinned) {
-  // The rows of G, G' and the G'-only CSR of the scale families, pinned by
-  // digest: every execution, export and trace of a scale/* or byz/* run
-  // starts from these bytes, so a construction change must leave them be.
+  // The rows of G, G' and the G'-only CSR of every network family, pinned by
+  // digest: every execution, export and trace starts from these bytes (row
+  // order fixes the engines' delivery order and the adversaries' RNG
+  // streams), so a construction change must leave them be.
   struct Pin {
     const char* name;
     campaign::NetworkBuilder build;
@@ -768,12 +776,68 @@ TEST(ScaleFamilies, NetworkRowsArePinned) {
        "9649d2acfdf098a3", "7a1025855417b68a"},
       {"grayzone-10k", campaign::scale_grayzone(10'000), "fcafc6d7e5950ff9",
        "7bc7349475e0db53", "f240db9c578e3848"},
+      {"bridge:n=9", spec_network("bridge:n=9"), "acf5308e4abcc99b",
+       "d5ec073846ee6f24", "12838aa3bd7bda23"},
+      {"bridge:n=33", spec_network("bridge:n=33"), "67b65f79c97beb0b",
+       "412875d0cda02ea4", "59956036b068d9db"},
+      {"classical-bridge:n=33", spec_network("classical-bridge:n=33"),
+       "67b65f79c97beb0b", "67b65f79c97beb0b", "95b3b024aac2b384"},
+      {"theorem12:n=17", spec_network("theorem12:n=17"), "ee9748e08e6c4755",
+       "e1b5eea55957ffa4", "b014b19fc9c13829"},
+      {"theorem12:n=33", spec_network("theorem12:n=33"), "2f56845890759ab5",
+       "412875d0cda02ea4", "595ecca830f0f7f9"},
+      {"theorem11:n=17", spec_network("theorem11:n=17"), "6d09aa3dfc65b3f4",
+       "165715ffcfbde1b4", "f81a1096c9a6e2ec"},
+      {"theorem11:n=33", spec_network("theorem11:n=33"), "e0eac087e5f07875",
+       "d3a26d3f55e9ac44", "ce55de8431b0c1a9"},
+      {"layered:layers=8:width=4", spec_network("layered:layers=8:width=4"),
+       "1f9f7f5324259f44", "cd1a77182c6b95a4", "2406830d42500318"},
+      {"grayzone:n=48:seed=7", spec_network("grayzone:n=48:seed=7"),
+       "434cbfb9a368113e", "b4bd2e318ee16eef", "f30feede1b553a36"},
+      {"grayzone:n=64:seed=7", spec_network("grayzone:n=64:seed=7"),
+       "9c51ca0ba4cb846d", "abc5cc388545e188", "ecad540192a4f556"},
+      // Sparse enough that many nodes are wired in after the pair scan.
+      {"grayzone-stranded",
+       [] {
+         return duals::gray_zone(
+             {.n = 200, .r_reliable = 0.04, .r_gray = 0.1, .seed = 3});
+       },
+       "fae5a6216d290d3e", "5f5769fac77c4f58", "719c86cb83cb3209"},
+      {"backbone:n=48:seed=11", spec_network("backbone:n=48:seed=11"),
+       "35e7b1e919a0da6f", "dd033175217fafbb", "ce0dc028c2951ba3"},
+      {"clique:n=33", spec_network("clique:n=33"), "412875d0cda02ea4",
+       "412875d0cda02ea4", "95b3b024aac2b384"},
   };
   for (const Pin& pin : pins) {
     const DualGraph net = pin.build();
     EXPECT_EQ(rows_digest(net.g_csr()), pin.g) << pin.name;
     EXPECT_EQ(rows_digest(net.g_prime_csr()), pin.g_prime) << pin.name;
     EXPECT_EQ(rows_digest(net.unreliable_csr()), pin.unreliable) << pin.name;
+  }
+  // The single graphs of the generators.
+  struct GraphPin {
+    const char* name;
+    std::function<CsrGraph()> build;
+    const char* rows;
+  };
+  const GraphPin graph_pins[] = {
+      {"cycle(9)", [] { return CsrGraph(gen::cycle(9)); }, "b86031ebc7e1df5e"},
+      {"gnp_connected(40, 0.15, 3)",
+       [] { return CsrGraph(gen::gnp_connected(40, 0.15, 3)); },
+       "2bc6f5116804fddb"},
+      {"random_tree(40, 7)", [] { return CsrGraph(gen::random_tree(40, 7)); },
+       "fd33f0b8f915261e"},
+      {"grid(5, 4)", [] { return CsrGraph(gen::grid(5, 4)); },
+       "cb043f2a3032287a"},
+      {"complete_layered({1, 3, 4, 2})",
+       [] { return CsrGraph(gen::complete_layered({1, 3, 4, 2})); },
+       "b2a4434149ec2aea"},
+      {"directed_layered({1, 3, 4, 2})",
+       [] { return CsrGraph(gen::directed_layered({1, 3, 4, 2})); },
+       "794f6750a4491ef8"},
+  };
+  for (const GraphPin& pin : graph_pins) {
+    EXPECT_EQ(rows_digest(pin.build()), pin.rows) << pin.name;
   }
 }
 
