@@ -19,20 +19,17 @@ namespace {
 /// Lemma 1's reading of (G_T, G_I): the dual graph G = G_T, G' = G_I.
 DualGraph make_network(NodeId n, std::uint64_t seed) {
   // G_T: connected random backbone; G_I: G_T plus longer-range interference.
-  Graph gt = gen::gnp_connected(n, 0.04, seed);
-  Graph gi(n);
-  for (const auto& [u, v] : gt.edges()) {
-    if (!gi.has_edge(u, v)) gi.add_undirected_edge(u, v);
-  }
+  const CsrGraph gt = gen::gnp_connected(n, 0.04, seed);
+  CsrGraphBuilder gi(gt);
   StreamRng rng(mix_seed(seed, 0x1f));
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (!gi.has_edge(u, v) && rng.bernoulli(0.1)) {
+      if (!gt.contains(u, v) && rng.bernoulli(0.1)) {
         gi.add_undirected_edge(u, v);
       }
     }
   }
-  return DualGraph(gt, gi, 0);
+  return DualGraph(gt, gi.freeze(RowOrder::Emission), 0);
 }
 
 }  // namespace

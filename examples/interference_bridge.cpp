@@ -23,7 +23,8 @@ std::string show(const dualrad::Reception& reception) {
     case ReceptionKind::Silence: return ".";
     case ReceptionKind::Collision: return "T";
     case ReceptionKind::Message:
-      return "m" + std::to_string(reception.message->origin);
+      return std::string("m").append(
+          std::to_string(reception.message->origin));
   }
   return "?";
 }
@@ -49,11 +50,11 @@ int main() {
   using namespace dualrad;
 
   // Ring with chordal interference from the hub.
-  const Graph gt = gen::cycle(10);
-  Graph gi = gen::cycle(10);
+  const CsrGraph gt = gen::cycle(10);
+  CsrGraphBuilder gi(gt);
   for (NodeId v = 2; v < 10; v += 2) gi.add_undirected_edge(0, v);
   // Lemma 1 reads (G_T, G_I) as the dual graph G = G_T, G' = G_I.
-  const DualGraph net(gt, gi, 0);
+  const DualGraph net(gt, gi.freeze(RowOrder::Emission), 0);
   const NodeId n = net.node_count();
   const ProcessFactory factory = make_strong_select_factory(n);
 

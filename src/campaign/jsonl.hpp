@@ -28,7 +28,7 @@ namespace dualrad::campaign::jsonl {
 /// '}'. Throws std::invalid_argument on an unterminated value.
 [[nodiscard]] inline std::optional<std::string_view> field_opt(
     std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = std::string("\"").append(key).append("\":");
   const std::size_t at = line.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   std::size_t begin = at + needle.size();

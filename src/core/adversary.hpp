@@ -109,17 +109,15 @@ class ReachSink {
 /// Read-only view of execution state offered to adversaries. Worst-case
 /// adversaries may use all of it; restricted adversaries ignore most fields.
 ///
-/// The frozen CSR snapshots (`g`, `g_prime`, `unreliable`) are the same
-/// objects as net->g_csr() etc., hoisted so per-round adversary code walks
+/// The frozen CSR snapshots (`g`, `unreliable`) are the network's own
+/// g_csr() and unreliable_csr(), hoisted so per-round adversary code walks
 /// flat span rows with no DualGraph indirection. `newly_covered` is the
 /// *delta* of the dense `covered` array: the nodes whose covered flag rose
 /// during the previous round's deliveries (for round 1, the environment's
 /// token sources), ascending — stateful adversaries track coverage in
 /// O(|delta|) per round instead of rescanning O(n) flags.
 struct AdversaryView {
-  const DualGraph* net = nullptr;
   const CsrGraph* g = nullptr;
-  const CsrGraph* g_prime = nullptr;
   const CsrGraph* unreliable = nullptr;
   /// node -> process id (the proc mapping currently in force).
   const std::vector<ProcessId>* process_of_node = nullptr;
@@ -135,9 +133,7 @@ struct AdversaryView {
       const DualGraph& net, const std::vector<ProcessId>& process_of_node,
       const NodeFlags& covered, std::span<const NodeId> newly_covered,
       Round round) {
-    return AdversaryView{&net,
-                         &net.g_csr(),
-                         &net.g_prime_csr(),
+    return AdversaryView{&net.g_csr(),
                          &net.unreliable_csr(),
                          &process_of_node,
                          &covered,

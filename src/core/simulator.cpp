@@ -19,7 +19,7 @@ namespace dualrad {
 /// O(#polled senders + #deliveries) instead:
 ///
 ///  * **CSR adjacency snapshots** — message propagation walks the network's
-///    frozen `g_csr()` rows (the builder's insertion order, so arrival order
+///    frozen `g_csr()` rows (in their frozen row order, so arrival order
 ///    is bit-identical to the reference); `unreliable_csr()` backs the
 ///    G'-only validation of adversary reach choices.
 ///  * **Epoch-stamped arrival slots** — one packed slot per node: the

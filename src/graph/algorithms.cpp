@@ -62,7 +62,7 @@ bool weakly_connected(const CsrGraph& g) {
   for (NodeId u = 0; u < g.node_count(); ++u) {
     for (const NodeId v : g.row(u)) closure.add_undirected_edge(u, v);
   }
-  return all_reachable(closure.freeze(), 0);
+  return all_reachable(closure.freeze(RowOrder::Ascending), 0);
 }
 
 }  // namespace dualrad::graphalg

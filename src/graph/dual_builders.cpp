@@ -3,15 +3,42 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "core/rng.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 
 namespace dualrad::duals {
 namespace {
 
 bool is_power_of_two(NodeId x) { return x > 0 && (x & (x - 1)) == 0; }
+
+/// Union-find over node ids, with path halving: the reliable components of
+/// a gray zone while its edges are still being emitted. G is undirected, so
+/// the nodes reachable from the source are the source's component.
+class Components {
+ public:
+  explicit Components(std::size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), NodeId{0});
+  }
+
+  [[nodiscard]] NodeId find(NodeId v) {
+    while (parent_[static_cast<std::size_t>(v)] != v) {
+      NodeId& p = parent_[static_cast<std::size_t>(v)];
+      p = parent_[static_cast<std::size_t>(p)];
+      v = p;
+    }
+    return v;
+  }
+
+  void unite(NodeId a, NodeId b) {
+    parent_[static_cast<std::size_t>(find(a))] = find(b);
+  }
+
+ private:
+  std::vector<NodeId> parent_;
+};
 
 }  // namespace
 
@@ -27,15 +54,15 @@ BridgeNetworkLayout bridge_layout(NodeId n) {
 
 DualGraph bridge_network(NodeId n) {
   const BridgeNetworkLayout layout = bridge_layout(n);
-  Graph g(n);
+  CsrGraphBuilder g(n);
   for (NodeId u = 0; u < layout.clique_size; ++u) {
     for (NodeId v = u + 1; v < layout.clique_size; ++v) {
       g.add_undirected_edge(u, v);
     }
   }
   g.add_undirected_edge(layout.bridge, layout.receiver);
-  Graph gp = gen::clique(n);
-  return DualGraph(std::move(g), std::move(gp), layout.source);
+  return DualGraph(g.freeze(RowOrder::Emission), gen::clique(n),
+                   layout.source);
 }
 
 std::vector<NodeId> theorem12_layers(NodeId n) {
@@ -48,7 +75,7 @@ std::vector<NodeId> theorem12_layers(NodeId n) {
 
 DualGraph theorem12_network(NodeId n) {
   const auto layer = theorem12_layers(n);
-  Graph g(n);
+  CsrGraphBuilder g(n);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
       const NodeId lu = layer[static_cast<std::size_t>(u)];
@@ -56,17 +83,20 @@ DualGraph theorem12_network(NodeId n) {
       if (lu == lv || lu + 1 == lv || lv + 1 == lu) g.add_undirected_edge(u, v);
     }
   }
-  Graph gp = gen::clique(n);
-  return DualGraph(std::move(g), std::move(gp), /*source=*/0);
+  return DualGraph(g.freeze(RowOrder::Emission), gen::clique(n),
+                   /*source=*/0);
 }
 
 DualGraph layered_complete_gprime(NodeId num_layers, NodeId width) {
   DUALRAD_REQUIRE(num_layers >= 1 && width >= 1, "bad layered params");
+  const NodeId n = gen::checked_node_count(
+      1 + std::int64_t{num_layers - 1} * width,
+      "layered_complete_gprime: " + std::to_string(num_layers) +
+          " layers of width " + std::to_string(width));
   std::vector<NodeId> sizes(static_cast<std::size_t>(num_layers), width);
   sizes[0] = 1;  // single source layer
-  Graph g = gen::complete_layered(sizes);
-  Graph gp = gen::clique(g.node_count());
-  return DualGraph(std::move(g), std::move(gp), /*source=*/0);
+  return DualGraph(gen::complete_layered(sizes), gen::clique(n),
+                   /*source=*/0);
 }
 
 DualGraph gray_zone(const GrayZoneParams& params) {
@@ -84,8 +114,9 @@ DualGraph gray_zone(const GrayZoneParams& params) {
     const double dx = x[a] - x[b], dy = y[a] - y[b];
     return dx * dx + dy * dy;
   };
-  Graph g(params.n);
-  Graph gp(params.n);
+  CsrGraphBuilder g(params.n);
+  CsrGraphBuilder gp(params.n);
+  Components reliable(n);
   const double rr2 = params.r_reliable * params.r_reliable;
   const double rg2 = params.r_gray * params.r_gray;
   for (std::size_t a = 0; a < n; ++a) {
@@ -94,21 +125,27 @@ DualGraph gray_zone(const GrayZoneParams& params) {
       if (d2 <= rr2) {
         g.add_undirected_edge(static_cast<NodeId>(a), static_cast<NodeId>(b));
         gp.add_undirected_edge(static_cast<NodeId>(a), static_cast<NodeId>(b));
+        reliable.unite(static_cast<NodeId>(a), static_cast<NodeId>(b));
       } else if (d2 <= rg2) {
         gp.add_undirected_edge(static_cast<NodeId>(a), static_cast<NodeId>(b));
       }
     }
   }
   // Wire stranded nodes into the source component along nearest-neighbor
-  // links so G satisfies the model's reachability assumption.
+  // links so G satisfies the model's reachability assumption: each wire
+  // joins the nearest (uncovered, covered) pair, the first in node order on
+  // ties.
   for (;;) {
-    const auto d = graphalg::bfs_distances(CsrGraph(g), 0);
+    const NodeId source_root = reliable.find(0);
+    const auto covered = [&](std::size_t v) {
+      return reliable.find(static_cast<NodeId>(v)) == source_root;
+    };
     std::size_t best_u = n, best_v = n;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t u = 0; u < n; ++u) {
-      if (d[u] != kNever) continue;
+      if (covered(u)) continue;
       for (std::size_t v = 0; v < n; ++v) {
-        if (d[v] == kNever) continue;
+        if (!covered(v)) continue;
         if (const double d2 = dist2(u, v); d2 < best) {
           best = d2;
           best_u = u;
@@ -117,33 +154,35 @@ DualGraph gray_zone(const GrayZoneParams& params) {
       }
     }
     if (best_u == n) break;  // all reachable
-    g.add_undirected_edge(static_cast<NodeId>(best_u),
-                          static_cast<NodeId>(best_v));
-    if (!gp.has_edge(static_cast<NodeId>(best_u), static_cast<NodeId>(best_v))) {
-      gp.add_undirected_edge(static_cast<NodeId>(best_u),
-                             static_cast<NodeId>(best_v));
-    }
+    const auto u = static_cast<NodeId>(best_u);
+    const auto v = static_cast<NodeId>(best_v);
+    g.add_undirected_edge(u, v);
+    // A wire along a gray edge repeats it, and the freeze keeps the gray
+    // edge's place in the rows.
+    gp.add_undirected_edge(u, v);
+    reliable.unite(u, v);
   }
-  return DualGraph(std::move(g), std::move(gp), /*source=*/0);
+  return DualGraph(g.freeze(RowOrder::Emission),
+                   gp.freeze(RowOrder::Emission), /*source=*/0);
 }
 
 DualGraph backbone_plus_unreliable(const BackboneParams& params) {
   DUALRAD_REQUIRE(params.n >= 2, "backbone needs n >= 2");
-  Graph g = gen::gnp_connected(params.n, params.p_reliable,
-                               mix_seed(params.seed, 0x62616B));
-  Graph gp(params.n);
-  for (const auto& [u, v] : g.edges()) {
-    if (!gp.has_edge(u, v)) gp.add_undirected_edge(u, v);
-  }
+  CsrGraph g = gen::gnp_connected(params.n, params.p_reliable,
+                                  mix_seed(params.seed, 0x62616B));
+  // G' starts from G's rows; each pair is visited once, so only G's edges
+  // are present when it is.
+  CsrGraphBuilder gp(g);
   StreamRng rng(mix_seed(params.seed, 0x756E72));
   for (NodeId u = 0; u < params.n; ++u) {
     for (NodeId v = u + 1; v < params.n; ++v) {
-      if (!gp.has_edge(u, v) && rng.bernoulli(params.p_unreliable)) {
+      if (!g.contains(u, v) && rng.bernoulli(params.p_unreliable)) {
         gp.add_undirected_edge(u, v);
       }
     }
   }
-  return DualGraph(std::move(g), std::move(gp), /*source=*/0);
+  return DualGraph(std::move(g), gp.freeze(RowOrder::Emission),
+                   /*source=*/0);
 }
 
 DualGraph strip_unreliable(const DualGraph& net) {
@@ -156,14 +195,15 @@ DualGraph layered_sparse(const LayeredSparseParams& params) {
   DUALRAD_REQUIRE(params.fwd_degree >= 1, "layered_sparse needs fwd_degree >= 1");
   DUALRAD_REQUIRE(params.unreliable_degree >= 0,
                   "layered_sparse needs unreliable_degree >= 0");
-  const NodeId n = 1 + params.layers * params.width;
+  const NodeId n = gen::checked_node_count(
+      1 + std::int64_t{params.layers} * params.width,
+      "layered_sparse: the source and " + std::to_string(params.layers) +
+          " layers of width " + std::to_string(params.width));
   StreamRng rng(mix_seed(params.seed, 0x6C737270));
-  // Edges stream straight into CSR builders — no Graph, no hash set — so a
-  // 10^6-node instance peaks at ~12 bytes per emitted edge (the packed edges
-  // plus their scattered targets at freeze). Repeated draws of the same
-  // parent (and skip links duplicating either direction) collapse in the
-  // builders' deduplicating freeze, exactly as the historical
-  // Graph::add_undirected_edge dedup collapsed them.
+  // A 10^6-node instance peaks at ~12 bytes per emitted edge (the packed
+  // edges plus their scattered targets at freeze). Repeated draws of the
+  // same parent (and skip links duplicating either direction) collapse in
+  // the builders' deduplicating freeze.
   CsrGraphBuilder g(n);
   CsrGraphBuilder gp(n);
   const std::size_t reliable_emitted =
@@ -204,7 +244,8 @@ DualGraph layered_sparse(const LayeredSparseParams& params) {
       }
     }
   }
-  return DualGraph(g.freeze(), gp.freeze(), /*source=*/0);
+  return DualGraph(g.freeze(RowOrder::Ascending),
+                   gp.freeze(RowOrder::Ascending), /*source=*/0);
 }
 
 DualGraph gray_zone_grid(const GrayZoneGridParams& params) {
@@ -243,25 +284,11 @@ DualGraph gray_zone_grid(const GrayZoneGridParams& params) {
         static_cast<NodeId>(i));
   }
 
-  // Edges stream into CSR builders (no Graph, no hash set); reliable
-  // connectivity for the stranded-node wiring is tracked in a union-find
-  // instead of flooding adjacency lists, since the builders expose none
-  // until freeze.
+  // Reliable connectivity for the stranded-node wiring is tracked in a
+  // union-find, since the builders expose no adjacency until freeze.
   CsrGraphBuilder g(params.n);
   CsrGraphBuilder gp(params.n);
-  std::vector<NodeId> dsu_parent(n);
-  for (std::size_t i = 0; i < n; ++i) dsu_parent[i] = static_cast<NodeId>(i);
-  const auto find = [&](NodeId v) {
-    while (dsu_parent[static_cast<std::size_t>(v)] != v) {
-      auto& p = dsu_parent[static_cast<std::size_t>(v)];
-      p = dsu_parent[static_cast<std::size_t>(p)];  // path halving
-      v = p;
-    }
-    return v;
-  };
-  const auto unite = [&](NodeId a, NodeId b) {
-    dsu_parent[static_cast<std::size_t>(find(a))] = find(b);
-  };
+  Components reliable(n);
   const double rr2 = r_rel * r_rel;
   const double rg2 = r_gray * r_gray;
   for (std::size_t a = 0; a < n; ++a) {
@@ -277,7 +304,7 @@ DualGraph gray_zone_grid(const GrayZoneGridParams& params) {
           if (d2 <= rr2) {
             g.add_undirected_edge(static_cast<NodeId>(a), bv);
             gp.add_undirected_edge(static_cast<NodeId>(a), bv);
-            unite(static_cast<NodeId>(a), bv);
+            reliable.unite(static_cast<NodeId>(a), bv);
           } else if (d2 <= rg2) {
             gp.add_undirected_edge(static_cast<NodeId>(a), bv);
           }
@@ -291,7 +318,9 @@ DualGraph gray_zone_grid(const GrayZoneGridParams& params) {
   // floor like gray_zone. "Covered" = reliably connected to node 0, which
   // the union-find answers directly; wiring a node unions its whole
   // component in, so each component costs one extra edge.
-  const auto covered = [&](NodeId w) { return find(w) == find(0); };
+  const auto covered = [&](NodeId w) {
+    return reliable.find(w) == reliable.find(0);
+  };
   for (std::size_t v = 0; v < n; ++v) {
     if (covered(static_cast<NodeId>(v))) continue;
     // Nearest covered node: scan grid rings outward until the closest
@@ -335,9 +364,10 @@ DualGraph gray_zone_grid(const GrayZoneGridParams& params) {
     g.add_undirected_edge(static_cast<NodeId>(v), best);
     // The wire may duplicate an existing gray edge; the freeze dedups.
     gp.add_undirected_edge(static_cast<NodeId>(v), best);
-    unite(static_cast<NodeId>(v), best);
+    reliable.unite(static_cast<NodeId>(v), best);
   }
-  return DualGraph(g.freeze(), gp.freeze(), /*source=*/0);
+  return DualGraph(g.freeze(RowOrder::Ascending),
+                   gp.freeze(RowOrder::Ascending), /*source=*/0);
 }
 
 }  // namespace dualrad::duals

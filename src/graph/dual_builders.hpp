@@ -10,6 +10,12 @@
 /// the paper's lower-bound proofs (Theorems 2/4 and 12) and "realistic"
 /// families (gray-zone geometric networks, reliable backbone plus unreliable
 /// extras) used by the upper-bound scaling experiments.
+///
+/// Every family emits G and G' into CsrGraphBuilders. The two scale
+/// families (layered_sparse, gray_zone_grid) freeze them with
+/// RowOrder::Ascending; every other family freezes with RowOrder::Emission,
+/// so its rows list targets in the order it adds its edges, which fixes its
+/// executions.
 
 namespace dualrad::duals {
 
@@ -37,9 +43,10 @@ struct BridgeNetworkLayout {
 [[nodiscard]] std::vector<NodeId> theorem12_layers(NodeId n);
 
 /// Generic undirected layered dual network: G = complete layered graph with
-/// `num_layers` layers of `width` nodes (layer 0 is the single source unless
-/// width_layer0 overrides); G' = complete graph. A clean testbed for
-/// progress-through-layers behavior.
+/// `num_layers` layers, layer 0 the single source and the others `width`
+/// nodes each; G' = complete graph. A clean testbed for
+/// progress-through-layers behavior. Throws std::invalid_argument, before
+/// allocating, if the node count exceeds the NodeId range.
 [[nodiscard]] DualGraph layered_complete_gprime(NodeId num_layers, NodeId width);
 
 /// "Gray zone" geometric network (motivated by [24] in the paper): n nodes
@@ -76,10 +83,10 @@ struct BackboneParams {
 /// (reliable, undirected); each node of layer i >= 2 additionally draws
 /// `unreliable_degree` random contacts in layer i-2 (G'-only, undirected) —
 /// long "skip" links that exist but cannot be relied upon. Degrees stay
-/// O(fwd_degree + unreliable_degree) regardless of n, and edges stream
-/// straight into CsrGraphBuilder (no Graph intermediate, no hash set), so
-/// 10^6-node networks fit comfortably in memory, unlike the complete-G'
-/// layered family. Adjacency rows are sorted (builder order).
+/// O(fwd_degree + unreliable_degree) regardless of n, so 10^6-node networks
+/// fit comfortably in memory, unlike the complete-G' layered family.
+/// Adjacency rows are ascending. Throws std::invalid_argument, before
+/// allocating, if 1 + layers * width exceeds the NodeId range.
 struct LayeredSparseParams {
   NodeId layers = 100;
   NodeId width = 32;
@@ -93,9 +100,9 @@ struct LayeredSparseParams {
 /// (uniform points; reliable edges below r_reliable, unreliable in the
 /// (r_reliable, r_gray] ring; stranded nodes wired to their nearest covered
 /// node) but with radii scaled so the expected reliable degree is
-/// `mean_degree`, O(n)-expected construction via spatial hashing, and edges
-/// streamed into CsrGraphBuilder with union-find connectivity tracking —
-/// usable at n = 10^6 where the all-pairs gray_zone builder is not.
+/// `mean_degree`, O(n)-expected construction via spatial hashing, and a
+/// nearest-covered-node search over the grid — usable at n = 10^6 where the
+/// all-pairs gray_zone builder is not. Adjacency rows are ascending.
 struct GrayZoneGridParams {
   NodeId n = 1000;
   /// Expected reliable degree; r_reliable = sqrt(mean_degree / (pi n)).

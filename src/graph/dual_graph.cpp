@@ -66,13 +66,9 @@ DualGraph::DualGraph(CsrGraph reliable, CsrGraph full, NodeId source)
   unreliable_csr_ = std::move(*unreliable);
 }
 
-DualGraph::DualGraph(const Graph& reliable, const Graph& full, NodeId source)
-    : DualGraph(CsrGraph(reliable), CsrGraph(full), source) {}
-
-DualGraph make_classical(const Graph& g, NodeId source) {
-  CsrGraph csr(g);
-  CsrGraph copy = csr;
-  return DualGraph(std::move(copy), std::move(csr), source);
+DualGraph make_classical(CsrGraph g, NodeId source) {
+  CsrGraph copy = g;
+  return DualGraph(std::move(copy), std::move(g), source);
 }
 
 }  // namespace dualrad

@@ -19,9 +19,8 @@
 /// Representation: a DualGraph is nothing but three frozen `CsrGraph`
 /// snapshots — G, G', and the G'-only ("unreliable") adjacency — and every
 /// reader of a network (the round engines, adversaries, the trace auditor,
-/// graph algorithms, the interference model) reads them. A network built
-/// from `Graph` builders freezes them once and keeps nothing else; the
-/// 10^5+-node scale families stream straight from a `CsrGraphBuilder`.
+/// graph algorithms, the interference model) reads them. Every network
+/// freezes G and G' from `CsrGraphBuilder`s once and keeps nothing else.
 
 namespace dualrad {
 
@@ -32,10 +31,6 @@ class DualGraph {
   /// source in range, E subset of E', and every node reachable from the
   /// source in G.
   DualGraph(CsrGraph reliable, CsrGraph full, NodeId source);
-
-  /// Freeze two `Graph` builders (rows keep insertion order) and build the
-  /// network from the snapshots, as above.
-  DualGraph(const Graph& reliable, const Graph& full, NodeId source);
 
   [[nodiscard]] NodeId node_count() const { return g_csr_.node_count(); }
   [[nodiscard]] NodeId source() const { return source_; }
@@ -79,6 +74,6 @@ class DualGraph {
 };
 
 /// Convenience: a classical network (G == G').
-[[nodiscard]] DualGraph make_classical(const Graph& g, NodeId source);
+[[nodiscard]] DualGraph make_classical(CsrGraph g, NodeId source);
 
 }  // namespace dualrad

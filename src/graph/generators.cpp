@@ -1,55 +1,73 @@
 #include "graph/generators.hpp"
 
-#include <numeric>
+#include <limits>
+#include <string>
 
 #include "core/rng.hpp"
 
 namespace dualrad::gen {
 
-Graph clique(NodeId n) {
+CsrGraph clique(NodeId n) {
   DUALRAD_REQUIRE(n >= 1, "clique needs n >= 1");
-  Graph g(n);
-  g.reserve_edges(static_cast<std::size_t>(n) * (n - 1));
+  CsrGraphBuilder g(n);
+  g.reserve(static_cast<std::size_t>(n) * (n - 1));
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) g.add_undirected_edge(u, v);
   }
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph path(NodeId n) {
+CsrGraph path(NodeId n) {
   DUALRAD_REQUIRE(n >= 1, "path needs n >= 1");
-  Graph g(n);
+  CsrGraphBuilder g(n);
   for (NodeId u = 0; u + 1 < n; ++u) g.add_undirected_edge(u, u + 1);
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph cycle(NodeId n) {
+CsrGraph cycle(NodeId n) {
   DUALRAD_REQUIRE(n >= 3, "cycle needs n >= 3");
-  Graph g = path(n);
-  g.add_undirected_edge(n - 1, 0);
-  return g;
+  CsrGraphBuilder g(n);
+  for (NodeId u = 0; u < n; ++u) g.add_undirected_edge(u, (u + 1) % n);
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph star(NodeId n) {
+CsrGraph star(NodeId n) {
   DUALRAD_REQUIRE(n >= 2, "star needs n >= 2");
-  Graph g(n);
+  CsrGraphBuilder g(n);
   for (NodeId u = 1; u < n; ++u) g.add_undirected_edge(0, u);
-  return g;
+  return g.freeze(RowOrder::Emission);
+}
+
+NodeId checked_node_count(std::int64_t nodes, const std::string& sizes) {
+  constexpr NodeId kMax = std::numeric_limits<NodeId>::max();
+  if (nodes > kMax) {
+    throw std::invalid_argument(
+        "dualrad: " + sizes + " make " + std::to_string(nodes) +
+        " nodes, more than a NodeId can number (" + std::to_string(kMax) +
+        ")");
+  }
+  return static_cast<NodeId>(nodes);
 }
 
 std::vector<NodeId> layer_offsets(const std::vector<NodeId>& layer_sizes) {
+  std::int64_t nodes = 0;
+  for (const NodeId size : layer_sizes) {
+    DUALRAD_REQUIRE(size >= 1, "layer sizes must be positive");
+    nodes += size;
+  }
+  (void)checked_node_count(nodes,
+                           std::to_string(layer_sizes.size()) + " layers");
   std::vector<NodeId> offsets(layer_sizes.size() + 1, 0);
   for (std::size_t i = 0; i < layer_sizes.size(); ++i) {
-    DUALRAD_REQUIRE(layer_sizes[i] >= 1, "layer sizes must be positive");
     offsets[i + 1] = offsets[i] + layer_sizes[i];
   }
   return offsets;
 }
 
-Graph complete_layered(const std::vector<NodeId>& layer_sizes) {
+CsrGraph complete_layered(const std::vector<NodeId>& layer_sizes) {
   DUALRAD_REQUIRE(!layer_sizes.empty(), "need at least one layer");
   const auto off = layer_offsets(layer_sizes);
-  Graph g(off.back());
+  CsrGraphBuilder g(off.back());
   for (std::size_t i = 0; i + 1 < off.size(); ++i) {
     // Intra-layer clique.
     for (NodeId u = off[i]; u < off[i + 1]; ++u) {
@@ -66,47 +84,49 @@ Graph complete_layered(const std::vector<NodeId>& layer_sizes) {
       }
     }
   }
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph directed_layered(const std::vector<NodeId>& layer_sizes) {
+CsrGraph directed_layered(const std::vector<NodeId>& layer_sizes) {
   DUALRAD_REQUIRE(!layer_sizes.empty(), "need at least one layer");
   const auto off = layer_offsets(layer_sizes);
-  Graph g(off.back());
+  CsrGraphBuilder g(off.back());
   for (std::size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
     for (NodeId u = off[i]; u < off[i + 1]; ++u) {
       for (NodeId v = off[i + 1]; v < off[i + 2]; ++v) g.add_edge(u, v);
     }
   }
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph random_tree(NodeId n, std::uint64_t seed) {
+CsrGraph random_tree(NodeId n, std::uint64_t seed) {
   DUALRAD_REQUIRE(n >= 1, "tree needs n >= 1");
   StreamRng rng(seed);
-  Graph g(n);
+  CsrGraphBuilder g(n);
   for (NodeId u = 1; u < n; ++u) {
     const auto parent = static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(u)));
     g.add_undirected_edge(parent, u);
   }
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph gnp_connected(NodeId n, double p, std::uint64_t seed) {
+CsrGraph gnp_connected(NodeId n, double p, std::uint64_t seed) {
   DUALRAD_REQUIRE(p >= 0.0 && p <= 1.0, "p must be a probability");
   StreamRng rng(mix_seed(seed, 0x6e70));
-  Graph g = random_tree(n, mix_seed(seed, 0x7472));
+  const CsrGraph tree = random_tree(n, mix_seed(seed, 0x7472));
+  CsrGraphBuilder g(tree);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (!g.has_edge(u, v) && rng.bernoulli(p)) g.add_undirected_edge(u, v);
+      // Only the tree's edges are present when the pair (u, v) is visited.
+      if (!tree.contains(u, v) && rng.bernoulli(p)) g.add_undirected_edge(u, v);
     }
   }
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
-Graph grid(NodeId width, NodeId height) {
+CsrGraph grid(NodeId width, NodeId height) {
   DUALRAD_REQUIRE(width >= 1 && height >= 1, "grid needs positive dims");
-  Graph g(width * height);
+  CsrGraphBuilder g(width * height);
   const auto at = [width](NodeId x, NodeId y) { return y * width + x; };
   for (NodeId y = 0; y < height; ++y) {
     for (NodeId x = 0; x < width; ++x) {
@@ -114,7 +134,7 @@ Graph grid(NodeId width, NodeId height) {
       if (y + 1 < height) g.add_undirected_edge(at(x, y), at(x, y + 1));
     }
   }
-  return g;
+  return g.freeze(RowOrder::Emission);
 }
 
 }  // namespace dualrad::gen

@@ -1,47 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace dualrad {
-
-Graph::Graph(NodeId n) {
-  DUALRAD_REQUIRE(n >= 0, "node count must be non-negative");
-  out_.resize(static_cast<std::size_t>(n));
-}
-
-void Graph::check_node(NodeId u, const char* what) const {
-  DUALRAD_REQUIRE(u >= 0 && u < node_count(), what);
-}
-
-void Graph::add_edge(NodeId u, NodeId v) {
-  check_node(u, "edge endpoint out of range");
-  check_node(v, "edge endpoint out of range");
-  DUALRAD_REQUIRE(u != v, "self-loops are not allowed");
-  DUALRAD_REQUIRE(!has_edge(u, v), "duplicate edge");
-  edge_set_.insert(key(u, v));
-  edge_list_.emplace_back(u, v);
-  out_[static_cast<std::size_t>(u)].push_back(v);
-}
-
-void Graph::add_undirected_edge(NodeId u, NodeId v) {
-  if (!has_edge(u, v)) add_edge(u, v);
-  if (!has_edge(v, u)) add_edge(v, u);
-}
-
-bool Graph::has_edge(NodeId u, NodeId v) const {
-  if (u < 0 || v < 0 || u >= node_count() || v >= node_count()) return false;
-  return edge_set_.contains(key(u, v));
-}
-
-void Graph::reserve_edges(std::size_t edges) {
-  edge_set_.reserve(edges);
-  edge_list_.reserve(edges);
-}
-
-const std::vector<NodeId>& Graph::out_neighbors(NodeId u) const {
-  check_node(u, "node out of range");
-  return out_[static_cast<std::size_t>(u)];
-}
 
 void CsrGraph::require_edges_fit(std::size_t edge_count) {
   if (edge_count > kMaxEdges) {
@@ -52,21 +14,6 @@ void CsrGraph::require_edges_fit(std::size_t edge_count) {
         " edges; this build needs the 64-bit-offset CSR before scaling "
         "further");
   }
-}
-
-CsrGraph::CsrGraph(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.node_count());
-  require_edges_fit(g.edge_count());
-  offsets_.resize(n + 1, 0);
-  targets_.reserve(g.edge_count());
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto& nbrs = g.out_neighbors(u);
-    offsets_[static_cast<std::size_t>(u) + 1] =
-        offsets_[static_cast<std::size_t>(u)] +
-        static_cast<std::uint32_t>(nbrs.size());
-    targets_.insert(targets_.end(), nbrs.begin(), nbrs.end());
-  }
-  index_unsorted_rows();
 }
 
 CsrGraph CsrGraph::from_rows(std::vector<std::uint32_t> offsets,
@@ -117,16 +64,6 @@ bool CsrGraph::is_symmetric() const {
   return true;
 }
 
-bool CsrGraph::is_subgraph_of(const CsrGraph& other) const {
-  if (node_count() != other.node_count()) return false;
-  for (NodeId u = 0; u < node_count(); ++u) {
-    for (const NodeId v : row(u)) {
-      if (!other.contains(u, v)) return false;
-    }
-  }
-  return true;
-}
-
 std::size_t CsrGraph::max_out_degree() const {
   std::size_t best = 0;
   for (NodeId u = 0; u < node_count(); ++u) {
@@ -147,6 +84,13 @@ CsrGraphBuilder::CsrGraphBuilder(NodeId n) : n_(n) {
   DUALRAD_REQUIRE(n >= 0, "node count must be non-negative");
 }
 
+CsrGraphBuilder::CsrGraphBuilder(const CsrGraph& g) : n_(g.node_count()) {
+  edges_.reserve(g.edge_count());
+  for (NodeId u = 0; u < n_; ++u) {
+    for (const NodeId v : g.row(u)) add_edge(u, v);
+  }
+}
+
 void CsrGraphBuilder::add_edge(NodeId u, NodeId v) {
   DUALRAD_REQUIRE(u >= 0 && u < n_ && v >= 0 && v < n_,
                   "edge endpoint out of range");
@@ -156,7 +100,7 @@ void CsrGraphBuilder::add_edge(NodeId u, NodeId v) {
       static_cast<std::uint32_t>(v));
 }
 
-CsrGraph CsrGraphBuilder::freeze() {
+CsrGraph CsrGraphBuilder::freeze(RowOrder order) {
   // Every count below is at most the emitted count, so this one check keeps
   // all of them within the 32-bit offsets.
   CsrGraph::require_edges_fit(edges_.size());
@@ -164,7 +108,8 @@ CsrGraph CsrGraphBuilder::freeze() {
 
   // Counting sort by source: out-degrees, prefix sums, then a scatter that
   // uses offsets[u] as row u's write cursor. Afterwards offsets[u] holds the
-  // end of row u, which is where row u + 1 starts.
+  // end of row u, which is where row u + 1 starts, and each row holds its
+  // targets in emission order.
   std::vector<std::uint32_t> offsets(n + 1, 0);
   for (const std::uint64_t e : edges_) ++offsets[(e >> 32) + 1];
   for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
@@ -174,23 +119,40 @@ CsrGraph CsrGraphBuilder::freeze() {
   }
   edges_ = {};  // release the packed array before the row pass
 
-  // Sort and dedup each row in place, compacting toward the front; offsets[u]
-  // becomes row u's compacted start.
+  // Dedup each row in place, compacting toward the front; offsets[u]
+  // becomes row u's compacted start. Ascending sorts the row and drops
+  // repeats; Emission keeps each target's first occurrence, marking every
+  // kept target with the row that kept it (NodeId is below 2^31, so no row
+  // equals the unmarked value).
+  std::vector<std::uint32_t> kept_by(order == RowOrder::Emission ? n : 0,
+                                     std::numeric_limits<std::uint32_t>::max());
   std::uint32_t begin = 0;
   std::uint32_t kept = 0;
   for (std::size_t u = 0; u < n; ++u) {
     const std::uint32_t end = offsets[u];
-    const auto first = targets.begin() + begin;
-    std::sort(first, targets.begin() + end);
-    const auto last = std::unique(first, targets.begin() + end);
-    if (kept != begin) std::copy(first, last, targets.begin() + kept);
     offsets[u] = kept;
-    kept += static_cast<std::uint32_t>(last - first);
+    if (order == RowOrder::Ascending) {
+      const auto first = targets.begin() + begin;
+      std::sort(first, targets.begin() + end);
+      const auto last = std::unique(first, targets.begin() + end);
+      if (kept != begin) std::copy(first, last, targets.begin() + kept);
+      kept += static_cast<std::uint32_t>(last - first);
+    } else {
+      for (std::uint32_t i = begin; i < end; ++i) {
+        std::uint32_t& mark = kept_by[static_cast<std::size_t>(targets[i])];
+        if (mark == u) continue;
+        mark = static_cast<std::uint32_t>(u);
+        targets[kept++] = targets[i];
+      }
+    }
     begin = end;
   }
+  kept_by = {};
   offsets[n] = kept;
   targets.resize(kept);
-  return CsrGraph(std::move(offsets), std::move(targets));
+  CsrGraph csr(std::move(offsets), std::move(targets));
+  if (order == RowOrder::Emission) csr.index_unsorted_rows();
+  return csr;
 }
 
 }  // namespace dualrad

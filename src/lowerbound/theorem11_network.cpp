@@ -29,10 +29,9 @@ DualGraph theorem11_network(NodeId n) {
     sizes.push_back(size);
     remaining -= size;
   }
-  Graph g = gen::directed_layered(sizes);
   // G': all forward links between distinct layers.
   const auto off = gen::layer_offsets(sizes);
-  Graph gp(g.node_count());
+  CsrGraphBuilder gp(off.back());
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
     for (std::size_t j = i + 1; j < sizes.size(); ++j) {
       for (NodeId u = off[i]; u < off[i + 1]; ++u) {
@@ -40,7 +39,8 @@ DualGraph theorem11_network(NodeId n) {
       }
     }
   }
-  return DualGraph(std::move(g), std::move(gp), /*source=*/0);
+  return DualGraph(gen::directed_layered(sizes), gp.freeze(RowOrder::Emission),
+                   /*source=*/0);
 }
 
 }  // namespace dualrad::lowerbound

@@ -38,17 +38,18 @@ LearnedTopology estimate_reliable_links(const DualGraph& net,
   }
 
   LearnedTopology learned;
-  learned.estimated_reliable = Graph(net.node_count());
+  CsrGraphBuilder reliable(net.node_count());
   learned.sound = true;
   for (auto& [key, est] : links) {
     learned.estimates.push_back(est);
     if (est.sends >= min_samples && est.deliveries == est.sends) {
-      learned.estimated_reliable.add_edge(est.from, est.to);
+      reliable.add_edge(est.from, est.to);
       if (!net.g_csr().contains(est.from, est.to)) learned.sound = false;
     }
   }
-  learned.usable = graphalg::all_reachable(
-      CsrGraph(learned.estimated_reliable), net.source());
+  learned.estimated_reliable = reliable.freeze(RowOrder::Emission);
+  learned.usable =
+      graphalg::all_reachable(learned.estimated_reliable, net.source());
   return learned;
 }
 
@@ -106,7 +107,7 @@ RepeatedReport run_repeated_broadcast(const DualGraph& net,
   // the oblivious algorithm — a deployment would keep training.
   ProcessFactory follow_up = algorithm;
   if (report.topology.usable) {
-    const DualGraph learned_net(CsrGraph(report.topology.estimated_reliable),
+    const DualGraph learned_net(report.topology.estimated_reliable,
                                 net.g_prime_csr(), net.source());
     const auto schedule =
         broadcastability::greedy_oracle_schedule(learned_net);

@@ -42,7 +42,7 @@ struct LinkEstimate {
 struct LearnedTopology {
   /// Links observed to deliver on every opportunity, with at least
   /// `min_samples` opportunities.
-  Graph estimated_reliable;
+  CsrGraph estimated_reliable;
   std::vector<LinkEstimate> estimates{};
   /// True iff the estimate is a subgraph of the true reliable graph (for
   /// evaluation only — a deployment cannot know this).

@@ -89,7 +89,7 @@ std::string Coordinator::register_worker(const std::string& requested) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++workers_seen_;
   if (!requested.empty()) return requested;
-  return "w" + std::to_string(next_worker_++);
+  return std::string("w").append(std::to_string(next_worker_++));
 }
 
 bool Coordinator::settled_locked() const {

@@ -18,6 +18,13 @@ namespace {
 
 using testing::scripted_factory;
 
+/// Path 0 - 1 - 2 with G' = G plus {0, 2}.
+DualGraph shortcut_path() {
+  CsrGraphBuilder gp(gen::path(3));
+  gp.add_undirected_edge(0, 2);
+  return DualGraph(gen::path(3), gp.freeze(RowOrder::Emission), 0);
+}
+
 AdversaryView make_view(const DualGraph& net,
                         const std::vector<ProcessId>& mapping,
                         const NodeFlags& covered, Round round) {
@@ -96,10 +103,7 @@ TEST(GreedyBlocker, JamsSoloDeliveryToUncoveredNode) {
   // while 0 also sends, the blocker fires 0->2 to collide... construct:
   // senders {0, 1}; node 2 reliable arrivals: from 1 only (=1); 0 has
   // unreliable edge to 2 => jam.
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
-  gp.add_undirected_edge(0, 2);
-  const DualGraph net(std::move(g), std::move(gp), 0);
+  const DualGraph net = shortcut_path();
   GreedyBlockerAdversary adversary;
   std::vector<ProcessId> mapping = {0, 1, 2};
   NodeFlags covered = {1, 1, 0};
@@ -112,10 +116,7 @@ TEST(GreedyBlocker, JamsSoloDeliveryToUncoveredNode) {
 }
 
 TEST(GreedyBlocker, LeavesCoveredNodesAlone) {
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
-  gp.add_undirected_edge(0, 2);
-  const DualGraph net(std::move(g), std::move(gp), 0);
+  const DualGraph net = shortcut_path();
   GreedyBlockerAdversary adversary;
   std::vector<ProcessId> mapping = {0, 1, 2};
   NodeFlags covered = {1, 1, 1};
@@ -126,10 +127,7 @@ TEST(GreedyBlocker, LeavesCoveredNodesAlone) {
 }
 
 TEST(GreedyBlocker, CannotJamLoneSender) {
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
-  gp.add_undirected_edge(0, 2);
-  const DualGraph net(std::move(g), std::move(gp), 0);
+  const DualGraph net = shortcut_path();
   GreedyBlockerAdversary adversary;
   std::vector<ProcessId> mapping = {0, 1, 2};
   NodeFlags covered = {1, 1, 0};
@@ -277,10 +275,7 @@ TEST(Theorem2Assignment, IsPermutationWithPins) {
 // ---------------------------------------------------------------- Scripted
 
 TEST(ScriptedAdversary, ReplaysReachChoices) {
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
-  gp.add_undirected_edge(0, 2);
-  const DualGraph net(std::move(g), std::move(gp), 0);
+  const DualGraph net = shortcut_path();
   AdversaryScript script;
   script.reach.resize(2);
   script.reach[0][0] = {2};  // round 1: sender 0 reaches node 2 unreliably
@@ -300,8 +295,7 @@ TEST(ScriptedAdversary, ReplaysReachChoices) {
 }
 
 TEST(ScriptedAdversary, ForcesCr4Resolution) {
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   AdversaryScript script;
   script.cr4.resize(1);
   const Message forced{false, 1, 1, 0};
@@ -336,14 +330,6 @@ void expect_both_engines_reject(const DualGraph& net,
   EXPECT_THROW((void)run_broadcast_reference(net, factory, adversary, config),
                std::logic_error)
       << "run_broadcast_reference";
-}
-
-/// Path 0 - 1 - 2 with G' = G plus {0, 2}.
-DualGraph shortcut_path() {
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
-  gp.add_undirected_edge(0, 2);
-  return DualGraph(std::move(g), std::move(gp), 0);
 }
 
 /// Sends `token` in round 1 whether or not it holds it.
@@ -467,8 +453,7 @@ TEST(AdversaryLegality, EnginesRejectBadCr4Resolution) {
       return Reception::of(Message{true, 99, 0, 0});  // not an arrival
     }
   };
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   Cheater adversary;
   const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
   SimConfig config;

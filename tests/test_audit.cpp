@@ -206,8 +206,7 @@ TEST(Audit, DetectsForgedFirstToken) {
 TEST(Audit, DetectsWrongRuleClaim) {
   // An execution under CR1 contains collision notifications, which are
   // illegal under CR4.
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   BenignAdversary adversary;
   const auto factory =
       testing::scripted_factory({{0, {1, 2}}, {1, {1}}, {2, {2}}});

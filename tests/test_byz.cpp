@@ -39,15 +39,14 @@ namespace {
 /// G' == G: no unreliable edges, so executions depend only on the process
 /// coins and the fault plan.
 DualGraph five_node_net() {
-  Graph g(5);
+  CsrGraphBuilder g(5);
   g.add_edge(0, 1);
   g.add_edge(0, 2);
   g.add_edge(0, 4);
   g.add_edge(1, 3);
   g.add_edge(2, 3);
   g.add_edge(4, 3);
-  Graph gp = g;
-  return DualGraph(std::move(g), std::move(gp), 0);
+  return make_classical(g.freeze(RowOrder::Emission), 0);
 }
 
 SimConfig byz_config(const byz::ByzantinePlan& plan, Round max_rounds,

@@ -18,10 +18,9 @@ using testing::scripted_factory;
 
 /// Path network 0 - 1 - 2 with G' = G plus {0,2}.
 DualGraph tiny_net() {
-  Graph g = gen::path(3);
-  Graph gp = gen::path(3);
+  CsrGraphBuilder gp(gen::path(3));
   gp.add_undirected_edge(0, 2);
-  return DualGraph(std::move(g), std::move(gp), 0);
+  return DualGraph(gen::path(3), gp.freeze(RowOrder::Emission), 0);
 }
 
 SimConfig sync_config(CollisionRule rule, Round max_rounds = 16) {
@@ -138,8 +137,7 @@ TEST(CollisionRules, CR2SenderAlwaysHearsOwnMessage) {
 }
 
 TEST(CollisionRules, CR2NonSenderGetsNotification) {
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   BenignAdversary adversary;
   const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
   const SimResult result =
@@ -148,8 +146,7 @@ TEST(CollisionRules, CR2NonSenderGetsNotification) {
 }
 
 TEST(CollisionRules, CR3NonSenderHearsSilenceOnCollision) {
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   BenignAdversary adversary;
   const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
   const SimResult result =
@@ -160,8 +157,7 @@ TEST(CollisionRules, CR3NonSenderHearsSilenceOnCollision) {
 }
 
 TEST(CollisionRules, CR4AdversaryMayDeliverOneMessage) {
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   FullInterferenceAdversary adversary(/*deliver_on_cr4=*/true);
   const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
   const SimResult result =
@@ -172,8 +168,7 @@ TEST(CollisionRules, CR4AdversaryMayDeliverOneMessage) {
 }
 
 TEST(CollisionRules, CR4DefaultsToSilence) {
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   BenignAdversary adversary;
   const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
   const SimResult result =
@@ -205,12 +200,12 @@ TEST(StartRules, CollisionDoesNotWakeAsleepProcess) {
   // Diamond: 0 - {1, 3} - 2. Round 1: source covers 1 and 3. Round 2: both
   // 1 and 3 send, so node 2 hears top, stays asleep, and its scripted
   // round-3 send never happens.
-  Graph g(4);
+  CsrGraphBuilder g(4);
   g.add_undirected_edge(0, 1);
   g.add_undirected_edge(0, 3);
   g.add_undirected_edge(1, 2);
   g.add_undirected_edge(3, 2);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(g.freeze(RowOrder::Emission), 0);
   BenignAdversary adversary;
   const auto factory =
       scripted_factory({{0, {1}}, {1, {2}}, {3, {2}}, {2, {3}}});
@@ -236,8 +231,7 @@ TEST(StartRules, SynchronousEveryoneAwakeRoundOne) {
 // ------------------------------------------------------------- accounting
 
 TEST(SparseEngine, SendAndCollisionCounters) {
-  Graph g = gen::clique(3);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::clique(3), 0);
   BenignAdversary adversary;
   const auto factory = scripted_factory({{0, {1, 2}}, {1, {1}}});
   const SimResult result =
@@ -257,8 +251,7 @@ TEST(SparseEngine, CollisionEventsExcludeSendersUnderCR2ToCR4) {
   // so only the non-sender (node 2) observes one.
   for (const CollisionRule rule :
        {CollisionRule::CR2, CollisionRule::CR3, CollisionRule::CR4}) {
-    Graph g = gen::clique(3);
-    const DualGraph net = make_classical(std::move(g), 0);
+    const DualGraph net = make_classical(gen::clique(3), 0);
     BenignAdversary adversary;
     const auto factory = scripted_factory({{0, {1}}, {1, {1}}});
     const SimResult result =
@@ -272,8 +265,7 @@ TEST(SparseEngine, SoleSenderProducesNoCollisionEvents) {
   // collision — under any rule.
   for (const CollisionRule rule : {CollisionRule::CR1, CollisionRule::CR2,
                                    CollisionRule::CR3, CollisionRule::CR4}) {
-    Graph g = gen::clique(3);
-    const DualGraph net = make_classical(std::move(g), 0);
+    const DualGraph net = make_classical(gen::clique(3), 0);
     BenignAdversary adversary;
     const auto factory = scripted_factory({{0, {1}}});
     const SimResult result =

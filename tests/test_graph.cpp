@@ -30,120 +30,76 @@ bool same_rows(const CsrGraph& a, const CsrGraph& b) {
   return true;
 }
 
-TEST(Graph, EmptyGraphHasNoEdges) {
-  Graph g(5);
-  EXPECT_EQ(g.node_count(), 5);
-  EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_FALSE(g.has_edge(0, 1));
-}
-
-TEST(Graph, AddEdgeIsDirected) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(1, 0));
+TEST(CsrGraphBuilder, AddEdgeIsDirected) {
+  CsrGraphBuilder b(3);
+  b.add_edge(0, 1);
+  const CsrGraph g = b.freeze(RowOrder::Emission);
+  EXPECT_TRUE(g.contains(0, 1));
+  EXPECT_FALSE(g.contains(1, 0));
   EXPECT_EQ(g.out_degree(0), 1u);
-  EXPECT_FALSE(CsrGraph(g).is_symmetric());
+  EXPECT_FALSE(g.is_symmetric());
 }
 
-TEST(Graph, AddUndirectedEdgeAddsBoth) {
-  Graph g(3);
-  g.add_undirected_edge(1, 2);
-  EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_TRUE(g.has_edge(2, 1));
-  EXPECT_TRUE(CsrGraph(g).is_symmetric());
+TEST(CsrGraphBuilder, AddUndirectedEdgeAddsBoth) {
+  CsrGraphBuilder b(3);
+  b.add_undirected_edge(1, 2);
+  const CsrGraph g = b.freeze(RowOrder::Emission);
+  EXPECT_TRUE(g.contains(1, 2));
+  EXPECT_TRUE(g.contains(2, 1));
+  EXPECT_TRUE(g.is_symmetric());
 }
 
-TEST(Graph, RejectsSelfLoop) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
+TEST(CsrGraphBuilder, EmissionFreezeKeepsFirstOccurrences) {
+  // Rows keep emission order — the engines deliver in row order, so a
+  // network's executions depend on it — and a repeated edge collapses into
+  // its first occurrence.
+  CsrGraphBuilder b(5);
+  b.add_edge(0, 3);
+  b.add_edge(0, 1);
+  b.add_edge(0, 3);
+  b.add_undirected_edge(2, 0);
+  b.add_edge(2, 4);
+  b.add_edge(0, 1);
+  const CsrGraph csr = b.freeze(RowOrder::Emission);
+  EXPECT_EQ(csr.node_count(), 5);
+  EXPECT_EQ(csr.edge_count(), 5u);
+  const std::vector<std::vector<NodeId>> rows = {{3, 1, 2}, {}, {0, 4}, {},
+                                                 {}};
+  for (NodeId u = 0; u < 5; ++u) {
+    const auto row = csr.row(u);
+    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
+              rows[static_cast<std::size_t>(u)])
+        << "row " << u;
+    EXPECT_EQ(csr.out_degree(u), row.size());
+  }
 }
 
-TEST(Graph, RejectsDuplicateEdge) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(0, 1), std::invalid_argument);
-}
-
-TEST(Graph, RejectsOutOfRange) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(0, 3), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(-1, 0), std::invalid_argument);
-}
-
-TEST(Graph, SubgraphDetection) {
-  Graph small(4), big(4);
-  small.add_edge(0, 1);
-  big.add_edge(0, 1);
-  big.add_edge(1, 2);
-  EXPECT_TRUE(CsrGraph(small).is_subgraph_of(CsrGraph(big)));
-  EXPECT_FALSE(CsrGraph(big).is_subgraph_of(CsrGraph(small)));
-}
-
-TEST(Graph, MaxDegrees) {
+TEST(CsrGraph, MaxDegrees) {
   const CsrGraph g(gen::star(5));
   EXPECT_EQ(g.max_out_degree(), 4u);
   EXPECT_EQ(g.max_in_degree(), 4u);
 }
 
-TEST(CsrGraph, SnapshotPreservesInsertionOrder) {
-  Graph g(5);
-  g.add_edge(0, 3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(2, 4);
-  const CsrGraph csr(g);
-  EXPECT_EQ(csr.node_count(), 5);
-  EXPECT_EQ(csr.edge_count(), 4u);
-  // Rows must mirror Graph::out_neighbors exactly — the engines deliver in
-  // row order, so a network's executions depend on it.
-  for (NodeId u = 0; u < 5; ++u) {
+TEST(CsrGraph, ContainsMatchesRowScan) {
+  const CsrGraph csr = gen::gnp_connected(40, 0.15, 3);
+  EXPECT_FALSE(csr.rows_sorted());
+  for (NodeId u = 0; u < csr.node_count(); ++u) {
     const auto row = csr.row(u);
-    ASSERT_EQ(row.size(), g.out_neighbors(u).size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      EXPECT_EQ(row[i], g.out_neighbors(u)[i]);
-    }
-    EXPECT_EQ(csr.out_degree(u), g.out_degree(u));
-  }
-}
-
-TEST(CsrGraph, ContainsMatchesHasEdge) {
-  const Graph g = gen::gnp_connected(40, 0.15, 3);
-  const CsrGraph csr(g);
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      EXPECT_EQ(csr.contains(u, v), g.has_edge(u, v)) << u << "->" << v;
+    for (NodeId v = 0; v < csr.node_count(); ++v) {
+      EXPECT_EQ(csr.contains(u, v),
+                std::find(row.begin(), row.end(), v) != row.end())
+          << u << "->" << v;
     }
   }
   EXPECT_FALSE(csr.contains(-1, 0));
   EXPECT_FALSE(csr.contains(0, 40));
 }
 
-// A Graph snapshot allocates the sorted copy behind contains() only when
-// some row is out of order; contains() answers the same either way.
-TEST(CsrGraph, GraphSnapshotIndexesOnlyUnsortedRows) {
-  EXPECT_TRUE(CsrGraph(gen::clique(5)).rows_sorted());
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(3, 4);
-  g.add_edge(3, 0);
-  g.add_edge(3, 2);
-  const CsrGraph csr(g);
-  EXPECT_FALSE(csr.rows_sorted());
-  EXPECT_EQ(csr.row(3)[0], 4);
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      EXPECT_EQ(csr.contains(u, v), g.has_edge(u, v)) << u << "->" << v;
-    }
-  }
-}
-
 TEST(CsrGraph, EmptyAndIsolatedNodes) {
   const CsrGraph empty{};
   EXPECT_EQ(empty.node_count(), 0);
-  Graph g(3);  // no edges at all
-  const CsrGraph csr(g);
+  const CsrGraph csr = CsrGraphBuilder(3).freeze(RowOrder::Emission);
+  EXPECT_EQ(csr.node_count(), 3);
   EXPECT_EQ(csr.edge_count(), 0u);
   EXPECT_TRUE(csr.row(1).empty());
   EXPECT_FALSE(csr.contains(0, 1));
@@ -186,9 +142,9 @@ TEST(GraphAlg, BfsDistancesOnPath) {
 }
 
 TEST(GraphAlg, UnreachableIsNever) {
-  Graph g(3);
+  CsrGraphBuilder g(3);
   g.add_edge(0, 1);
-  const CsrGraph csr(g);
+  const CsrGraph csr = g.freeze(RowOrder::Emission);
   const auto d = graphalg::bfs_distances(csr, 0);
   EXPECT_EQ(d[2], kNever);
   EXPECT_FALSE(graphalg::all_reachable(csr, 0));
@@ -206,17 +162,19 @@ TEST(GraphAlg, EccentricityOfStarCenter) {
 }
 
 TEST(GraphAlg, WeaklyConnected) {
-  Graph g(3);
+  CsrGraphBuilder g(3);
   g.add_edge(0, 1);
-  EXPECT_FALSE(graphalg::weakly_connected(CsrGraph(g)));
-  g.add_edge(2, 1);
-  EXPECT_TRUE(graphalg::weakly_connected(CsrGraph(g)));
+  const CsrGraph one_edge = g.freeze(RowOrder::Emission);
+  EXPECT_FALSE(graphalg::weakly_connected(one_edge));
+  CsrGraphBuilder more(one_edge);
+  more.add_edge(2, 1);
+  EXPECT_TRUE(graphalg::weakly_connected(more.freeze(RowOrder::Emission)));
 }
 
 TEST(Generators, CliqueEdgeCount) {
-  const Graph g = gen::clique(7);
+  const CsrGraph g = gen::clique(7);
   EXPECT_EQ(g.edge_count(), 7u * 6u);  // directed count
-  EXPECT_TRUE(CsrGraph(g).is_symmetric());
+  EXPECT_TRUE(g.is_symmetric());
 }
 
 TEST(Generators, GridShape) {
@@ -227,8 +185,8 @@ TEST(Generators, GridShape) {
 }
 
 TEST(Generators, RandomTreeIsConnectedAndAcyclic) {
-  const Graph g = gen::random_tree(40, 7);
-  EXPECT_TRUE(graphalg::all_reachable(CsrGraph(g), 0));
+  const CsrGraph g = gen::random_tree(40, 7);
+  EXPECT_TRUE(graphalg::all_reachable(g, 0));
   EXPECT_EQ(g.edge_count(), 2u * 39u);
 }
 
@@ -240,42 +198,40 @@ TEST(Generators, GnpConnected) {
 }
 
 TEST(Generators, CompleteLayeredStructure) {
-  const Graph g = gen::complete_layered({1, 2, 2});
+  const CsrGraph g = gen::complete_layered({1, 2, 2});
   // node 0 - layer 0; nodes 1,2 - layer 1; nodes 3,4 - layer 2.
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));   // intra-layer
-  EXPECT_TRUE(g.has_edge(2, 4));   // adjacent layers
-  EXPECT_FALSE(g.has_edge(0, 3));  // non-adjacent layers
+  EXPECT_TRUE(g.contains(0, 1));
+  EXPECT_TRUE(g.contains(1, 2));   // intra-layer
+  EXPECT_TRUE(g.contains(2, 4));   // adjacent layers
+  EXPECT_FALSE(g.contains(0, 3));  // non-adjacent layers
 }
 
 TEST(Generators, DirectedLayeredIsForwardOnly) {
-  const Graph g = gen::directed_layered({1, 2, 2});
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(1, 0));
-  EXPECT_FALSE(g.has_edge(1, 2));  // no intra-layer edges
+  const CsrGraph g = gen::directed_layered({1, 2, 2});
+  EXPECT_TRUE(g.contains(0, 1));
+  EXPECT_FALSE(g.contains(1, 0));
+  EXPECT_FALSE(g.contains(1, 2));  // no intra-layer edges
 }
 
 TEST(DualGraph, ValidatesSubsetAndReachability) {
-  Graph g(3), gp(3);
-  g.add_undirected_edge(0, 1);
-  gp.add_undirected_edge(0, 1);
-  gp.add_undirected_edge(1, 2);
-  // node 2 unreachable in G:
-  EXPECT_THROW(DualGraph(g, gp, 0), std::invalid_argument);
-  g.add_undirected_edge(1, 2);
-  gp.add_undirected_edge(0, 2);
-  const DualGraph net(g, gp, 0);
-  EXPECT_EQ(net.node_count(), 3);
-  EXPECT_FALSE(net.is_classical());
-  EXPECT_TRUE(net.is_undirected());
-}
-
-TEST(DualGraph, RejectsEdgeNotInGPrime) {
-  Graph g(3), gp(3);
-  g.add_undirected_edge(0, 1);
-  g.add_undirected_edge(1, 2);
-  gp.add_undirected_edge(0, 1);
-  EXPECT_THROW(DualGraph(g, gp, 0), std::invalid_argument);
+  // E not a subset of E'.
+  CsrGraphBuilder g1(3);
+  g1.add_undirected_edge(0, 1);
+  g1.add_undirected_edge(1, 2);
+  CsrGraphBuilder gp1(3);
+  gp1.add_undirected_edge(0, 1);
+  EXPECT_THROW(DualGraph(g1.freeze(RowOrder::Emission),
+                         gp1.freeze(RowOrder::Emission), 0),
+               std::invalid_argument);
+  // Unreachable node in G.
+  CsrGraphBuilder g2(3);
+  g2.add_undirected_edge(0, 1);
+  CsrGraphBuilder gp2(3);
+  gp2.add_undirected_edge(0, 1);
+  gp2.add_undirected_edge(1, 2);
+  EXPECT_THROW(DualGraph(g2.freeze(RowOrder::Emission),
+                         gp2.freeze(RowOrder::Emission), 0),
+               std::invalid_argument);
 }
 
 TEST(DualGraph, RejectsMismatchedVertexSetsBadSourceAndSingleNode) {
@@ -286,7 +242,9 @@ TEST(DualGraph, RejectsMismatchedVertexSetsBadSourceAndSingleNode) {
   EXPECT_THROW(DualGraph(gen::path(3), gen::path(3), -1),
                std::invalid_argument);
   // The model fixes n >= 2.
-  EXPECT_THROW(DualGraph(Graph(1), Graph(1), 0), std::invalid_argument);
+  EXPECT_THROW(DualGraph(CsrGraph::from_rows({0, 0}, {}),
+                         CsrGraph::from_rows({0, 0}, {}), 0),
+               std::invalid_argument);
 }
 
 TEST(DualGraph, UnreliableOutIsGPrimeMinusG) {
@@ -346,8 +304,8 @@ TEST(DualBuilders, GrayZoneIsValidDual) {
     duals::GrayZoneParams params;
     params.n = 40;
     params.seed = seed;
+    // DualGraph construction validates E subset of E'.
     const DualGraph net = duals::gray_zone(params);
-    EXPECT_TRUE(net.g_csr().is_subgraph_of(net.g_prime_csr()));
     EXPECT_TRUE(graphalg::all_reachable(net.g_csr(), net.source()));
     EXPECT_TRUE(net.is_undirected());
   }
@@ -377,6 +335,30 @@ TEST(DualBuilders, LayeredCompleteGPrime) {
   EXPECT_FALSE(net.is_classical());
 }
 
+TEST(DualBuilders, LayeredNodeCountsPastNodeIdAreRejected) {
+  // A scenario spec sets the layer count and width one at a time; their
+  // node count must be checked in 64 bits, before anything is allocated.
+  const auto expect_too_many = [](const auto& build, const char* sizes) {
+    try {
+      (void)build();
+      FAIL() << "accepted " << sizes;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(sizes), std::string::npos) << what;
+      EXPECT_NE(what.find("more than a NodeId can number"), std::string::npos)
+          << what;
+    }
+  };
+  expect_too_many(
+      [] { return duals::layered_sparse({.layers = 65536, .width = 65536}); },
+      "65536 layers of width 65536 make 4294967297 nodes");
+  expect_too_many([] { return duals::layered_complete_gprime(65536, 65536); },
+                  "65536 layers of width 65536 make 4294901761 nodes");
+  expect_too_many(
+      [] { return gen::complete_layered({1 << 30, 1 << 30, 1 << 30}); },
+      "3 layers make 3221225472 nodes");
+}
+
 // ------------------------------------------------------- CsrGraphBuilder
 
 TEST(CsrGraphBuilder, DedupsAndSortsRows) {
@@ -386,7 +368,7 @@ TEST(CsrGraphBuilder, DedupsAndSortsRows) {
   b.add_edge(2, 4);  // duplicate collapses at freeze
   b.add_undirected_edge(0, 3);
   b.add_undirected_edge(0, 3);  // both directions duplicated
-  const CsrGraph csr = b.freeze();
+  const CsrGraph csr = b.freeze(RowOrder::Ascending);
   EXPECT_EQ(csr.edge_count(), 4u);
   EXPECT_TRUE(csr.rows_sorted());
   ASSERT_EQ(csr.out_degree(2), 2u);
@@ -408,30 +390,9 @@ TEST(CsrGraphBuilder, RejectsSelfLoopsAndOutOfRange) {
   EXPECT_THROW(b.add_edge(-1, 0), std::invalid_argument);
 }
 
-TEST(CsrGraphBuilder, MatchesGraphFrozenSnapshotUpToRowOrder) {
-  // The same edges emitted into both builders must give the same edge
-  // sets; builder rows are the sorted version of the Graph rows.
-  const Graph g = gen::complete_layered({1, 3, 2});
-  const CsrGraph from_graph(g);
-  CsrGraphBuilder b(g.node_count());
-  for (const auto& [u, v] : g.edges()) b.add_edge(u, v);
-  const CsrGraph streamed = b.freeze();
-  ASSERT_EQ(streamed.node_count(), from_graph.node_count());
-  ASSERT_EQ(streamed.edge_count(), from_graph.edge_count());
-  for (NodeId u = 0; u < streamed.node_count(); ++u) {
-    auto row = from_graph.row(u);
-    std::vector<NodeId> sorted(row.begin(), row.end());
-    std::sort(sorted.begin(), sorted.end());
-    const auto srow = streamed.row(u);
-    EXPECT_TRUE(std::equal(srow.begin(), srow.end(), sorted.begin(),
-                           sorted.end()))
-        << "row " << u;
-  }
-}
-
 TEST(CsrGraphBuilder, BacksCsrConstructedDualGraph) {
-  // A DualGraph built straight from frozen CSRs: validation, unreliable
-  // adjacency, and the snapshots must all agree with the Graph path.
+  // A DualGraph built from ascending snapshots: its unreliable adjacency
+  // and its snapshots.
   CsrGraphBuilder gb(4);
   gb.add_undirected_edge(0, 1);
   gb.add_undirected_edge(1, 2);
@@ -441,7 +402,8 @@ TEST(CsrGraphBuilder, BacksCsrConstructedDualGraph) {
   gpb.add_undirected_edge(1, 2);
   gpb.add_undirected_edge(2, 3);
   gpb.add_undirected_edge(0, 3);  // unreliable extra
-  const DualGraph net(gb.freeze(), gpb.freeze(), /*source=*/0);
+  const DualGraph net(gb.freeze(RowOrder::Ascending),
+                      gpb.freeze(RowOrder::Ascending), /*source=*/0);
   EXPECT_EQ(net.node_count(), 4);
   EXPECT_FALSE(net.is_classical());
   EXPECT_TRUE(net.is_undirected());
@@ -453,29 +415,9 @@ TEST(CsrGraphBuilder, BacksCsrConstructedDualGraph) {
   EXPECT_FALSE(net.g_csr().contains(0, 3));
 }
 
-TEST(CsrGraphBuilder, CsrDualGraphValidatesLikeGraphPath) {
-  // E not a subset of E'.
-  CsrGraphBuilder g1(3);
-  g1.add_undirected_edge(0, 1);
-  g1.add_undirected_edge(1, 2);
-  CsrGraphBuilder gp1(3);
-  gp1.add_undirected_edge(0, 1);
-  EXPECT_THROW(DualGraph(g1.freeze(), gp1.freeze(), 0),
-               std::invalid_argument);
-  // Unreachable node in G.
-  CsrGraphBuilder g2(3);
-  g2.add_undirected_edge(0, 1);
-  CsrGraphBuilder gp2(3);
-  gp2.add_undirected_edge(0, 1);
-  gp2.add_undirected_edge(1, 2);
-  EXPECT_THROW(DualGraph(g2.freeze(), gp2.freeze(), 0),
-               std::invalid_argument);
-}
-
 TEST(CsrGraph, OffsetOverflowGuardFailsLoudlyPast32Bit) {
-  // Every freeze path funnels an edge count through require_edges_fit (a
-  // Graph snapshot its edge count, a builder freeze its emitted count,
-  // duplicates included); offsets are 32-bit, so one edge past kMaxEdges
+  // Every freeze funnels its emitted edge count, duplicates included,
+  // through require_edges_fit; offsets are 32-bit, so one edge past kMaxEdges
   // must be a clear error, never a silent wrap. The guard is exercised
   // directly — materializing 2^32 edges (32+ GB) in a unit test is not an
   // option, which is exactly why it is a testable seam.
@@ -499,7 +441,7 @@ TEST(CsrGraph, OffsetOverflowGuardFailsLoudlyPast32Bit) {
   CsrGraphBuilder builder(3);
   builder.add_undirected_edge(0, 1);
   builder.add_undirected_edge(1, 2);
-  EXPECT_EQ(builder.freeze().edge_count(), 4u);
+  EXPECT_EQ(builder.freeze(RowOrder::Ascending).edge_count(), 4u);
 }
 
 TEST(CsrGraph, FromRowsRejectsMalformedRows) {
@@ -547,21 +489,41 @@ std::vector<std::vector<NodeId>> sort_freeze_rows(
   return rows;
 }
 
+/// The emission-order freeze's oracle: walk the emitted edges in order and
+/// append each target to its source's row unless the row already holds it.
+std::vector<std::vector<NodeId>> first_occurrence_rows(
+    NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::vector<std::vector<NodeId>> rows(static_cast<std::size_t>(n));
+  for (const auto& [u, v] : edges) {
+    std::vector<NodeId>& row = rows[static_cast<std::size_t>(u)];
+    if (std::find(row.begin(), row.end(), v) == row.end()) row.push_back(v);
+  }
+  return rows;
+}
+
 /// `csr` has exactly these rows: the same degrees (hence the same offsets)
-/// and the same targets in the same order.
+/// and the same targets in the same order; rows_sorted() and contains()
+/// agree with them.
 void expect_rows(const CsrGraph& csr,
                  const std::vector<std::vector<NodeId>>& rows) {
   ASSERT_EQ(static_cast<std::size_t>(csr.node_count()), rows.size());
   std::size_t edges = 0;
+  bool sorted = true;
   for (NodeId u = 0; u < csr.node_count(); ++u) {
+    const std::vector<NodeId>& want = rows[static_cast<std::size_t>(u)];
     const auto row = csr.row(u);
-    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
-              rows[static_cast<std::size_t>(u)])
+    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), want)
         << "row " << u;
-    edges += rows[static_cast<std::size_t>(u)].size();
+    for (NodeId v = 0; v < csr.node_count(); ++v) {
+      EXPECT_EQ(csr.contains(u, v),
+                std::find(want.begin(), want.end(), v) != want.end())
+          << u << "->" << v;
+    }
+    edges += want.size();
+    sorted = sorted && std::is_sorted(want.begin(), want.end());
   }
   EXPECT_EQ(csr.edge_count(), edges);
-  EXPECT_TRUE(csr.rows_sorted());
+  EXPECT_EQ(csr.rows_sorted(), sorted);
 }
 
 /// A random emitted multiset over n nodes, in random order: repeats in both
@@ -592,24 +554,33 @@ std::vector<std::pair<NodeId, NodeId>> random_emission(NodeId n,
 }
 
 TEST(CsrGraphBuilder, FreezeEqualsSortBasedFreeze) {
-  // The empty builder, with and without nodes.
-  expect_rows(CsrGraphBuilder(0).freeze(), {});
-  expect_rows(CsrGraphBuilder(5).freeze(), sort_freeze_rows(5, {}));
-  for (const NodeId n : {1, 2, 257}) {
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-      SCOPED_TRACE(::testing::Message() << "n " << n << " seed " << seed);
-      CsrGraphBuilder builder(n);
-      // Two freezes of one builder: the second sees only its own edges.
-      for (std::uint64_t round = 0; round < 2; ++round) {
-        const auto edges = random_emission(n, 2 * seed + round);
-        for (const auto& [u, v] : edges) builder.add_edge(u, v);
-        ASSERT_EQ(builder.emitted(), edges.size());
-        const CsrGraph csr = builder.freeze();
-        expect_rows(csr, sort_freeze_rows(n, edges));
-        EXPECT_EQ(builder.emitted(), 0u);
-        if (n == 257) {
-          EXPECT_GE(csr.out_degree(1), 129u) << "the long row";
-          EXPECT_EQ(csr.out_degree(256), 0u) << "an isolated node";
+  // Each row order against its oracle.
+  const auto oracle = [](RowOrder order, NodeId n,
+                         const std::vector<std::pair<NodeId, NodeId>>& edges) {
+    return order == RowOrder::Ascending ? sort_freeze_rows(n, edges)
+                                        : first_occurrence_rows(n, edges);
+  };
+  for (const RowOrder order : {RowOrder::Ascending, RowOrder::Emission}) {
+    SCOPED_TRACE(order == RowOrder::Ascending ? "ascending" : "emission");
+    // The empty builder, with and without nodes.
+    expect_rows(CsrGraphBuilder(0).freeze(order), {});
+    expect_rows(CsrGraphBuilder(5).freeze(order), oracle(order, 5, {}));
+    for (const NodeId n : {1, 2, 257}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "n " << n << " seed " << seed);
+        CsrGraphBuilder builder(n);
+        // Two freezes of one builder: the second sees only its own edges.
+        for (std::uint64_t round = 0; round < 2; ++round) {
+          const auto edges = random_emission(n, 2 * seed + round);
+          for (const auto& [u, v] : edges) builder.add_edge(u, v);
+          ASSERT_EQ(builder.emitted(), edges.size());
+          const CsrGraph csr = builder.freeze(order);
+          expect_rows(csr, oracle(order, n, edges));
+          EXPECT_EQ(builder.emitted(), 0u);
+          if (n == 257) {
+            EXPECT_GE(csr.out_degree(1), 129u) << "the long row";
+            EXPECT_EQ(csr.out_degree(256), 0u) << "an isolated node";
+          }
         }
       }
     }
@@ -635,13 +606,13 @@ void expect_unreliable_rows(const DualGraph& net) {
 }
 
 TEST(DualGraph, UnreliableRowsFollowGPrimeRowOrder) {
-  // Graph-frozen networks keep insertion order.
+  // Emission-order networks.
   expect_unreliable_rows(duals::layered_complete_gprime(4, 5));
   expect_unreliable_rows(duals::gray_zone({.n = 80, .seed = 3}));
   expect_unreliable_rows(duals::bridge_network(9));
-  // A complete-layered G under a G' whose complete rows were inserted in
+  // A complete-layered G under a G' whose complete rows were emitted in
   // shuffled order, so the G'-only rows are unsorted.
-  const Graph g = gen::complete_layered({1, 4, 4, 3});
+  const CsrGraph g = gen::complete_layered({1, 4, 4, 3});
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -650,12 +621,12 @@ TEST(DualGraph, UnreliableRowsFollowGPrimeRowOrder) {
   }
   StreamRng rng(11);
   std::shuffle(pairs.begin(), pairs.end(), rng);
-  Graph gp(g.node_count());
+  CsrGraphBuilder gp(g.node_count());
   for (const auto& [u, v] : pairs) gp.add_edge(u, v);
-  const DualGraph shuffled(g, gp, 0);
+  const DualGraph shuffled(g, gp.freeze(RowOrder::Emission), 0);
   EXPECT_FALSE(shuffled.unreliable_csr().rows_sorted());
   expect_unreliable_rows(shuffled);
-  // Builder-frozen networks have ascending rows.
+  // Ascending networks.
   expect_unreliable_rows(duals::layered_sparse({.layers = 20,
                                                 .width = 10,
                                                 .fwd_degree = 3,
@@ -680,49 +651,44 @@ void expect_not_subset(const Build& build) {
 
 /// G is the undirected path 0-1-...-(n-1); G' is G plus the chords
 /// (u, u + 2), less the directed edge (mu, mv). Every node is reachable in
-/// G, so only the subset check can reject the network. Built both ways.
+/// G, so only the subset check can reject the network. G' is emitted with
+/// descending rows and frozen in both row orders.
 void expect_missing_edge_rejected(NodeId n, NodeId mu, NodeId mv) {
   SCOPED_TRACE(::testing::Message() << "missing " << mu << "->" << mv);
-  Graph g(n), gp(n);
-  CsrGraphBuilder gb(n), gpb(n);
-  for (NodeId u = 0; u + 1 < n; ++u) {
-    g.add_undirected_edge(u, u + 1);
-    gb.add_undirected_edge(u, u + 1);
-  }
-  const auto add_gp = [&](NodeId u, NodeId v) {
-    if (u == mu && v == mv) return;
-    gp.add_edge(u, v);
-    gpb.add_edge(u, v);
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : {u - 2, u - 1, u + 1, u + 2}) {
-      if (v >= 0 && v < n) add_gp(u, v);
+  for (const RowOrder order : {RowOrder::Ascending, RowOrder::Emission}) {
+    CsrGraphBuilder g(n), gp(n);
+    for (NodeId u = 0; u + 1 < n; ++u) g.add_undirected_edge(u, u + 1);
+    for (NodeId u = 0; u < n; ++u) {
+      for (const NodeId v : {u + 2, u + 1, u - 1, u - 2}) {
+        if (v >= 0 && v < n && !(u == mu && v == mv)) gp.add_edge(u, v);
+      }
     }
+    expect_not_subset(
+        [&] { return DualGraph(g.freeze(order), gp.freeze(order), 0); });
   }
-  expect_not_subset([&] { return DualGraph(g, gp, 0); });
-  expect_not_subset([&] { return DualGraph(gb.freeze(), gpb.freeze(), 0); });
 }
 
 TEST(DualGraph, SubsetViolationIsCaughtInAnyRow) {
   expect_missing_edge_rejected(6, 0, 1);  // the first row
   expect_missing_edge_rejected(6, 5, 4);  // the last row
   expect_missing_edge_rejected(6, 3, 2);  // a middle row
-  // The only non-empty row: G is the out-star 0 -> {1, 2}, G' only 0 -> 1.
-  Graph star(3), partial(3);
-  star.add_edge(0, 1);
+  // The only non-empty row: G is the out-star 0 -> {2, 1}, G' only 0 -> 1.
+  CsrGraphBuilder star(3), partial(3);
   star.add_edge(0, 2);
+  star.add_edge(0, 1);
   partial.add_edge(0, 1);
-  expect_not_subset([&] { return DualGraph(star, partial, 0); });
-  CsrGraphBuilder sb(3), pb(3);
-  sb.add_edge(0, 2);
-  sb.add_edge(0, 1);
-  pb.add_edge(0, 1);
-  expect_not_subset([&] { return DualGraph(sb.freeze(), pb.freeze(), 0); });
+  expect_not_subset([&] {
+    return DualGraph(star.freeze(RowOrder::Emission),
+                     partial.freeze(RowOrder::Emission), 0);
+  });
   // With node 2 unreachable in G as well, the subset error still comes
   // first.
-  Graph stranded(3), empty(3);
+  CsrGraphBuilder stranded(3);
   stranded.add_edge(1, 2);
-  expect_not_subset([&] { return DualGraph(stranded, empty, 0); });
+  expect_not_subset([&] {
+    return DualGraph(stranded.freeze(RowOrder::Emission),
+                     CsrGraphBuilder(3).freeze(RowOrder::Emission), 0);
+  });
   // G with more edges than G' (the G'-only count would be negative).
   expect_not_subset([] { return DualGraph(gen::clique(4), gen::path(4), 0); });
 }

@@ -23,9 +23,9 @@ using testing::scripted_factory;
 /// Path 0-1-2 where G_I adds the 0-2 interference edge, read as the dual
 /// graph G = G_T, G' = G_I.
 DualGraph tiny_net() {
-  Graph gi = gen::path(3);
+  CsrGraphBuilder gi(gen::path(3));
   gi.add_undirected_edge(0, 2);
-  return DualGraph(gen::path(3), gi, 0);
+  return DualGraph(gen::path(3), gi.freeze(RowOrder::Emission), 0);
 }
 
 /// A single-round run on tiny_net, recording the trace.
@@ -190,25 +190,26 @@ const std::map<std::string, std::string>& lemma1_digests() {
 
 DualGraph make_net(const std::string& topology) {
   if (topology == "pathPlus") {
-    Graph gi = gen::path(8);
+    CsrGraphBuilder gi(gen::path(8));
     for (NodeId u = 0; u < 8; ++u) {
       for (NodeId v = u + 2; v < std::min<NodeId>(8, u + 4); ++v) {
         gi.add_undirected_edge(u, v);
       }
     }
-    return DualGraph(gen::path(8), gi, 0);
+    return DualGraph(gen::path(8), gi.freeze(RowOrder::Emission), 0);
   }
   if (topology == "starOverRing") {
-    Graph gi = gen::cycle(9);
+    CsrGraphBuilder gi(gen::cycle(9));
     for (NodeId v = 2; v < 9; v += 2) gi.add_undirected_edge(0, v);
-    return DualGraph(gen::cycle(9), gi, 0);
+    return DualGraph(gen::cycle(9), gi.freeze(RowOrder::Emission), 0);
   }
   if (topology == "bridgeLike") {
-    const Graph k7 = gen::clique(7);
-    Graph gt8(8);
-    for (const auto& [u, v] : k7.edges()) gt8.add_edge(u, v);
+    CsrGraphBuilder gt8(8);
+    for (NodeId u = 0; u < 7; ++u) {
+      for (NodeId v = u + 1; v < 7; ++v) gt8.add_undirected_edge(u, v);
+    }
     gt8.add_undirected_edge(1, 7);
-    return DualGraph(gt8, gen::clique(8), 0);
+    return DualGraph(gt8.freeze(RowOrder::Emission), gen::clique(8), 0);
   }
   throw std::invalid_argument("unknown topology " + topology);
 }

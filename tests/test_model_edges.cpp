@@ -74,8 +74,8 @@ TEST(ModelEdges, FactoryRejectsWrongN) {
 }
 
 TEST(ModelEdges, DualGraphRequiresAtLeastTwoNodes) {
-  Graph g(1), gp(1);
-  EXPECT_THROW(DualGraph(std::move(g), std::move(gp), 0),
+  EXPECT_THROW(DualGraph(CsrGraphBuilder(1).freeze(RowOrder::Emission),
+                         CsrGraphBuilder(1).freeze(RowOrder::Emission), 0),
                std::invalid_argument);
 }
 
@@ -100,9 +100,9 @@ TEST(ModelEdges, LayerOffsetsRejectEmptyLayers) {
 TEST(InterferenceEdges, Cr2SenderHearsOwnDespiteInterference) {
   // Sender u with an interfering G_I neighbor still hears its own message
   // under CR2 (cannot sense the medium while sending).
-  Graph gi = gen::path(3);
+  CsrGraphBuilder gi(gen::path(3));  // (G_T, G_I): G_I adds {0, 2}
   gi.add_undirected_edge(0, 2);
-  const DualGraph net(gen::path(3), gi, 0);  // (G_T, G_I)
+  const DualGraph net(gen::path(3), gi.freeze(RowOrder::Emission), 0);
   const auto factory = scripted_factory({{0, {1}}, {2, {1}}});
   SimConfig config;
   config.rule = CollisionRule::CR2;
@@ -123,9 +123,9 @@ TEST(InterferenceEdges, Cr2SenderHearsOwnDespiteInterference) {
 }
 
 TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
-  Graph gi = gen::path(3);
+  CsrGraphBuilder gi(gen::path(3));  // (G_T, G_I): G_I adds {0, 2}
   gi.add_undirected_edge(0, 2);
-  const DualGraph net(gen::path(3), gi, 0);  // (G_T, G_I)
+  const DualGraph net(gen::path(3), gi.freeze(RowOrder::Emission), 0);
   const auto factory = scripted_factory({{0, {1}}, {2, {1}}});
   SimConfig config;
   config.rule = CollisionRule::CR3;
@@ -142,9 +142,9 @@ TEST(InterferenceEdges, Cr3CollisionMasksAsSilence) {
 TEST(InterferenceEdges, AsyncStartWakesOnGtDeliveryOnly) {
   // Node 2's only incoming message travels a G_I-only edge: it must not
   // wake (the message cannot be received).
-  Graph gi = gen::path(3);
+  CsrGraphBuilder gi(gen::path(3));  // (G_T, G_I): G_I adds {0, 2}
   gi.add_undirected_edge(0, 2);
-  const DualGraph net(gen::path(3), gi, 0);  // (G_T, G_I)
+  const DualGraph net(gen::path(3), gi.freeze(RowOrder::Emission), 0);
   const auto factory = scripted_factory({{0, {1}}, {2, {2}}});
   SimConfig config;
   config.rule = CollisionRule::CR1;

@@ -219,9 +219,7 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, CloneEquivalence,
 // ---------------------------------------- edge-case simulator behaviors
 
 TEST(EdgeCases, TwoNodeNetwork) {
-  Graph g(2);
-  g.add_undirected_edge(0, 1);
-  const DualGraph net = make_classical(std::move(g), 0);
+  const DualGraph net = make_classical(gen::path(2), 0);
   BenignAdversary adversary;
   SimConfig config;
   config.max_rounds = 100;
@@ -255,9 +253,7 @@ TEST(EdgeCases, RunToMaxRoundsAfterCompletion) {
 }
 
 TEST(EdgeCases, SourceChoiceRespected) {
-  Graph g = gen::path(4);
-  Graph gp = gen::path(4);
-  const DualGraph net(std::move(g), std::move(gp), 3);  // source at the end
+  const DualGraph net(gen::path(4), gen::path(4), 3);  // source at the end
   BenignAdversary adversary;
   SimConfig config;
   config.max_rounds = 1000;

@@ -123,8 +123,10 @@ TEST(LinkEstimation, RecoversReliableGraphUnderBernoulli) {
   const auto learned = repeated::estimate_reliable_links(net, traces, 8);
   EXPECT_TRUE(learned.sound);
   // Every estimated link is a real G' link at minimum.
-  for (const auto& [u, v] : learned.estimated_reliable.edges()) {
-    EXPECT_TRUE(net.g_prime_csr().contains(u, v));
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    for (const NodeId v : learned.estimated_reliable.row(u)) {
+      EXPECT_TRUE(net.g_prime_csr().contains(u, v));
+    }
   }
 }
 
