@@ -51,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "campaign/builtin_scenarios.hpp"
 #include "campaign/engine.hpp"
 #include "core/reference_engine.hpp"
@@ -59,6 +58,7 @@
 #include "core/simulator.hpp"
 #include "obs/rss.hpp"
 #include "obs/telemetry.hpp"
+#include "stats/table.hpp"
 
 namespace dualrad {
 namespace {
@@ -227,9 +227,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  benchutil::print_header(
-      "ENGINE", "sparse CSR engine vs dense reference; serial vs sharded",
-      "rounds/sec gap grows with n; >= 5x on the 10k benign points");
+  std::cout << "\n=== ENGINE: sparse CSR engine vs dense reference; serial vs "
+               "sharded ===\n"
+               "paper expectation: rounds/sec gap grows with n; >= 5x on the "
+               "10k benign points\n\n";
 
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   std::vector<campaign::Scenario> points = registry.match("scale");

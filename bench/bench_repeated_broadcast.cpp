@@ -24,13 +24,19 @@
 // hand-rolled loop shared one Bernoulli noise stream across combos, making
 // results depend on combo order.
 
+#include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "adversary/basic_adversaries.hpp"
 #include "adversary/greedy_blocker.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/strong_select.hpp"
-#include "bench_util.hpp"
+#include "campaign/engine.hpp"
 #include "graph/dual_builders.hpp"
 #include "repeated/repeated.hpp"
+#include "stats/table.hpp"
 
 using namespace dualrad;
 
@@ -93,10 +99,11 @@ campaign::AdversaryFactory noise() {
 }  // namespace
 
 int main() {
-  benchutil::print_header(
-      "X1", "Repeated broadcast with topology learning (future work, §8)",
-      "learning the reliable topology amortizes: post-training broadcasts "
-      "run on a collision-free, adversary-proof schedule");
+  std::cout << "\n=== X1: Repeated broadcast with topology learning (future "
+               "work, §8) ===\n"
+               "paper expectation: learning the reliable topology amortizes: "
+               "post-training broadcasts run on a collision-free, "
+               "adversary-proof schedule\n\n";
 
   std::vector<Combo> combos;
   for (const auto& [adv_name, adv] :
@@ -169,11 +176,13 @@ int main() {
   {
     // Reuse the campaign's report for that combo — no extra serial rerun.
     const repeated::RepeatedReport& report = reports[0];
+    const auto rounds = [](Round r) {
+      return r == kNever ? std::string("never") : std::to_string(r);
+    };
     stats::Table detail({"broadcast", "naive rounds", "learned rounds"});
     for (std::size_t b = 0; b < report.naive_rounds.size(); ++b) {
-      detail.add_row({std::to_string(b + 1),
-                      benchutil::rounds_str(report.naive_rounds[b]),
-                      benchutil::rounds_str(report.learned_rounds[b])});
+      detail.add_row({std::to_string(b + 1), rounds(report.naive_rounds[b]),
+                      rounds(report.learned_rounds[b])});
     }
     detail.print(std::cout);
   }

@@ -25,8 +25,8 @@
 /// covered can still blanket uncovered G'-neighbors with collisions. The
 /// upper-bound theorems hold against every adversary, so measurements under
 /// this one are legal executions; they realize the qualitative worst-case
-/// shape without claiming to be the exact worst case (see DESIGN.md,
-/// Substitutions).
+/// shape without claiming to be the exact worst case (see EXPERIMENTS.md,
+/// "The sparse greedy blocker").
 ///
 /// Cost: the blocker is frontier-based. All per-node state lives in one
 /// epoch-stamped slot array sized once per execution; a round touches only

@@ -7,7 +7,6 @@ AdaptiveByzAdversary::AdaptiveByzAdversary(Adversary& inner,
                                            const AdaptiveByzOptions& options)
     : inner_(&inner), plan_(&plan), options_(options) {
   DUALRAD_REQUIRE(plan.bound(), "adaptive corruption needs a bound plan");
-  DUALRAD_REQUIRE(options.min_round >= 1, "min_round must be >= 1");
 }
 
 std::vector<ProcessId> AdaptiveByzAdversary::assign_processes(
@@ -37,16 +36,15 @@ void AdaptiveByzAdversary::on_execution_start(const DualGraph& net) {
 }
 
 void AdaptiveByzAdversary::on_round_end(const AdversaryView& view) {
-  if (view.round + 1 >= options_.min_round) {
-    // Chase the coverage frontier: corrupt freshly-covered nodes, in the
-    // deltas' ascending node order (bit-identical across engines), skipping
-    // nodes whose corruption would break the f-locally-bounded invariant.
-    for (const NodeId v : view.newly_covered) {
-      if (corrupted_ >= options_.budget) break;
-      if (plan_->try_corrupt(v, options_.behavior,
-                             /*active_from=*/view.round + 1)) {
-        ++corrupted_;
-      }
+  // Chase the coverage frontier: corrupt freshly-covered nodes, in the
+  // deltas' ascending node order (bit-identical across engines), skipping
+  // nodes whose corruption would break the f-locally-bounded invariant.
+  // Faults activate the round after the corruption decision.
+  for (const NodeId v : view.newly_covered) {
+    if (corrupted_ >= options_.budget) break;
+    if (plan_->try_corrupt(v, options_.behavior,
+                           /*active_from=*/view.round + 1)) {
+      ++corrupted_;
     }
   }
   inner_->on_round_end(view);

@@ -32,9 +32,6 @@ struct AdaptiveByzOptions {
   /// Corruptions per execution on top of the plan's frozen baseline.
   std::size_t budget = 2;
   ByzBehavior behavior = ByzBehavior::Forge;
-  /// Never corrupt before this round (faults activate the round after the
-  /// corruption decision, i.e. at view.round + 1 >= min_round).
-  Round min_round = 1;
 };
 
 class AdaptiveByzAdversary final : public Adversary {

@@ -76,8 +76,8 @@ inline constexpr std::string_view kSpecPrefix = "adhoc/";
 /// string. Builder preconditions (e.g. n >= 3 for bridge) are checked when
 /// the network is built — at parse time with tokens=K, which builds the
 /// network to place the sources once every field has passed its checks, so
-/// every parse of such a spec (the CLIs validate a spec filter, then select
-/// it) pays one network build.
+/// every parse of such a spec pays one network build (the CLIs parse a spec
+/// filter once, when they validate the command line, and run that Scenario).
 [[nodiscard]] Scenario parse_spec(std::string_view spec);
 
 /// The scenarios a front end runs for `filter`: a filter starting with

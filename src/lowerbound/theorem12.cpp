@@ -11,6 +11,14 @@
 namespace dualrad::lowerbound {
 namespace {
 
+/// A stage whose continuation ("until i or i' is about to be isolated")
+/// runs this many rounds, or an execution that commits kMaxRounds, means
+/// the algorithm never again isolates the frontier: the broadcast never
+/// completes, an even stronger witness, and the builder stops and flags
+/// `stalled`.
+constexpr Round kStageCap = 500'000;
+constexpr Round kMaxRounds = 2'000'000;
+
 /// How a committed round's messages were delivered by the adversary.
 enum class Delivery : std::uint8_t {
   None,        ///< nobody sent
@@ -119,7 +127,7 @@ class Builder {
         about_to_send_ = 0;
         break;
       }
-      if (now_ - start >= options_.stage_cap || now_ >= options_.max_rounds) {
+      if (now_ - start >= kStageCap || now_ >= kMaxRounds) {
         // i0 is never isolated: the message can never leave the source, so
         // the broadcast never completes. Strongest possible witness.
         result_.stalled = true;
@@ -382,7 +390,7 @@ class Builder {
         about_to_send_ = pair_send.front();
         break;  // this round is NOT executed; it seeds the next stage
       }
-      if (now_ - start >= options_.stage_cap || now_ >= options_.max_rounds) {
+      if (now_ - start >= kStageCap || now_ >= kMaxRounds) {
         result_.stalled = true;
         result_.valid = true;
         commit_pair(stage, i1, i2, inpair, a_before);

@@ -41,19 +41,11 @@
 /// still yields pair-independent feedback under the adversary rules (>= 2
 /// senders => everyone hears top; a single unassigned sender's message is
 /// delivered everywhere by rule 3), so the invariants P(l) survive
-/// unchanged. See DESIGN.md.
+/// unchanged.
 
 namespace dualrad::lowerbound {
 
 struct Theorem12Options {
-  /// Cap on committed execution length; exceeding it aborts with
-  /// valid=false (never observed for terminating algorithms).
-  Round max_rounds = 2'000'000;
-  /// Cap on a single stage's continuation ("until i or i' is about to be
-  /// isolated"). Hitting it means the algorithm never again isolates a pair
-  /// member — the execution runs forever without completing the broadcast,
-  /// an even stronger witness; the builder stops and flags `stalled`.
-  Round stage_cap = 500'000;
   /// Record the full adversary script (proc mapping + per-round unreliable
   /// reach) so the execution can be replayed by run_broadcast.
   bool build_script = false;
@@ -61,10 +53,11 @@ struct Theorem12Options {
 
 struct Theorem12Result {
   NodeId n = 0;
-  /// False only if an internal cap or a proof invariant failed.
+  /// False only if a proof invariant (or the purity contract) failed.
   bool valid = false;
-  /// True if some stage's continuation never ended: the algorithm never
-  /// isolates the frontier pair again, so broadcast never completes.
+  /// True if some stage's continuation never ended (it ran 500,000 rounds,
+  /// or the execution reached 2,000,000): the algorithm never isolates the
+  /// frontier pair again, so broadcast never completes.
   bool stalled = false;
   int stages_completed = 0;
   int stages_target = 0;

@@ -63,8 +63,8 @@ MacClientFactory make_bmmb_client_factory() {
   };
 }
 
-ProcessFactory make_bmmb_factory(NodeId n, const BmmbOptions& options) {
-  return make_decay_mac_factory(n, make_bmmb_client_factory(), options.mac);
+ProcessFactory make_bmmb_factory(NodeId n) {
+  return make_decay_mac_factory(n, make_bmmb_client_factory());
 }
 
 std::vector<NodeId> spread_token_sources(const DualGraph& net, TokenId k) {

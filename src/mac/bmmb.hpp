@@ -28,16 +28,11 @@
 
 namespace dualrad::mac {
 
-struct BmmbOptions {
-  DecayMacOptions mac{};
-};
-
 /// MacClientFactory for the BMMB client (reusable over any MAC layer).
 [[nodiscard]] MacClientFactory make_bmmb_client_factory();
 
 /// ProcessFactory running BMMB over DecayMac.
-[[nodiscard]] ProcessFactory make_bmmb_factory(NodeId n,
-                                               const BmmbOptions& options = {});
+[[nodiscard]] ProcessFactory make_bmmb_factory(NodeId n);
 
 /// k distinct token source nodes for `net`, deterministically spread over
 /// the id space: token 1 originates at net.source(), the rest at evenly

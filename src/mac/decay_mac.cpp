@@ -8,11 +8,9 @@
 
 namespace dualrad::mac {
 
-Round decay_mac_run_length(NodeId n, const DecayMacOptions& options) {
-  const Round phase = decay_phase_length(n, {.phase_length = options.phase_length});
-  const Round phases = options.phases_per_run > 0 ? options.phases_per_run
-                                                  : decay_phase_length(n, {});
-  return phase * phases;
+Round decay_mac_run_length(NodeId n) {
+  const Round phase = decay_phase_length(n);
+  return phase * phase;
 }
 
 namespace {
@@ -51,7 +49,8 @@ class DecayMacProcess final : public Process, public AbstractMac {
 
   // --- Process ---------------------------------------------------------
 
-  void on_activate(Round round, const std::optional<Message>& initial) override {
+  void on_activate(Round round,
+                   const std::optional<Message>& initial) override {
     callback_round_ = round;
     client_->on_mac_start(*this, round, initial);
   }
@@ -146,13 +145,12 @@ class DecayMacProcess final : public Process, public AbstractMac {
 
 }  // namespace
 
-ProcessFactory make_decay_mac_factory(NodeId n, MacClientFactory client_factory,
-                                      const DecayMacOptions& options) {
+ProcessFactory make_decay_mac_factory(NodeId n,
+                                      MacClientFactory client_factory) {
   DUALRAD_REQUIRE(static_cast<bool>(client_factory),
                   "DecayMac needs a client factory");
-  const Round phase =
-      decay_phase_length(n, {.phase_length = options.phase_length});
-  const Round run_length = decay_mac_run_length(n, options);
+  const Round phase = decay_phase_length(n);
+  const Round run_length = decay_mac_run_length(n);
   return [n, phase, run_length, client_factory = std::move(client_factory)](
              ProcessId id, NodeId n_arg,
              std::uint64_t seed) -> std::unique_ptr<Process> {

@@ -15,10 +15,11 @@
 /// from the same randomness stream as algorithms/decay.cpp, so that
 /// single-token BMMB-over-DecayMac reproduces plain Decay transmissions
 /// exactly until a run expires (the regression cross-check in
-/// tests/test_mac.cpp relies on this). A run lasts `phases_per_run` phases;
-/// when it ends the layer delivers the ack and starts the next queued
-/// message. There is no feedback channel in the radio model, so the ack is
-/// time-triggered — the standard construction for Decay-based MAC layers.
+/// tests/test_mac.cpp relies on this). A run lasts as many phases as a phase
+/// has rounds, ceil(log2 n) + 1 (decay_phase_length); when it ends the layer
+/// delivers the ack and starts the next queued message. There is no feedback
+/// channel in the radio model, so the ack is time-triggered — the standard
+/// construction for Decay-based MAC layers.
 ///
 /// Measured f_ack: the layer records the latency (bcast round -> ack round,
 /// queue wait included) of every ack and exports count/max/sum through
@@ -34,20 +35,11 @@ inline constexpr const char* kMacAckSumMetric = "mac.ack_sum";
 /// Messages handed to bcast() but not acked when the execution ended.
 inline constexpr const char* kMacPendingMetric = "mac.pending";
 
-struct DecayMacOptions {
-  /// Phase length; 0 derives ceil(log2 n) + 1 (decay_phase_length).
-  Round phase_length = 0;
-  /// Phases per broadcast run (bcast -> ack); 0 derives ceil(log2 n) + 1.
-  Round phases_per_run = 0;
-};
-
 /// Rounds from the start of a message's run to its ack.
-[[nodiscard]] Round decay_mac_run_length(NodeId n,
-                                         const DecayMacOptions& options = {});
+[[nodiscard]] Round decay_mac_run_length(NodeId n);
 
 /// Process factory hosting `client_factory`'s clients over DecayMac.
 [[nodiscard]] ProcessFactory make_decay_mac_factory(
-    NodeId n, MacClientFactory client_factory,
-    const DecayMacOptions& options = {});
+    NodeId n, MacClientFactory client_factory);
 
 }  // namespace dualrad::mac

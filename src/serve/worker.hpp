@@ -42,10 +42,6 @@ struct WorkerOptions {
   /// together never hammer the coordinator in lockstep.
   std::chrono::milliseconds backoff_base{100};
   std::chrono::milliseconds backoff_max{2000};
-  /// Give up (throw) after this long without a successful connection.
-  double reconnect_window_secs = 15.0;
-  /// Receive timeout for each expected reply.
-  int reply_timeout_ms = 30'000;
   /// Optional cooperative stop: checked between trials and between
   /// requests; when set, the worker returns early (its lease expires and
   /// the unit is reissued elsewhere).

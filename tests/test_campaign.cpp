@@ -5,8 +5,10 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -15,6 +17,7 @@
 #include "algorithms/harmonic.hpp"
 #include "algorithms/round_robin_bcast.hpp"
 #include "campaign/builtin_scenarios.hpp"
+#include "campaign/claims.hpp"
 #include "campaign/engine.hpp"
 #include "campaign/export.hpp"
 #include "campaign/registry.hpp"
@@ -958,6 +961,70 @@ TEST(CampaignExport, SummariesSerializeFailuresAsMinusOne) {
   EXPECT_NE(jsonl.find("\"mean_rounds\":-1"), std::string::npos);
   const std::string csv = summaries_to_csv({all_failed});
   EXPECT_NE(csv.find("test/all-failed,3,3,-1"), std::string::npos);
+}
+
+TEST(Claims, CheckerFlagsBrokenPoints) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto fake = [](Relation relation, std::vector<ClaimPoint> points) {
+    return Claim{"fake anchor", "fake statistic", relation,
+                 [points] { return points; }};
+  };
+  const std::vector<Claim> table = {
+      fake(Relation::AtMost, {{8, 5, 4, "above"},
+                              {8, 4, 4, "at the bound"},
+                              {8, inf, 4, "never, at most"}}),
+      fake(Relation::AtLeast, {{8, inf, 4, "never, at least"},
+                               {8, 3, 4, "below"},
+                               {8, nan, 4, "invalid"}}),
+      fake(Relation::Equal, {{8, 4, 4, "equal"}, {8, 4.0001, 4, "unequal"}})};
+  std::ostringstream out;
+  const ClaimCheck check = check_claims(table, out);
+  EXPECT_EQ(check.points, 8u);
+  std::vector<std::string> broken;
+  for (const ClaimPoint& point : check.broken) broken.push_back(point.repro);
+  EXPECT_EQ(broken, (std::vector<std::string>{"above", "never, at most",
+                                              "below", "invalid", "unequal"}));
+  EXPECT_NE(out.str().find("broken: above\n"), std::string::npos);
+  EXPECT_NE(out.str().find("\n3 of 8 claim points hold\n"), std::string::npos);
+}
+
+// A spec point's repro, `dualrad_campaign --filter=SPEC --trials=T`, gives
+// the claim's measured value: Theorem 18's point on layered 16x4.
+TEST(Claims, SpecReproReproducesThePoint) {
+  const std::vector<Claim> claims = paper_claims();
+  const auto claim =
+      std::find_if(claims.begin(), claims.end(), [](const Claim& c) {
+        return c.anchor.find("(Theorem 18)") != std::string::npos;
+      });
+  ASSERT_NE(claim, claims.end());
+  const std::vector<ClaimPoint> points = claim->measure();
+  const auto point =
+      std::find_if(points.begin(), points.end(), [](const ClaimPoint& p) {
+        return p.repro.find("layers=16:") != std::string::npos;
+      });
+  ASSERT_NE(point, points.end());
+  const std::string filter = " --filter=";
+  const std::string trials = " --trials=";
+  const std::size_t at = point->repro.find(filter) + filter.size();
+  const std::size_t until = point->repro.find(trials);
+  ASSERT_NE(until, std::string::npos);
+  const std::string spec = point->repro.substr(at, until - at);
+  EXPECT_EQ(spec,
+            "adhoc/layered:layers=16:width=4/harmonic/greedy/cr4/async/"
+            "cap=20000000");
+
+  CampaignConfig config;
+  config.master_seed = 1;
+  config.trials_override =
+      std::stoul(point->repro.substr(until + trials.size()));
+  EXPECT_EQ(config.trials_override, 5u);
+  const CampaignResult result =
+      run_campaign(select_scenarios({}, spec), config);
+  ASSERT_EQ(result.summaries.size(), 1u);
+  EXPECT_EQ(result.summaries.front().failures, 0u);
+  EXPECT_EQ(result.summaries.front().rounds.max, point->measured);
+  EXPECT_EQ(point->n, 61);
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/rng.hpp"
-#include "stats/fit.hpp"
 #include "stats/stats.hpp"
 #include "stats/table.hpp"
 
@@ -63,48 +61,6 @@ TEST(Stats, WilsonHalfWidthShrinksWithTrials) {
   const double w10000 = stats::wilson_half_width(5000, 10000);
   EXPECT_GT(w100, w10000);
   EXPECT_LT(w100, 0.15);
-}
-
-TEST(Fit, RecoversPlantedShape) {
-  std::vector<double> n, y;
-  for (double x : {64.0, 128.0, 256.0, 512.0, 1024.0}) {
-    n.push_back(x);
-    y.push_back(3.5 * x * std::sqrt(x * std::log2(x)));  // n^1.5 sqrt(log n)
-  }
-  const auto fits = stats::fit_all_shapes(n, y);
-  EXPECT_EQ(fits.front().shape, "n^1.5 sqrt(log n)");
-  EXPECT_NEAR(fits.front().scale, 3.5, 1e-9);
-  EXPECT_NEAR(fits.front().r2, 1.0, 1e-12);
-  EXPECT_NEAR(fits.front().ratio_spread, 1.0, 1e-12);
-}
-
-TEST(Fit, DistinguishesNLogNFromN) {
-  std::vector<double> n, y;
-  for (double x : {64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0}) {
-    n.push_back(x);
-    y.push_back(2.0 * x * std::log2(x));
-  }
-  const auto fits = stats::fit_all_shapes(n, y);
-  EXPECT_EQ(fits.front().shape, "n log n");
-  const auto fit_n = stats::fit_shape("n", n, y);
-  EXPECT_LT(fit_n.r2, fits.front().r2);
-  EXPECT_GT(fit_n.ratio_spread, 1.3);
-}
-
-TEST(Fit, NoisyDataStillRanksCorrectly) {
-  StreamRng rng(5);
-  std::vector<double> n, y;
-  for (double x : {64.0, 128.0, 256.0, 512.0, 1024.0}) {
-    n.push_back(x);
-    y.push_back(x * x * (0.9 + 0.2 * rng.uniform()));
-  }
-  const auto fits = stats::fit_all_shapes(n, y);
-  EXPECT_EQ(fits.front().shape, "n^2");
-}
-
-TEST(Fit, RejectsUnknownShape) {
-  EXPECT_THROW((void)stats::shape_value("n^3", 10.0), std::invalid_argument);
-  EXPECT_THROW((void)stats::fit_shape("n", {}, {}), std::invalid_argument);
 }
 
 TEST(Table, RendersAlignedColumns) {

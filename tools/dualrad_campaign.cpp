@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   try {
     const campaign::ScenarioRegistry registry = campaign::builtin_registry();
     const std::vector<campaign::Scenario> scenarios =
-        campaign::select_scenarios(registry, run.filter);
+        cli::selected_scenarios(registry, run);
     if (scenarios.empty()) {
       std::fprintf(stderr, "no scenario matches filter '%s'\n",
                    run.filter.c_str());

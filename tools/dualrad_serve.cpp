@@ -187,7 +187,7 @@ int run_serve(const Options& options, const cli::RunOptions& run) {
 
   if (!options.idle) {
     const std::vector<campaign::Scenario> scenarios =
-        campaign::select_scenarios(registry, run.filter);
+        cli::selected_scenarios(registry, run);
     if (scenarios.empty()) {
       std::fprintf(stderr, "no scenario matches filter '%s'\n",
                    run.filter.c_str());

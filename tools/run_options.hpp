@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -40,6 +41,9 @@ struct RunOptions {
   std::string summary_jsonl_path;
   std::string summary_csv_path;
   std::string telemetry_jsonl_path;
+  /// The scenario a spec --filter spells, parsed once when the command
+  /// line is validated; empty for any other filter.
+  std::optional<campaign::Scenario> spec;
 };
 
 inline constexpr const char* kRunUsage =
@@ -166,7 +170,7 @@ class Flags {
       }
     }
     if (run.filter.starts_with(campaign::kSpecPrefix)) {
-      (void)campaign::parse_spec(run.filter);
+      run.spec = campaign::parse_spec(run.filter);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
@@ -177,6 +181,14 @@ class Flags {
     return false;
   }
   return true;
+}
+
+/// The scenarios `run` selects: the one its spec filter spells, or
+/// registry.match(filter).
+[[nodiscard]] inline std::vector<campaign::Scenario> selected_scenarios(
+    const campaign::ScenarioRegistry& registry, const RunOptions& run) {
+  if (run.spec.has_value()) return {*run.spec};
+  return registry.match(run.filter);
 }
 
 /// Write every export `run` names; `timed` adds the wall-time columns.
