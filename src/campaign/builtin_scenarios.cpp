@@ -385,11 +385,11 @@ struct Builtin {
       {"dual/gossip/layered/bernoulli:0.5",
        layered8x4 + "/gossip/bernoulli:0.5/cr4/async/cap=2000000", 5,
        {"dual", "randomized"}},
-      // Decay carries no dual-graph guarantee (Table 2's contrast): the
-      // greedy blocker can starve it, so trials may hit the round cap.
+      // Decay carries no dual-graph guarantee (Table 2's contrast); on this
+      // network its trials still complete under the greedy blocker.
       {"dual/decay/layered/greedy",
        layered8x4 + "/decay/greedy/cr4/async/cap=100000", 3,
-       {"dual", "randomized", "table2", "negative"}},
+       {"dual", "randomized", "table2"}},
   };
 
   // Engine scaling, 10^3..10^6 nodes: windowed Decay under asynchronous
@@ -442,11 +442,11 @@ struct Builtin {
        {"mac/bmmb-decay/layered/k=16/bernoulli:0.5",
         layered8x4 + "/bmmb/bernoulli:0.5/cr4/async/tokens=16/cap=500000", 3,
         {"mac", "multi-message", "randomized", "k=16"}},
-       // The greedy blocker can starve the MAC layer as it starves Decay,
-       // so these trials may hit the round cap.
+       // The greedy blocker against the MAC layer: these trials complete in
+       // about as many rounds as the benign k=4 arm's.
        {"mac/bmmb-decay/layered/k=4/greedy",
         layered8x4 + "/bmmb/greedy/cr4/async/tokens=4/cap=100000", 2,
-        {"mac", "multi-message", "randomized", "k=4", "negative"}},
+        {"mac", "multi-message", "randomized", "k=4"}},
        {"mac/bmmb-decay/grayzone/k=4/bernoulli:0.3",
         grayzone48 + "/bmmb/bernoulli:0.3/cr4/async/tokens=4/cap=500000", 3,
         {"mac", "multi-message", "randomized", "k=4"}},

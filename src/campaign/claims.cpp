@@ -32,6 +32,7 @@
 #include "lowerbound/theorem12.hpp"
 #include "lowerbound/theorem2.hpp"
 #include "lowerbound/theorem4.hpp"
+#include "repeated/repeated.hpp"
 #include "selectors/kautz_singleton.hpp"
 #include "selectors/randomized_ssf.hpp"
 #include "stats/stats.hpp"
@@ -325,11 +326,9 @@ constexpr Algorithm kDeterministic[] = {
   for (const auto& [name, factory, seed] : arms) {
     for (const auto& p :
          lowerbound::run_theorem4(n, factory, ks, trials, seed).points) {
-      const auto successes = static_cast<std::size_t>(
-          std::llround(p.min_success_prob * static_cast<double>(trials)));
       points.push_back(
           {n, p.min_success_prob,
-           p.bound + stats::wilson_half_width(successes, trials),
+           p.bound + stats::wilson_half_width(p.min_successes, trials),
            call("lowerbound::run_theorem4",
                 {"34", name,
                  std::string("{").append(std::to_string(p.k)).append("}"),
@@ -508,6 +507,68 @@ constexpr Algorithm kDeterministic[] = {
   return points;
 }
 
+/// X1, Section 8's future work: ten broadcasts under the greedy blocker,
+/// rerunning the algorithm each time (naive) against four training runs and
+/// then a TDMA schedule over the learned topology, one run per (network,
+/// algorithm) seeded as trial 0 of scenario `x1/greedy/<net>/<algo>` at
+/// master seed 1. Point lists: the learned total against the naive total,
+/// and, for Harmonic, the slowest post-training broadcast against the
+/// schedule's period (Strong Select's training never learns a usable
+/// topology here, so it has no period).
+[[nodiscard]] std::vector<Points> repeated_points() {
+  const std::tuple<std::string, std::string, DualGraph> networks[] = {
+      {"grayzone",
+       "gray_zone({.n = 48, .r_reliable = 0.25, .r_gray = 0.6, .seed = 7})",
+       duals::gray_zone(
+           {.n = 48, .r_reliable = 0.25, .r_gray = 0.6, .seed = 7})},
+      {"backbone",
+       "backbone_plus_unreliable({.n = 48, .p_reliable = 0.06, "
+       ".p_unreliable = 0.25, .seed = 7})",
+       duals::backbone_plus_unreliable(
+           {.n = 48, .p_reliable = 0.06, .p_unreliable = 0.25, .seed = 7})}};
+  const Algorithm algorithms[] = {
+      {"harmonic", [](NodeId n) { return make_harmonic_factory(n); }},
+      kDeterministic[1]};
+  const auto measured = [](Round rounds) {
+    return rounds_or_inf(rounds != kNever, rounds);
+  };
+  std::vector<Points> points(2);
+  for (const auto& [net_name, spelled, net] : networks) {
+    for (const Algorithm& a : algorithms) {
+      const std::string name =
+          std::string("x1/greedy/").append(net_name).append("/").append(
+              a.name);
+      GreedyBlockerAdversary greedy;
+      const repeated::RepeatedOptions options{
+          .broadcasts = 10,
+          .training = 4,
+          .min_samples = 5,
+          .config = {.max_rounds = 10'000'000,
+                     .seed = trial_seed(1, name, 0)}};
+      const repeated::RepeatedReport r = repeated::run_repeated_broadcast(
+          net, a.make(net.node_count()), greedy, options);
+      const std::string repro =
+          call("repeated::run_repeated_broadcast",
+               {spelled, a.name, "greedy",
+                "{10 broadcasts, 4 training, min_samples 5}",
+                std::string("seed trial_seed(1, ").append(name).append(
+                    ", 0)")});
+      points[0].push_back({net.node_count(), measured(r.learned_total()),
+                           measured(r.naive_total()), repro});
+      if (std::string_view(a.name) == "harmonic") {
+        double slowest = 0.0;
+        for (std::size_t b = static_cast<std::size_t>(options.training);
+             b < r.learned_rounds.size(); ++b) {
+          slowest = std::max(slowest, measured(r.learned_rounds[b]));
+        }
+        points[1].push_back({net.node_count(), slowest,
+                             static_cast<double>(r.tdma_period), repro});
+      }
+    }
+  }
+  return points;
+}
+
 /// A measured value or bound as printed: +infinity is a run that never
 /// completes, NaN an invalid one.
 [[nodiscard]] std::string number(double value) {
@@ -670,6 +731,17 @@ std::vector<Claim> paper_claims() {
                 {"Section 3: the bridge network is 2-broadcastable",
                  "greedy oracle rounds <= 2", Relation::AtMost}},
                oracle_points);
+  add_together(claims,
+               {{"Section 8, repeated broadcast with topology learning (X1)",
+                 "rounds of 10 broadcasts (4 training, then a TDMA schedule "
+                 "over the learned topology) <= rerunning the algorithm 10 "
+                 "times (greedy)",
+                 Relation::AtMost},
+                {"Section 8, the learned schedule is adversary-proof (X1)",
+                 "slowest post-training broadcast of Harmonic <= one period "
+                 "of the learned TDMA schedule",
+                 Relation::AtMost}},
+               repeated_points);
   // BMMB over DecayMac (M1): every mac/* builtin under a benign or
   // Bernoulli channel completes all its trials.
   std::vector<Scenario> mac_arms;

@@ -31,8 +31,9 @@
 ///    round is exactly the last first-delivery. (Agreement is an eventual
 ///    property; executions truncated by max_rounds are not violations.)
 ///
-/// Wired as a CampaignConfig observer so any campaign — batch or serve-mode
-/// worker — can assert the contract out-of-band without touching results.
+/// Wired as a CampaignConfig observer (`dualrad_campaign --fail-on-contract`)
+/// so a campaign can assert the contract out-of-band without touching
+/// results.
 
 namespace dualrad::campaign {
 
@@ -42,15 +43,16 @@ namespace dualrad::campaign {
     const Scenario& scenario, const TrialRow& row, const SimResult& result);
 
 /// Observer adapter: collects violations across all trials of a campaign.
-/// attach() chains any observer already present in the config. Thread-safe
-/// (the engine serializes observers, but serve-mode workers may not).
+/// attach() chains any observer already present in the config. Thread-safe,
+/// though the engine serializes observers.
 class ContractObserver {
  public:
   /// Install this observer into `config`, chaining a pre-existing one.
   /// The observer must outlive the campaign run.
   void attach(CampaignConfig& config);
 
-  /// Record violations of one trial directly (the serve-mode worker path).
+  /// Record violations of one trial: the attached observer's body, and
+  /// callable directly (the tests record trials out of order with it).
   void record(const Scenario& scenario, const TrialRow& row,
               const SimResult& result);
 

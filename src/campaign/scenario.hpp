@@ -43,10 +43,10 @@ using AdversaryFactory =
     std::function<std::unique_ptr<Adversary>(std::uint64_t seed)>;
 
 /// Optional replacement for the engine's default trial body (one
-/// run_broadcast execution). Harnesses whose logical trial wraps several
-/// executions — e.g. the repeated-broadcast learning pipeline — implement
-/// one here and return a SimResult-shaped digest for the TrialRow. Must be
-/// a pure function of its arguments (the determinism contract).
+/// run_broadcast execution). A trial that wraps the execution — e.g. the
+/// byz/* scenarios run it under a ByzantinePlan — implements one here and
+/// returns a SimResult-shaped digest for the TrialRow. Must be a pure
+/// function of its arguments (the determinism contract).
 using TrialRunner =
     std::function<SimResult(const DualGraph& net, const ProcessFactory& factory,
                             Adversary& adversary, const SimConfig& config)>;

@@ -76,13 +76,14 @@ struct BackboneParams {
 /// reliable part of `net`.
 [[nodiscard]] DualGraph strip_unreliable(const DualGraph& net);
 
-/// Sparse random layered dual network for large-n workloads (the scale/*
-/// scenarios and bench_engine_scaling). n = 1 + layers * width nodes: a
-/// single source in layer 0, then `layers` layers of `width` nodes. Each
-/// node of layer i >= 1 draws `fwd_degree` random parents in layer i-1
-/// (reliable, undirected); each node of layer i >= 2 additionally draws
-/// `unreliable_degree` random contacts in layer i-2 (G'-only, undirected) —
-/// long "skip" links that exist but cannot be relied upon. Degrees stay
+/// Sparse random layered dual network for large-n workloads (the
+/// scale-layered spec family and its scale/* builtins). n = 1 + layers *
+/// width nodes: a single source in layer 0, then `layers` layers of `width`
+/// nodes. Each node of layer i >= 1 draws `fwd_degree` random parents in
+/// layer i-1 (reliable, undirected); each node of layer i >= 2 additionally
+/// draws `unreliable_degree` random contacts in layer i-2 (G'-only,
+/// undirected) — long "skip" links that exist but cannot be relied upon.
+/// Degrees stay
 /// O(fwd_degree + unreliable_degree) regardless of n, so 10^6-node networks
 /// fit comfortably in memory, unlike the complete-G' layered family.
 /// Adjacency rows are ascending. Throws std::invalid_argument, before

@@ -48,26 +48,27 @@ Theorem4Result run_theorem4(NodeId n, const ProcessFactory& factory,
     point.k = k;
     point.bound = static_cast<double>(k) / static_cast<double>(n - 2);
     point.trials = trials;
-    double min_p = 2.0, sum_p = 0.0;
+    point.min_successes = trials + 1;
+    double sum_p = 0.0;
     for (ProcessId i = 1; i <= n - 2; ++i) {
       const auto& rounds = completion[static_cast<std::size_t>(i - 1)];
       const auto successes = static_cast<std::size_t>(std::count_if(
           rounds.begin(), rounds.end(),
           [k](Round r) { return r != kNever && r <= k; }));
-      const double p =
-          static_cast<double>(successes) / static_cast<double>(trials);
-      sum_p += p;
-      if (p < min_p) {
-        min_p = p;
+      sum_p += static_cast<double>(successes) / static_cast<double>(trials);
+      if (successes < point.min_successes) {
+        point.min_successes = successes;
         point.worst_bridge_id = i;
       }
     }
-    point.min_success_prob = min_p;
+    point.min_success_prob = static_cast<double>(point.min_successes) /
+                             static_cast<double>(trials);
     point.mean_success_prob = sum_p / static_cast<double>(n - 2);
     // Allow Monte-Carlo slack of one Wilson interval.
-    const double slack = stats::wilson_half_width(
-        static_cast<std::size_t>(min_p * static_cast<double>(trials)), trials);
-    if (min_p > point.bound + slack) result.bound_respected = false;
+    const double slack = stats::wilson_half_width(point.min_successes, trials);
+    if (point.min_success_prob > point.bound + slack) {
+      result.bound_respected = false;
+    }
     result.points.push_back(point);
   }
   return result;

@@ -23,7 +23,8 @@ namespace dualrad::lowerbound {
 
 struct Theorem4Point {
   Round k = 0;
-  double min_success_prob = 0.0;     ///< min over bridge ids
+  double min_success_prob = 0.0;     ///< min_successes / trials
+  std::size_t min_successes = 0;     ///< min over bridge ids
   double mean_success_prob = 0.0;    ///< mean over bridge ids (reference)
   ProcessId worst_bridge_id = kInvalidProcess;
   double bound = 0.0;                ///< k / (n-2)
@@ -33,7 +34,8 @@ struct Theorem4Point {
 struct Theorem4Result {
   NodeId n = 0;
   std::vector<Theorem4Point> points{};
-  /// True iff every point satisfies min_success_prob <= bound + CI slack.
+  /// True iff every point satisfies min_success_prob <= bound + CI slack,
+  /// the Wilson half-width of min_successes in trials.
   bool bound_respected = true;
 };
 

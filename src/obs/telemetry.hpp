@@ -24,7 +24,7 @@
 ///    telemetry statement (including the clock samples) behind
 ///    `if (config.telemetry != nullptr)`; with the default
 ///    `SimConfig::telemetry == nullptr` the whole layer costs one predictable
-///    branch per phase. bench_engine_scaling pins the disabled overhead.
+///    branch per phase. Nothing times that overhead on its own.
 ///  * **Deterministic shard merge.** The parallel kernel's per-shard work
 ///    (deposits, deliveries, replans) is folded into RoundTelemetry during
 ///    the engine's existing serial shard-merge, in shard order — so per-shard

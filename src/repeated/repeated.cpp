@@ -53,14 +53,22 @@ LearnedTopology estimate_reliable_links(const DualGraph& net,
   return learned;
 }
 
-Round RepeatedReport::naive_total() const {
-  return std::accumulate(naive_rounds.begin(), naive_rounds.end(), Round{0});
+namespace {
+
+[[nodiscard]] Round total(const std::vector<Round>& rounds) {
+  Round sum = 0;
+  for (const Round r : rounds) {
+    if (r == kNever) return kNever;
+    sum += r;
+  }
+  return sum;
 }
 
-Round RepeatedReport::learned_total() const {
-  return std::accumulate(learned_rounds.begin(), learned_rounds.end(),
-                         Round{0});
-}
+}  // namespace
+
+Round RepeatedReport::naive_total() const { return total(naive_rounds); }
+
+Round RepeatedReport::learned_total() const { return total(learned_rounds); }
 
 RepeatedReport run_repeated_broadcast(const DualGraph& net,
                                       const ProcessFactory& algorithm,

@@ -75,6 +75,8 @@ struct RepeatedReport {
   LearnedTopology topology{};
   bool all_completed = true;
 
+  /// Sums of naive_rounds and learned_rounds; kNever if a broadcast never
+  /// completed.
   [[nodiscard]] Round naive_total() const;
   [[nodiscard]] Round learned_total() const;
 };

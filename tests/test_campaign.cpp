@@ -350,7 +350,7 @@ TEST(BuiltinScenarios, CatalogueIsPinned) {
        "ecfdc7f5acae9653"},
       {"dual/gossip/layered/bernoulli:0.5", "06d604965519745e",
        "4b5c2f97c195745e"},
-      {"dual/decay/layered/greedy", "43b2d83732d4ea98",
+      {"dual/decay/layered/greedy", "4bb16d1248ed4631",
        "be602c88db1a62fa"},
       {"scale/decay/layered-1k/benign", "c368a370da720c91",
        "0a8b487c273fd881"},
@@ -406,7 +406,7 @@ TEST(BuiltinScenarios, CatalogueIsPinned) {
        "23c4e269938ca78f"},
       {"mac/bmmb-decay/layered/k=16/bernoulli:0.5", "187d2bd1c004d3f2",
        "a6624f67ee9848cc"},
-      {"mac/bmmb-decay/layered/k=4/greedy", "03c3af20c259b9be",
+      {"mac/bmmb-decay/layered/k=4/greedy", "457af1d851c9a7cb",
        "620ac21b8b4f069c"},
       {"mac/bmmb-decay/grayzone/k=4/bernoulli:0.3", "2c34c6ed951f1b5d",
        "2529804864beaee4"},

@@ -289,8 +289,10 @@ TEST(EngineEquivalence, BuiltinCampaignGridIsBitIdentical) {
   // kernel at 4 threads — with the campaign's own derived trial seeds
   // (master seed 1, trial 0 — exactly what run_campaign hands the
   // simulator), proving the production engine swap does not shift a single
-  // campaign number. The 100k/1m "slow" points are exercised by
-  // bench_engine_scaling instead; everything else runs here.
+  // campaign number. The 100k/1m "slow" points are too slow for the dense
+  // engine; CI's release-bench job holds two of them (layered-1m/benign and
+  // layered-100k/greedy) bit-identical across 1 and 4 kernel threads.
+  // Everything else runs here.
   const campaign::ScenarioRegistry registry = campaign::builtin_registry();
   std::size_t checked = 0;
   for (const campaign::Scenario& s : registry.all()) {

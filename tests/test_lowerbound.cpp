@@ -13,6 +13,7 @@
 #include "lowerbound/theorem12.hpp"
 #include "lowerbound/theorem2.hpp"
 #include "lowerbound/theorem4.hpp"
+#include "stats/stats.hpp"
 
 namespace dualrad {
 namespace {
@@ -81,6 +82,28 @@ TEST(Theorem4, BoundIncreasesWithK) {
   for (std::size_t i = 1; i < result.points.size(); ++i) {
     EXPECT_GE(result.points[i].bound, result.points[i - 1].bound);
   }
+}
+
+TEST(Theorem4, SlackComesFromTheMinimumSuccessCount) {
+  // The estimate and its Wilson slack read the same integer count: at 150
+  // trials, (s / 150) * 150 truncates to s - 1 for s = 55, 79, 97, 110, 123.
+  const NodeId n = 12;
+  constexpr std::size_t trials = 150;
+  const auto result = run_theorem4(n, make_harmonic_factory(n), {1, 3, 6, 9},
+                                   trials, /*seed=*/9);
+  bool respected = true;
+  for (const auto& point : result.points) {
+    EXPECT_LE(point.min_successes, trials) << "k=" << point.k;
+    EXPECT_EQ(point.min_success_prob,
+              static_cast<double>(point.min_successes) /
+                  static_cast<double>(trials))
+        << "k=" << point.k;
+    respected = respected &&
+                point.min_success_prob <=
+                    point.bound +
+                        stats::wilson_half_width(point.min_successes, trials);
+  }
+  EXPECT_EQ(result.bound_respected, respected);
 }
 
 // --------------------------------------------------------------- Theorem 11

@@ -5,6 +5,7 @@
 #include "algorithms/cms_oblivious.hpp"
 #include "algorithms/harmonic.hpp"
 #include "algorithms/scheduled.hpp"
+#include "campaign/engine.hpp"
 #include "core/simulator.hpp"
 #include "graph/broadcastability.hpp"
 #include "graph/dual_builders.hpp"
@@ -188,6 +189,40 @@ TEST(RepeatedBroadcast, LearningBeatsNaiveUnderBenignConditions) {
   for (std::size_t b = 2; b < report.learned_rounds.size(); ++b) {
     EXPECT_LE(report.learned_rounds[b], report.tdma_period);
   }
+}
+
+TEST(RepeatedBroadcast, GreedyGrayzoneHarmonicIsPinned) {
+  // The X1 claim's grayzone / Harmonic run (src/campaign/claims.cpp), seeded
+  // as trial 0 of scenario x1/greedy/grayzone/harmonic at master seed 1.
+  // After four training broadcasts the learned schedule is adversary-proof:
+  // every later broadcast takes exactly one TDMA period.
+  const DualGraph net = duals::gray_zone(
+      {.n = 48, .r_reliable = 0.25, .r_gray = 0.6, .seed = 7});
+  GreedyBlockerAdversary greedy;
+  const auto report = repeated::run_repeated_broadcast(
+      net, make_harmonic_factory(net.node_count()), greedy,
+      {.broadcasts = 10,
+       .training = 4,
+       .min_samples = 5,
+       .config = {.max_rounds = 10'000'000,
+                  .seed = campaign::trial_seed(
+                      1, "x1/greedy/grayzone/harmonic", 0)}});
+  ASSERT_TRUE(report.all_completed);
+  EXPECT_EQ(report.naive_total(), 14687);
+  EXPECT_EQ(report.learned_total(), 5956);
+  EXPECT_EQ(report.tdma_period, 15);
+  ASSERT_EQ(report.learned_rounds.size(), 10u);
+  for (std::size_t b = 4; b < report.learned_rounds.size(); ++b) {
+    EXPECT_EQ(report.learned_rounds[b], 15) << "broadcast " << b + 1;
+  }
+}
+
+TEST(RepeatedBroadcast, TotalIsNeverWhenABroadcastNeverCompletes) {
+  repeated::RepeatedReport report;
+  report.naive_rounds = {5, 7};
+  report.learned_rounds = {5, kNever, 3};
+  EXPECT_EQ(report.naive_total(), 12);
+  EXPECT_EQ(report.learned_total(), kNever);
 }
 
 TEST(RepeatedBroadcast, ReportsPerBroadcastRounds) {
